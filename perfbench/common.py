@@ -24,6 +24,10 @@ STATE = ROOT / ".perfbench"
 
 _CLK_TCK = os.sysconf("SC_CLK_TCK")
 
+#: Fresh set-ups per untraced run (the timed replay's among them);
+#: ``setup_s`` is their median.
+SETUPS = 5
+
 
 def program_env() -> dict[str, str]:
     """Environment for a program process: only this checkout's ``src``
@@ -97,19 +101,30 @@ def percentile(values: list[float], q: float) -> float:
     return ordered[max(0, math.ceil(q * len(ordered)) - 1)]
 
 
-def latency_summary(latencies_s: list[float], wall_s: float, cpu_s: float) -> dict:
-    """The per-run timing metrics every workload reports."""
-    n = len(latencies_s)
-    if n < 100:
-        # p90 needs at least ten samples beyond it.
-        raise RuntimeError(f"only {n} completed ops; p90 needs >= 100")
+def summarize(replay: dict) -> dict:
+    """The end-to-end metrics of one timed replay: each op's latency
+    (``None`` if the op failed), the timed phase's wall and CPU seconds,
+    and peak RSS."""
+    latencies = [x for x in replay["latencies"] if x is not None]
+    n = len(latencies)
+    summary = {"peak_rss_mb": replay["peak_rss_mb"], "ops": n}
+    if not n:
+        # Nothing completed: the run is incorrect and has no timings.
+        return {
+            **summary,
+            **dict.fromkeys(
+                ("throughput_per_s", "latency_p50_ms", "latency_p90_ms",
+                 "latency_mean_ms", "cpu_ms_per_op"),
+                0.0,
+            ),
+        }
     return {
-        "throughput_per_s": n / wall_s,
-        "latency_p50_ms": median(latencies_s) * 1000.0,
-        "latency_p90_ms": percentile(latencies_s, 0.90) * 1000.0,
-        "latency_mean_ms": sum(latencies_s) / n * 1000.0,
-        "cpu_ms_per_op": cpu_s / n * 1000.0,
-        "ops": n,
+        **summary,
+        "throughput_per_s": n / replay["wall_s"],
+        "latency_p50_ms": median(latencies) * 1000.0,
+        "latency_p90_ms": percentile(latencies, 0.90) * 1000.0,
+        "latency_mean_ms": sum(latencies) / n * 1000.0,
+        "cpu_ms_per_op": replay["cpu_s"] / n * 1000.0,
     }
 
 

@@ -141,7 +141,8 @@ def run_phase(fleet: Fleet, problems: list, rec: SpanRecorder | None) -> dict:
     Untraced, an op is ``Client.solve(problem)`` (a register round trip
     then a solve round trip).  Traced, the same two round trips go
     through the client's public ``request()`` so the op splits into
-    encode, register, solve and decode spans.
+    encode, register, solve and decode spans.  The fleet's CPU time
+    (gateway + backends) is read from ``/proc`` around the timed phase.
     """
     from repro.api import Solution
     from repro.server.client import Client
@@ -205,10 +206,11 @@ def run_phase(fleet: Fleet, problems: list, rec: SpanRecorder | None) -> dict:
     client.close()
     return {
         "answers": answers,
-        "latencies": [x for x in latencies if x is not None],
+        "latencies": latencies,
         "wall_s": wall,
-        "cpu_s": {name: cpu1[name] - cpu0[name] for name in pids},
-        "peak_rss_mb": rss,
+        "cpu_s": sum(cpu1.values()) - sum(cpu0.values()),
+        "cpu_by_process_s": {name: cpu1[name] - cpu0[name] for name in pids},
+        "peak_rss_mb": sum(rss.values()),
         "metrics_before": before,
         "metrics_after": after,
         # Response bodies re-encoded as the server encodes them,

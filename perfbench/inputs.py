@@ -4,10 +4,12 @@ Everything a workload feeds the program derives from the one
 ``--seed``: catalogues, cohorts, replay picks, churn stream and batch
 sizes.  Skewed draws (cohort sizes, catalogue popularity, batch sizes)
 are *stratified*: one inverse-CDF draw per equal-probability stratum,
-then a seeded shuffle.  Each run thus carries the same size mix up to
-rounding, and the seed moves the order, the weights and the points;
-otherwise one seed with three extra 256-function cohorts would read as
-a slower program.
+then a seeded shuffle.  Subsets picked from the ops (solve_batch's
+prioritized cohorts, fleet_wire's replayed requests) are taken at
+evenly spaced ranks of cohort size, so they carry the same size mix
+too.  Each run thus does the same mix of work up to rounding, and the
+seed moves the order, the weights and the points; otherwise one seed
+with three extra 256-function cohorts would read as a slower program.
 
 Inputs are plain lists so ``run.py`` can hand them to a fresh program
 process as JSON; the process builds the program's objects from them.
@@ -34,16 +36,25 @@ from repro.api.events import (
 
 DIMS = 3
 
-#: Ops per requested second, fitted to a 2-core host so one timed
-#: replay lasts about ``--seconds``.  The op count is a pure function
-#: of ``--seconds``: every run of one setting does the same work,
-#: whatever the host's speed.
-OPS_PER_SECOND = {"fleet_wire": 14, "solve_batch": 22, "churn_live": 28}
+#: Ops per requested second, fitted to a 2-core host so that a run's
+#: timed replay lasts about ``--seconds``.  The op count is a pure
+#: function of ``--seconds``: every run of one setting does the same
+#: work, whatever the host's speed.
+OPS_PER_SECOND = {"fleet_wire": 14, "solve_batch": 18, "churn_live": 28}
 
 
 def op_count(workload: str, seconds: int) -> int:
     # p90 needs ten samples beyond it.
     return max(100, round(OPS_PER_SECOND[workload] * seconds))
+
+
+def spaced_ranks(rng: np.random.Generator, keys: list, k: int) -> list[int]:
+    """``k`` indices into ``keys`` at evenly spaced ranks of their
+    sorted order (seeded offset): a subset with the same mix of keys."""
+    order = sorted(range(len(keys)), key=lambda i: (keys[i], i))
+    step = len(keys) / k
+    offset = rng.random()
+    return [order[int((j + offset) * step)] for j in range(k)]
 
 
 def stratified_choice(
@@ -76,7 +87,7 @@ def solve_batch(seed: int, seconds: int) -> dict:
     sizes = stratified_choice(
         rng, np.arange(1, 257), zipf_probabilities(256, 1.0), n
     )
-    weighted = set(rng.permutation(n)[: n // 5].tolist())
+    weighted = set(spaced_ranks(rng, sizes, n // 5))
     ops = []
     for i in range(n):
         op = {"cat": cats[i], "weights": _cohort(rng, sizes[i])}
@@ -110,30 +121,42 @@ def _verify_sample(
 
 def fleet_wire(seed: int, seconds: int) -> dict:
     """4 catalogues x 2048 objects with Zipf popularity; cohorts of Zipf
-    sizes 1..32; 30% of requests exactly replay an earlier cohort."""
+    sizes 1..32; 30% of requests exactly replay an earlier cohort.
+
+    Catalogues and sizes are stratified over the original requests;
+    the replayed ones are originals at evenly spaced size ranks, each
+    placed at a seeded position after its original."""
     rng = np.random.default_rng([seed, 2])
     n = op_count("fleet_wire", seconds)
+    n_replays = round(0.3 * n)
+    n_originals = n - n_replays
     catalogues = [_points(rng, 2048) for _ in range(4)]
-    cats = stratified_choice(rng, np.arange(4), zipf_probabilities(4, 1.1), n)
-    sizes = stratified_choice(rng, np.arange(1, 33), zipf_probabilities(32, 1.0), n)
-    replays = set((1 + rng.permutation(n - 1)[: round(0.3 * n)]).tolist())
+    cats = stratified_choice(rng, np.arange(4), zipf_probabilities(4, 1.1), n_originals)
+    sizes = stratified_choice(
+        rng, np.arange(1, 33), zipf_probabilities(32, 1.0), n_originals
+    )
+    originals = [
+        {"cat": cats[i], "weights": _cohort(rng, sizes[i])} for i in range(n_originals)
+    ]
+    replays_after: list[list[int]] = [[] for _ in range(n_originals)]
+    for source in spaced_ranks(rng, list(zip(sizes, cats)), n_replays):
+        replays_after[int(rng.integers(source, n_originals))].append(source)
     ops: list[dict] = []
-    originals: list[int] = []
-    for i in range(n):
-        if i in replays and originals:
-            source = ops[originals[int(rng.integers(len(originals)))]]
-            ops.append({"cat": source["cat"], "weights": source["weights"]})
-        else:
-            originals.append(i)
-            ops.append({"cat": cats[i], "weights": _cohort(rng, sizes[i])})
+    for i, original in enumerate(originals):
+        ops.append(original)
+        ops.extend(dict(originals[s]) for s in replays_after[i])
     return {"catalogues": catalogues, "ops": ops}
 
 
-#: churn_live's independent episodes per run.  One stream's cost
-#: wanders with the population it builds (at a fixed length,
-#: ``pairs_rematched`` moved about 30% between seeds and did not settle
-#: with longer streams), so a run averages over several populations.
-CHURN_EPISODES = 4
+#: churn_live's independent episodes per run.  An episode's cost
+#: depends on its population: the mean single-event ``apply()`` of one
+#: episode repeats within 10% between runs, but ranged 8-16 ms between
+#: the episodes of one seed.  A run therefore averages over many short
+#: episodes rather than following a few long ones.
+CHURN_EPISODES = 16
+#: Episodes whose final state also passes ``verify_current()``, which
+#: takes about 0.3 s on this shape.
+CHURN_VERIFIED = 4
 
 
 def churn_live(seed: int, seconds: int) -> dict:
@@ -143,6 +166,7 @@ def churn_live(seed: int, seconds: int) -> dict:
     rng = np.random.default_rng([seed, 3])
     n = op_count("churn_live", seconds)
     sizes = stratified_choice(rng, np.arange(1, 17), zipf_probabilities(16, 1.7), n)
+    verified = set(rng.permutation(CHURN_EPISODES)[:CHURN_VERIFIED].tolist())
     episodes = []
     for k in range(CHURN_EPISODES):
         functions = make_functions(100, DIMS, seed=rng)
@@ -162,7 +186,7 @@ def churn_live(seed: int, seconds: int) -> dict:
                 "objects": [list(p) for p in objects.points],
                 "events": [_encode_event(e) for e in events],
                 "batch_sizes": batch_sizes,
-                "verify_at": int(rng.integers(len(batch_sizes))),
+                "verify": k in verified,
             }
         )
     return {"episodes": episodes}

@@ -1,16 +1,19 @@
 """The repository's benchmark: three workloads over the served stack.
 
-    python3 perfbench/run.py --workload fleet_wire --seed 1 --seconds 10 --trace 0
-    python3 perfbench/run.py --workload all --seed 1 --seconds 10
+    python3 perfbench/run.py --workload fleet_wire --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload all --seed 1
 
-``--trace 0`` prints the end-to-end metrics of untraced runs;
-``--trace 1`` replays the same inputs again with spans around the
-calls into each layer and prints the per-layer metrics (the untraced
-replay still runs, to report the tracing overhead).  ``--seconds``
+``--trace 0`` prints the end-to-end metrics of one untraced replay of
+the seed's ops, with set-up measured ``SETUPS`` times; ``--trace 1``
+replays the same inputs once untraced and once with spans around the
+calls into each layer, and prints the per-layer metrics and the
+tracing overhead.  ``--seconds``
 sets the run length through a fixed op count (see
 ``inputs.OPS_PER_SECOND``), never through the clock, so every run of
 one seed does the same work.  The last stdout line is one JSON object:
-``{"correct", "attempted", "failed", "metrics"}``.
+``{"correct", "attempted", "failed", "metrics"}``; ``attempted`` counts
+every op of every replay (untraced and traced), and ``failed`` those
+that raised or answered wrong.
 
 Every run also stores, under ``.perfbench/``: a result record with the
 seed, the host-speed reference timed before and after the run, the
@@ -31,30 +34,22 @@ from concurrent.futures import ThreadPoolExecutor
 
 from common import (
     ROOT,
+    SETUPS,
     SRC,
     STATE,
     SpanRecorder,
     host_reference_ms,
-    latency_summary,
     median,
     program_env,
     self_times,
     source_digest,
     span_totals,
+    summarize,
 )
 
 WORKLOADS = ("fleet_wire", "solve_batch", "churn_live")
 #: The span around one whole op, per library workload.
 OP_SPAN = {"solve_batch": "op", "churn_live": "session.apply"}
-#: Fresh set-ups per untraced run; ``setup_s`` is their median.
-SETUP_REPEATS = {"fleet_wire": 3, "solve_batch": 5, "churn_live": 5}
-#: Identical timed replays per untraced run, each in fresh processes;
-#: the end-to-end metrics come from the faster one.  On a shared 2-core
-#: host, speed shifts in regimes of seconds to minutes (one seed's
-#: replay ran 30-60% slower from mid-run on, CPU time included), and
-#: contention only ever slows a replay down.  The replays must also
-#: answer, and count, identically.
-REPLAYS = 2
 WORKER_TIMEOUT_S = 170
 
 #: Metric names and units come from the benchmark's contract file.
@@ -101,70 +96,82 @@ def run_worker(job: dict) -> dict:
 
 
 def check_solve_batch(inputs: dict, replay: dict) -> list:
-    """Check every answer of a solve_batch replay, split over two
-    processes (one per core): the checks cost more than the replay and
-    run after it, so nothing timed shares the host with them."""
-    job = {
-        "mode": "solve_batch_check",
-        "trace": False,
-        **inputs,
-        "op_methods": replay["op_methods"],
-        "digests": replay["digests"],
-    }
+    """Check every answer of the timed solve_batch replay against
+    reference answers computed in two processes (one per core): the
+    checks cost about as much as the replay and run after it, so
+    nothing timed shares the host with them."""
     n = len(inputs["ops"])
+    methods = replay["op_methods"]
+    job = {"mode": "solve_batch_check", "trace": False, **inputs, "op_methods": methods}
     halves = [dict(job, indices=list(range(k, n, 2))) for k in range(2)]
     with ThreadPoolExecutor(max_workers=2) as pool:
-        return [e for done in pool.map(run_worker, halves) for e in done["errors"]]
+        done = list(pool.map(run_worker, halves))
+    reference = dict(pair for d in done for pair in d["reference"])
+    unchecked = dict(pair for d in done for pair in d["errors"])
+    errors = []
+    for i, digest in enumerate(replay["digests"]):
+        if digest is None:
+            continue  # raised: the replay reported it
+        if i in unchecked:
+            errors.append([0, i, unchecked[i]])
+        elif digest != reference[i]:
+            errors.append([0, i, f"{methods[i]} answer differs from another method's"])
+    return errors
 
 
 def failed_ops(errors: list) -> int:
-    """Ops with a raised call or a wrong answer (each counted once)."""
-    return len({i for i, _ in errors if i is not None})
+    """Failed op executions: each (replay, op) with a raised call or a
+    wrong answer, counted once.  An error tied to no op (a determinism
+    defect) makes the run incorrect without failing an op."""
+    return len({(replay, op) for replay, op, _ in errors if op is not None})
+
+
+def tag_errors(tag, worker_errors: list) -> list:
+    return [[tag, op, message] for op, message in worker_errors]
+
+
+def _no_ops(workload: str, inputs: dict) -> dict:
+    """The inputs of a set-up-only worker: the workload's, with every
+    op taken out."""
+    if workload == "solve_batch":
+        return {"ops": []}
+    return {"episodes": [dict(e, events=[], batch_sizes=[]) for e in inputs["episodes"]]}
 
 
 # -- solve_batch and churn_live ---------------------------------------------
 
 
 def library_run(workload: str, inputs: dict, trace: bool) -> dict:
-    job = {"mode": workload, "trace": False, "check": True, "setup_only": False}
+    job = {"mode": workload, "trace": False, "check": True, **inputs}
     setup_samples = []
     if not trace:
-        setup_job = dict(job, setup_only=True)
-        if workload == "solve_batch":
-            setup_job["catalogues"] = inputs["catalogues"]
-        else:
-            setup_job["episodes"] = [
-                {"functions": e["functions"], "objects": e["objects"]}
-                for e in inputs["episodes"]
-            ]
-        for _ in range(SETUP_REPEATS[workload] - REPLAYS):
-            setup_samples.append(run_worker(setup_job)["setup_s"])
-    replays = [run_worker({**job, **inputs}) for _ in range(1 if trace else REPLAYS)]
-    errors = [e for r in replays for e in r["errors"]]
-    errors += _compare_replays(replays)
+        setup_job = {**job, "check": False, **_no_ops(workload, inputs)}
+        setup_samples = [run_worker(setup_job)["setup_s"] for _ in range(SETUPS - 1)]
+    replay = run_worker(job)
+    n = len(replay["latencies"])
+    errors = tag_errors(0, replay["errors"])
     if workload == "solve_batch":
-        errors += check_solve_batch(inputs, replays[0])
-    setup_samples += [r["setup_s"] for r in replays]
-    best = max(replays, key=lambda r: len(r["latencies"]) / r["wall_s"])
-    summary = latency_summary(best["latencies"], best["wall_s"], best["cpu_s"])
+        errors += check_solve_batch(inputs, replay)
+    setup_samples.append(replay["setup_s"])
+    summary = summarize(replay)
     summary["setup_s"] = median(setup_samples)
-    summary["peak_rss_mb"] = best["peak_rss_mb"]
     out = {
         "e2e": summary,
-        "op_timeline": {"latency_s": best["latencies"], "cpu_s": best["cpus"]},
         "setup_samples": setup_samples,
-        "attempted": sum(len(r["digests"]) for r in replays),
+        "latencies": replay["latencies"],
+        "attempted": n,
         "errors": errors,
-        "counts": best["counts"],
+        "counts": replay["counts"],
     }
     if not trace:
         return out
 
-    traced = run_worker({**job, **inputs, "trace": True, "check": False})
-    out["attempted"] += len(traced["digests"])
-    out["errors"] += traced["errors"] + _compare_replays([best, traced])
+    traced = run_worker({**job, "trace": True, "check": False})
+    out["attempted"] += n
+    out["errors"] += tag_errors("traced", traced["errors"])
+    out["errors"] += _compare_traced(replay, traced)
     spans = traced["spans"]
-    ops = len(traced["latencies"])
+    ops = max(1, sum(x is not None for x in traced["latencies"]))
     traced_ms = 1000.0 * span_totals(spans)[OP_SPAN[workload]] / ops
     layers = (solve_batch_layers if workload == "solve_batch" else churn_layers)(
         spans, traced, ops
@@ -174,16 +181,17 @@ def library_run(workload: str, inputs: dict, trace: bool) -> dict:
     return out
 
 
-def _compare_replays(replays: list) -> list:
-    """Replays of one seed must answer identically, and the program's
-    counts must repeat exactly: a difference is a determinism defect."""
-    errors = []
-    first = replays[0]
-    for other in replays[1:]:
-        if other["digests"] != first["digests"]:
-            errors.append([None, "replays of one seed answered differently"])
-        if other["counts"] != first["counts"]:
-            errors.append([None, "determinism defect: replays of one seed counted differently"])
+def _compare_traced(replay: dict, traced: dict) -> list:
+    """The traced replay must answer like the untraced one, and the
+    program's counts must repeat exactly: a difference is a determinism
+    defect."""
+    errors = [
+        ["traced", i, "answered differently from the untraced replay"]
+        for i, (a, b) in enumerate(zip(replay["digests"], traced["digests"]))
+        if a is not None and b is not None and a != b
+    ]
+    if traced["counts"] != replay["counts"]:
+        errors.append(["traced", None, "determinism defect: the replays counted differently"])
     return errors
 
 
@@ -214,7 +222,8 @@ def _solve_layers(spans: list, op_methods: list, ops: int) -> dict:
     engine = kernels = 0.0
     for _sid, _parent, name, op, start, end in spans:
         if name == "session.solve":
-            if op_methods[op].endswith("-vec"):
+            # A failed op (no method) counts as interpreted.
+            if (op_methods[op] or "").endswith("-vec"):
                 kernels += end - start
             else:
                 engine += end - start
@@ -246,7 +255,7 @@ def solve_batch_layers(spans: list, traced: dict, ops: int) -> dict:
 def churn_layers(spans: list, traced: dict, ops: int) -> dict:
     counts = traced["counts"]
     totals = span_totals(spans)
-    events = traced["events"]
+    events = max(1, traced["events"])
     return {
         **_setup_layers(spans),
         "api.apply_ms_per_op": 1000.0
@@ -270,50 +279,49 @@ def fleet_run(inputs: dict, trace: bool) -> dict:
     bases = catalogue_problems(Problem, inputs["catalogues"])
     problems = [bases[op["cat"]].with_functions(op["weights"]) for op in inputs["ops"]]
     n = len(problems)
-    setup_samples, boot_samples = [], []
-    phases = []
-    repeats = 1 if trace else SETUP_REPEATS["fleet_wire"]
-    for k in range(repeats):
+    boot_samples, setup_samples = [], []
+    setups = 1 if trace else SETUPS
+    for k in range(setups):
         booted, setup_s = fleet.boot(f"setup{k}", bases)
         setup_samples.append(setup_s)
         boot_samples.extend(booted.boot_seconds())
         with booted:
-            if k >= repeats - (1 if trace else REPLAYS):
-                phases.append(fleet.run_phase(booted, problems, None))
-    best = max(phases, key=lambda p: len(p["latencies"]) / p["wall_s"])
-    cpu_s = sum(best["cpu_s"].values())
-    summary = latency_summary(best["latencies"], best["wall_s"], cpu_s)
+            # The last fleet runs the timed replay; the others only set up.
+            if k == setups - 1:
+                replay = fleet.run_phase(booted, problems, None)
+    summary = summarize(replay)
     summary["setup_s"] = median(setup_samples)
-    summary["peak_rss_mb"] = sum(best["peak_rss_mb"].values())
     out = {
         "e2e": summary,
-        "op_timeline": {"latency_s": best["latencies"]},
         "setup_samples": setup_samples,
-        "attempted": n * len(phases),
-        "errors": [e for p in phases for e in p["errors"]],
-        "counts": _fleet_counts(best),
+        "latencies": replay["latencies"],
+        "attempted": n,
+        "errors": tag_errors(0, replay["errors"]),
+        "counts": _fleet_counts(replay),
     }
+    phases = [(0, replay)]
     if trace:
         rec = SpanRecorder()
         traced_fleet, _ = fleet.boot("traced", bases)
         boot_samples.extend(traced_fleet.boot_seconds())
         with traced_fleet:
             traced_phase = fleet.run_phase(traced_fleet, problems, rec)
-        phases.append(traced_phase)
+        phases.append(("traced", traced_phase))
         out["attempted"] += n
-        out["errors"] += traced_phase["errors"]
-        replay = run_worker(
+        out["errors"] += tag_errors("traced", traced_phase["errors"])
+        in_process = run_worker(
             {"mode": "wire_replay", "trace": True, **inputs, "check": False}
         )
-        # One span file: shift the replay's span ids past the client's.
+        out["errors"] += tag_errors("traced", in_process["errors"])
+        # One span file: shift the in-process spans' ids past the client's.
         shift = len(rec.spans)
-        replay_spans = [
+        in_process_spans = [
             (sid + shift, parent and parent + shift, *rest)
-            for sid, parent, *rest in replay["spans"]
+            for sid, parent, *rest in in_process["spans"]
         ]
         out.update(
-            layers=fleet_layers(traced_phase, rec.spans, replay, boot_samples, n),
-            spans=rec.spans + replay_spans,
+            layers=fleet_layers(traced_phase, rec.spans, in_process, boot_samples, n),
+            spans=rec.spans + in_process_spans,
         )
         out["layers"].update(
             _overhead(out["layers"]["trace.latency_ms_per_op"], summary["latency_mean_ms"])
@@ -321,25 +329,33 @@ def fleet_run(inputs: dict, trace: bool) -> dict:
 
     # Checks, after every fleet is stopped: each wire answer against an
     # in-process AssignmentSession.solve of the same Problem.
-    expected: list[tuple] = []
+    expected: list = []
     by_request: dict = {}
     with AssignmentSession(bases[0]) as session:
         for op, problem in zip(inputs["ops"], problems):
             request = (op["cat"], json.dumps(op["weights"]))
             if request not in by_request:
-                solution = session.solve(problem)
-                by_request[request] = (solution.method, pair_key(solution.pairs))
+                try:
+                    solution = session.solve(problem)
+                    by_request[request] = (solution.method, pair_key(solution.pairs))
+                # The reference is the program's own output: if it
+                # raises, the op cannot be certified.
+                except Exception as exc:
+                    by_request[request] = f"reference solve: {type(exc).__name__}: {exc}"
             expected.append(by_request[request])
-    for k, phase in enumerate(phases):
+    for tag, phase in phases:
         for i, answer in enumerate(phase["answers"]):
             if answer is None:
-                continue
-            if (answer.method, pair_key(answer.pairs)) != expected[i]:
-                out["errors"].append([i, f"phase {k}: wire answer differs"])
+                continue  # raised: the phase reported it
+            if isinstance(expected[i], str):
+                out["errors"].append([tag, i, expected[i]])
+            elif (answer.method, pair_key(answer.pairs)) != expected[i]:
+                out["errors"].append([tag, i, "wire answer differs from an in-process solve"])
     if trace:
-        digests = [output_digest(*expected[i]) for i in range(n)]
-        if replay["digests"] != digests:
-            out["errors"].append([None, "in-process replay answered differently"])
+        for i, digest in enumerate(in_process["digests"]):
+            if digest is not None and not isinstance(expected[i], str):
+                if digest != output_digest(*expected[i]):
+                    out["errors"].append(["traced", i, "in-process replay answered differently"])
     return out
 
 
@@ -399,11 +415,11 @@ def fleet_layers(
         "client.encode_ms_per_op": per_op["client.encode"],
         "client.wire_kb_per_op": phase["wire_bytes"] / 1024.0 / ops,
         "cluster.cpu_ms_per_op": 1000.0
-        * sum(v for k, v in phase["cpu_s"].items() if k.startswith("gateway"))
+        * sum(v for k, v in phase["cpu_by_process_s"].items() if k.startswith("gateway"))
         / ops,
         "cluster.forwards_per_op": counts["forwards"] / ops,
         "server.cpu_ms_per_op": 1000.0
-        * sum(v for k, v in phase["cpu_s"].items() if k.startswith("backend"))
+        * sum(v for k, v in phase["cpu_by_process_s"].items() if k.startswith("backend"))
         / ops,
         "server.cache_hit_ratio": counts["solution_cache.hits"]
         / max(1, counts["solution_cache.hits"] + counts["solution_cache.misses"]),
@@ -436,7 +452,7 @@ def count_guard(workload: str, data: dict, counts: dict) -> list:
     if guard.exists():
         recorded = json.loads(guard.read_text())
         if recorded != counts:
-            return [[None, f"determinism defect: counts {counts} != {recorded}"]]
+            return [[None, None, f"determinism defect: counts {counts} != {recorded}"]]
         return []
     guard.parent.mkdir(parents=True, exist_ok=True)
     guard.write_text(json.dumps(counts, sort_keys=True))
@@ -476,8 +492,8 @@ def run_workload(workload: str, seed: int, seconds: int, trace: bool) -> dict:
         "source_digest": source_digest(),
         "host_reference_ms": {"before": host_before, "after": host_after},
         "end_to_end": outcome["e2e"],
-        "op_timeline": outcome["op_timeline"],
         "setup_samples_s": outcome["setup_samples"],
+        "latencies_s": outcome["latencies"],
         "per_layer": outcome.get("layers"),
         "counts": outcome["counts"],
         "errors": errors,
@@ -487,7 +503,8 @@ def run_workload(workload: str, seed: int, seconds: int, trace: bool) -> dict:
     results = STATE / "results"
     results.mkdir(parents=True, exist_ok=True)
     name = f"{workload}-seed{seed}-trace{int(trace)}-{stamp}"
-    (results / f"{name}.json").write_text(json.dumps(record, indent=1, sort_keys=True))
+    record_path = results / f"{name}.json"
+    record_path.write_text(json.dumps(record, indent=1, sort_keys=True))
     if trace:
         traces = STATE / "traces"
         traces.mkdir(parents=True, exist_ok=True)
@@ -503,6 +520,7 @@ def run_workload(workload: str, seed: int, seconds: int, trace: bool) -> dict:
                 f"= trace.latency_ms_per_op {metrics['trace.latency_ms_per_op']:.3f} ms"
             )
     _print_table(workload, seed, metrics, units, record)
+    print(f"  record {record_path.relative_to(ROOT)}")
     return result
 
 
@@ -519,15 +537,15 @@ def _print_table(workload: str, seed: int, metrics: dict, units: dict, record: d
     )
     for name, value in metrics.items():
         print(f"  {name:<36} {value:16.6f} {units[name]}")
-    for _i, message in record["errors"][:20]:
-        print(f"  CHECK FAILED: {message}", file=sys.stderr)
+    for replay, op, message in record["errors"][:20]:
+        print(f"  CHECK FAILED: replay {replay} op {op}: {message}", file=sys.stderr)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", choices=(*WORKLOADS, "all"), required=True)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=int, default=10)
+    parser.add_argument("--seconds", type=int, default=_SPEC["run_seconds"])
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
     if not (SRC / "repro" / "__init__.py").is_file():

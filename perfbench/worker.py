@@ -2,14 +2,16 @@
 
 Started by ``run.py`` as ``python perfbench/worker.py`` with only the
 checkout's ``src`` on the import path.  It reads one JSON job from
-stdin (the generated inputs plus ``mode``, ``trace`` and
-``setup_only``) and prints one JSON result as its last stdout line.
+stdin (the generated inputs plus ``mode``, ``trace`` and ``check``)
+and prints one JSON result as its last stdout line.
 
 The set-up window opens after the inputs are parsed and before the
 first ``repro`` import, and closes when the program is ready for its
 first op.  Ops run back to back, with nothing else inside their timed
 windows.  Output checks run outside those windows: solve_batch's in
 separate check processes after the replay, churn_live's between ops.
+A raised op, a wrong answer or a check that raises on the program's
+output is an error ``[op, message]``; the worker itself keeps going.
 """
 
 from __future__ import annotations
@@ -49,12 +51,13 @@ def output_digest(method: str, key: list[tuple]) -> str:
     return hashlib.sha256(repr((method, key)).encode()).hexdigest()[:16]
 
 
-def _timed_summary(lat: list[float], cpu: list[float]) -> dict:
+def _replay_record(lat: list, cpu: list) -> dict:
+    """Per-op latency in op order (``None`` where the op failed), and
+    the wall and CPU seconds of the completed ops."""
     return {
         "latencies": lat,
-        "cpus": cpu,
-        "wall_s": sum(lat),
-        "cpu_s": sum(cpu),
+        "wall_s": sum(x for x in lat if x is not None),
+        "cpu_s": sum(c for c in cpu if c is not None),
         "peak_rss_mb": proc_peak_rss_mb(),
     }
 
@@ -73,12 +76,10 @@ def solve_batch(job: dict, rec: SpanRecorder | None) -> dict:
         with sp("service.index_build"):
             session.solve(base)
     out: dict = {"setup_s": time.perf_counter() - t0}
-    if job["setup_only"]:
-        return out
 
     ops = job["ops"]
-    lat: list[float] = []
-    cpu: list[float] = []
+    lat: list = [None] * len(ops)
+    cpu: list = [None] * len(ops)
     solved: list = [None] * len(ops)
     errors: list = []
     for i, op in enumerate(ops):
@@ -98,13 +99,13 @@ def solve_batch(job: dict, rec: SpanRecorder | None) -> dict:
         except Exception as exc:
             errors.append([i, f"{type(exc).__name__}: {exc}"])
             continue
-        lat.append(time.perf_counter() - s0)
-        cpu.append(time.process_time() - c0)
+        lat[i] = time.perf_counter() - s0
+        cpu[i] = time.process_time() - c0
         # Keep the answer, not the Solution: it references its Problem,
         # which holds its own copy of the catalogue, and retaining those
         # would make peak RSS grow with the run length.
         solved[i] = (solution.method, solution.pairs, solution.stats)
-    out.update(_timed_summary(lat, cpu))
+    out.update(_replay_record(lat, cpu))
 
     answers = [s for s in solved if s is not None]
     methods = Counter(method for method, _, _ in answers)
@@ -131,35 +132,35 @@ def solve_batch(job: dict, rec: SpanRecorder | None) -> dict:
 
 
 def solve_batch_check(job: dict, rec: SpanRecorder | None) -> dict:
-    """Check a share of a solve_batch replay's answers: each against a
-    second solve by another registry method (the stable matching is
+    """Reference answers for a share of solve_batch's ops: each op
+    solved again by another registry method (the stable matching is
     unique, so all solvers agree pair for pair), and ``verify()`` on
-    the seeded sample.  Runs after the timed phase, two at a time."""
+    the seeded sample.  Runs after the timed replay, two at a time."""
     from repro.api import AssignmentSession, Problem
 
     bases = catalogue_problems(Problem, job["catalogues"])
-    errors = []
+    reference, errors = [], []
     with AssignmentSession(bases[0]) as session:
         for i in job["indices"]:
-            method, digest = job["op_methods"][i], job["digests"][i]
+            method = job["op_methods"][i]
             if method is None:
                 continue
             op = job["ops"][i]
-            problem = bases[op["cat"]].with_functions(
-                op["weights"], op.get("priorities"), op.get("capacities")
-            )
             other = "sb-vec" if method == "sb-deltasky-vec" else "sb-deltasky-vec"
-            reference = session.solve(problem.with_method(other))
-            if output_digest(method, pair_key(reference.pairs)) != digest:
-                errors.append([i, f"{method} disagrees with {other}"])
-            elif i in job["verify_sample"]:
-                # Equal pairs, so certifying the reference certifies the
-                # timed answer.
-                try:
-                    reference.verify()
-                except AssertionError as exc:
-                    errors.append([i, f"verify() found a blocking pair: {exc}"])
-    return {"errors": errors}
+            try:
+                problem = bases[op["cat"]].with_functions(
+                    op["weights"], op.get("priorities"), op.get("capacities")
+                )
+                answer = session.solve(problem.with_method(other))
+                if i in job["verify_sample"]:
+                    answer.verify()
+            # The reference is the program's own output: if it raises
+            # or fails verify(), the op cannot be certified.
+            except Exception as exc:
+                errors.append([i, f"check by {other}: {type(exc).__name__}: {exc}"])
+                continue
+            reference.append([i, output_digest(method, pair_key(answer.pairs))])
+    return {"reference": reference, "errors": errors}
 
 
 # -- churn_live -----------------------------------------------------------
@@ -188,8 +189,6 @@ def churn_live(job: dict, rec: SpanRecorder | None) -> dict:
             session.current()
         sessions.append(session)
     out: dict = {"setup_s": time.perf_counter() - t0}
-    if job["setup_only"]:
-        return out
 
     kinds = {
         "oa": lambda e: ObjectArrived(point=tuple(e[1]), capacity=e[2]),
@@ -197,49 +196,62 @@ def churn_live(job: dict, rec: SpanRecorder | None) -> dict:
         "fa": lambda e: FunctionArrived(weights=tuple(e[1]), priority=e[2], capacity=e[3]),
         "fd": lambda e: FunctionDeparted(fid=e[1]),
     }
-    lat: list[float] = []
-    cpu: list[float] = []
-    digests: list[str | None] = []
+    n = sum(len(episode["batch_sizes"]) for episode in job["episodes"])
+    lat: list = [None] * n
+    cpu: list = [None] * n
+    digests: list = [None] * n
     errors: list = []
     counts: Counter = Counter()
     backends = set()
-    op = 0
+    first = 0
     for episode, session in zip(job["episodes"], sessions):
         events = [kinds[e[0]](e) for e in episode["events"]]
         batches, cursor = [], 0
         for size in episode["batch_sizes"]:
             batches.append(events[cursor : cursor + size])
             cursor += size
+        last = first + len(batches) - 1
         population = _Population(session.problem)
         direct = _DirectReplay(session, rec) if rec is not None else None
-        failed = False
         for k, batch in enumerate(batches):
+            op = first + k
             c0 = time.process_time()
             s0 = time.perf_counter()
             try:
                 with sp("session.apply", op):
                     solution = session.apply(batch)
-            # A raised op is a failed op; the population is out of step
-            # with the session afterwards, so the episode stops there.
+                lat[op] = time.perf_counter() - s0
+                cpu[op] = time.process_time() - c0
+                digests[op] = output_digest("dynamic", pair_key(solution.pairs))
+                if direct is not None:
+                    direct.apply(batch)
+                population.apply(batch, session.last_arrival_handles)
+                if job["check"]:
+                    errors.extend([op, e] for e in population.check(solution))
+            # A raised op, or a check raising on its output, fails the
+            # op; the benchmark's record of the population is out of
+            # step with the session afterwards, so the episode's later
+            # ops are not run and fail too.
             except Exception as exc:
                 errors.append([op, f"{type(exc).__name__}: {exc}"])
-                digests.append(None)
-                failed = True
+                errors.extend(
+                    [j, f"not run: op {op} of its episode failed"]
+                    for j in range(op + 1, last + 1)
+                )
                 break
-            lat.append(time.perf_counter() - s0)
-            cpu.append(time.process_time() - c0)
-            if direct is not None:
-                direct.apply(batch)
-            population.apply(batch, session.last_arrival_handles)
-            digests.append(output_digest("dynamic", pair_key(solution.pairs)))
-            if job["check"]:
-                errors.extend([op, e] for e in population.check(solution))
-                if k == episode["verify_at"]:
-                    try:
-                        session.verify_current()
-                    except AssertionError as exc:
-                        errors.append([op, f"verify_current() failed: {exc}"])
-            op += 1
+        else:
+            try:
+                if job["check"]:
+                    errors.extend(
+                        [last, e]
+                        for e in _check_churn_final(
+                            session, population, episode["verify"], Problem, AssignmentSession
+                        )
+                    )
+                if direct is not None and not direct.agrees_with(session):
+                    errors.append([last, "direct DynamicStableMatching replay diverged"])
+            except Exception as exc:
+                errors.append([last, f"final check: {type(exc).__name__}: {exc}"])
         info = session.churn_info()
         counts.update(
             {
@@ -254,13 +266,8 @@ def churn_live(job: dict, rec: SpanRecorder | None) -> dict:
             }
         )
         backends.add(info["backend"])
-        if failed:
-            continue
-        if job["check"]:
-            errors.extend(_check_churn_final(session, population, Problem, AssignmentSession))
-        if direct is not None and not direct.agrees_with(session):
-            errors.append([None, "direct DynamicStableMatching replay diverged"])
-    out.update(_timed_summary(lat, cpu))
+        first = last + 1
+    out.update(_replay_record(lat, cpu))
     out["counts"] = dict(counts)
     out["backends"] = sorted(backends)
     out["events"] = counts["events_applied"]
@@ -324,13 +331,17 @@ class _Population:
         return errors
 
 
-def _check_churn_final(session, population, Problem, AssignmentSession) -> list[str]:
-    """``verify_current()`` and equality with a from-scratch solve of
-    the surviving population (handles remapped positionally)."""
-    try:
-        current = session.verify_current()
-    except AssertionError as exc:
-        return [[None, f"final verify_current() failed: {exc}"]]
+def _check_churn_final(
+    session, population, verify: bool, Problem, AssignmentSession
+) -> list[str]:
+    """Equality with a from-scratch solve of the surviving population
+    (handles remapped positionally), and ``verify_current()`` if asked."""
+    current = session.current()
+    if verify:
+        try:
+            session.verify_current()
+        except AssertionError as exc:
+            return [f"final verify_current() failed: {exc}"]
     fids = sorted(population.functions)
     oids = sorted(population.objects)
     scratch_problem = Problem(
@@ -349,7 +360,7 @@ def _check_churn_final(session, population, Problem, AssignmentSession) -> list[
         (f_pos[p.fid], o_pos[p.oid], p.count, p.score.hex()) for p in current.pairs
     )
     if remapped != pair_key(scratch.pairs):
-        return [[None, "final matching differs from a from-scratch solve"]]
+        return ["final matching differs from a from-scratch solve"]
     return []
 
 
@@ -411,33 +422,39 @@ def wire_replay(job: dict, rec: SpanRecorder) -> dict:
         for op in job["ops"]
     ]
     cache: dict = {}
-    methods = []
-    digests = []
+    methods: list = [None] * len(bodies)
+    digests: list = [None] * len(bodies)
+    errors = []
     for i, body in enumerate(bodies):
-        with sp("op", i):
-            for _hop in ("gateway", "backend"):
-                with sp("api.decode", i):
-                    problem = Problem.from_dict(json.loads(body))
-                with sp("api.digest", i):
-                    problem.digest()
-                    problem.instance_digest()
-            with sp("planner.plan", i):
-                problem.plan()
-            key = problem.solve_key()
-            solution = cache.get(key)
-            if solution is None:
-                with sp("session.solve", i):
-                    solution = cache[key] = session.solve(problem)
-            with sp("api.encode", i):
-                text = json.dumps({"solution": solution.to_dict()}, sort_keys=True)
-        methods.append(solution.method)
-        decoded = Solution.from_dict(json.loads(text)["solution"])
-        digests.append(output_digest(decoded.method, pair_key(decoded.pairs)))
+        try:
+            with sp("op", i):
+                for _hop in ("gateway", "backend"):
+                    with sp("api.decode", i):
+                        problem = Problem.from_dict(json.loads(body))
+                    with sp("api.digest", i):
+                        problem.digest()
+                        problem.instance_digest()
+                with sp("planner.plan", i):
+                    problem.plan()
+                key = problem.solve_key()
+                solution = cache.get(key)
+                if solution is None:
+                    with sp("session.solve", i):
+                        solution = cache[key] = session.solve(problem)
+                with sp("api.encode", i):
+                    text = json.dumps({"solution": solution.to_dict()}, sort_keys=True)
+            decoded = Solution.from_dict(json.loads(text)["solution"])
+        # A raised op is a failed op, counted against the attempts.
+        except Exception as exc:
+            errors.append([i, f"{type(exc).__name__}: {exc}"])
+            continue
+        methods[i] = solution.method
+        digests[i] = output_digest(decoded.method, pair_key(decoded.pairs))
     out = {
         "op_methods": methods,
         "digests": digests,
         "index_builds": session.cache_info()["misses"],
-        "errors": [],
+        "errors": errors,
     }
     session.close()
     return out
