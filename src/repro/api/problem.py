@@ -13,8 +13,9 @@ cross a process boundary — the contract a future HTTP layer serves.
 
 from __future__ import annotations
 
-import dataclasses
-from collections.abc import Mapping, Sequence
+import math
+import operator
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
@@ -39,24 +40,101 @@ from repro.planner import AUTO_METHOD, Plan, explicit_plan, plan_instance
 _OPTION_TYPES = (bool, int, float, str, type(None))
 
 
+def _tuple_or_none(values: Sequence[Any] | None) -> tuple | None:
+    return None if values is None else tuple(values)
+
+
 def _point_tuple(row: Sequence[float]) -> Point:
     return tuple(float(x) for x in row)
 
 
-def _normalize_caps(
-    caps: Sequence[int] | None, n: int, side: str
-) -> tuple[int, ...] | None:
-    if caps is None:
+def _capacity(value: Any) -> int:
+    """``value`` as an int capacity: integral floats pass; ``2.7``,
+    NaN and ±inf raise ``ValueError``, non-numbers ``TypeError``."""
+    if not isinstance(value, float):
+        return operator.index(value)
+    if not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
+def _aligned(
+    values: Iterable[Any] | None,
+    n: int,
+    what: str,
+    side: str,
+    convert: Callable[[Any], Any],
+    one: Any,
+) -> list | None:
+    """``values`` converted and checked to align with ``n`` rows;
+    ``None`` when absent or all equal to ``one`` (the canonical form)."""
+    if values is None:
         return None
-    out = tuple(int(c) for c in caps)
+    try:
+        out = [convert(v) for v in values]
+    except (TypeError, ValueError) as exc:
+        raise InvalidProblemError(f"malformed {what}: {exc}") from exc
     if len(out) != n:
         raise InvalidProblemError(
-            f"{side} capacities must align with the {side}s "
-            f"({len(out)} != {n})"
+            f"{what} must align with the {side}s ({len(out)} != {n})"
         )
-    if all(c == 1 for c in out):
-        return None
-    return out
+    return None if all(v == one for v in out) else out
+
+
+def validated_objects(
+    objects: Iterable[Sequence[float]], capacities: Iterable[Any] | None
+) -> ObjectSet:
+    """A catalogue's frozen :class:`ObjectSet`, or
+    :class:`~repro.errors.InvalidProblemError`: at least one point, one
+    dimensionality, finite coordinates, integral capacities >= 1
+    aligned with the points (all-1 capacities normalize to ``None``)."""
+    rows: list[Any] = list(objects)
+    if not rows:
+        raise InvalidProblemError("a Problem needs at least one object")
+    caps = _aligned(capacities, len(rows), "object capacities", "object", _capacity, 1)
+    try:
+        return ObjectSet(rows, capacities=caps).freeze()
+    except (TypeError, ValueError) as exc:
+        raise InvalidProblemError(str(exc)) from exc
+
+
+def validated_functions(
+    functions: Iterable[Sequence[float]],
+    priorities: Iterable[Any] | None,
+    capacities: Iterable[Any] | None,
+) -> FunctionSet:
+    """A cohort's :class:`FunctionSet`, or
+    :class:`~repro.errors.InvalidProblemError`: at least one function,
+    one dimensionality, finite non-negative weights summing to 1,
+    finite positive priorities and integral capacities >= 1, both
+    aligned with the weights (all-1 vectors normalize to ``None``)."""
+    rows: list[Any] = list(functions)
+    if not rows:
+        raise InvalidProblemError("a Problem needs at least one function")
+    gammas = _aligned(priorities, len(rows), "priorities", "function", float, 1.0)
+    caps = _aligned(
+        capacities, len(rows), "function capacities", "function", _capacity, 1
+    )
+    try:
+        return FunctionSet(rows, gammas=gammas, capacities=caps)
+    except (TypeError, ValueError) as exc:
+        raise InvalidProblemError(str(exc)) from exc
+
+
+def _validated_options(method: str, options: Mapping[str, Any]) -> Mapping[str, Any]:
+    items = dict(options)
+    for name, value in items.items():
+        if (
+            not isinstance(name, str)
+            or not isinstance(value, _OPTION_TYPES)
+            or (isinstance(value, float) and not math.isfinite(value))
+        ):
+            raise InvalidProblemError(
+                f"solver option {name!r}={value!r} is not a finite JSON scalar"
+            )
+    # Raises UnknownSolverError / InvalidSolverOptionError.
+    validate_solver_options(method, items)
+    return MappingProxyType(dict(sorted(items.items())))
 
 
 @dataclass(frozen=True)
@@ -80,36 +158,6 @@ class Problem:
     buffer_fraction: float = 0.02
 
     def __post_init__(self) -> None:
-        set_ = object.__setattr__
-        set_(self, "objects", tuple(_point_tuple(p) for p in self.objects))
-        set_(self, "functions", tuple(_point_tuple(w) for w in self.functions))
-        if not self.objects:
-            raise InvalidProblemError("a Problem needs at least one object")
-        if not self.functions:
-            raise InvalidProblemError("a Problem needs at least one function")
-        set_(
-            self,
-            "object_capacities",
-            _normalize_caps(self.object_capacities, len(self.objects), "object"),
-        )
-        set_(
-            self,
-            "function_capacities",
-            _normalize_caps(self.function_capacities, len(self.functions), "function"),
-        )
-        if self.priorities is not None:
-            gammas = tuple(float(g) for g in self.priorities)
-            set_(self, "priorities", None if all(g == 1.0 for g in gammas) else gammas)
-        for name, value in dict(self.options).items():
-            if not isinstance(name, str) or not isinstance(value, _OPTION_TYPES):
-                raise InvalidProblemError(
-                    f"solver option {name!r}={value!r} is not a JSON scalar"
-                )
-        set_(
-            self,
-            "options",
-            MappingProxyType(dict(sorted(dict(self.options).items()))),
-        )
         if not isinstance(self.page_size, int) or self.page_size < 64:
             raise InvalidProblemError(
                 f"page_size must be an int >= 64, got {self.page_size!r}"
@@ -118,36 +166,38 @@ class Problem:
             raise InvalidProblemError(
                 f"buffer_fraction must be in (0, 1], got {self.buffer_fraction!r}"
             )
-        set_(self, "buffer_fraction", float(self.buffer_fraction))
-        # Raises UnknownSolverError / InvalidSolverOptionError.
-        validate_solver_options(self.method, dict(self.options))
-        # Building the instance containers runs their structural
-        # validation (dimensionalities, weight sums, capacity floors).
-        try:
-            oset = ObjectSet(
-                list(self.objects),
-                capacities=(
-                    list(self.object_capacities)
-                    if self.object_capacities is not None
-                    else None
-                ),
-            ).freeze()
-            fset = FunctionSet(
-                list(self.functions),
-                gammas=(list(self.priorities) if self.priorities is not None else None),
-                capacities=(
-                    list(self.function_capacities)
-                    if self.function_capacities is not None
-                    else None
-                ),
-            )
-        except ValueError as exc:
-            raise InvalidProblemError(str(exc)) from exc
+        object.__setattr__(self, "buffer_fraction", float(self.buffer_fraction))
+        self._install(
+            validated_objects(self.objects, self.object_capacities),
+            validated_functions(
+                self.functions, self.priorities, self.function_capacities
+            ),
+            self.method,
+            _validated_options(self.method, self.options),
+        )
+
+    def _install(
+        self,
+        oset: ObjectSet,
+        fset: FunctionSet,
+        method: str,
+        options: Mapping[str, Any],
+    ) -> None:
+        """Set every instance and solver field from validated parts;
+        the value fields are the containers' own normalized data."""
         if oset.dims != fset.dims:
             raise InvalidProblemError(
                 f"objects are {oset.dims}-dimensional but functions are "
                 f"{fset.dims}-dimensional"
             )
+        set_ = object.__setattr__
+        set_(self, "objects", oset.points)
+        set_(self, "object_capacities", oset.capacities)
+        set_(self, "functions", tuple(fset.weights))
+        set_(self, "priorities", _tuple_or_none(fset.gammas))
+        set_(self, "function_capacities", _tuple_or_none(fset.capacities))
+        set_(self, "method", method)
+        set_(self, "options", options)
         self.__dict__["object_set"] = oset
         self.__dict__["function_set"] = fset
 
@@ -230,28 +280,41 @@ class Problem:
 
     # -- derivation ----------------------------------------------------
 
-    def _derive(self, **changes: Any) -> "Problem":
-        """``dataclasses.replace`` that carries over the validated
-        instance containers for the side(s) a change doesn't touch —
-        the shared (frozen) ``ObjectSet`` keeps its memoized cache
-        fingerprint, so deriving M solver variants of one catalogue
-        hashes it once, not M times."""
-        derived = dataclasses.replace(self, **changes)
-        if not {"objects", "object_capacities"} & changes.keys():
-            derived.__dict__["object_set"] = self.object_set
-        if not {"functions", "priorities", "function_capacities"} & changes.keys():
-            derived.__dict__["function_set"] = self.function_set
+    def _derive(
+        self,
+        objects: ObjectSet | None = None,
+        functions: FunctionSet | None = None,
+        method: str | None = None,
+        options: Mapping[str, Any] | None = None,
+    ) -> "Problem":
+        """A copy with the given validated parts replaced.
+
+        Callers validate only the side they change; every other side
+        keeps this problem's values and containers, so M variants of
+        one catalogue share its point tuple and frozen ``ObjectSet``
+        (whose memoized fingerprint keys the index cache once, not M
+        times).  Memos (digests, plan) are not carried over.
+        """
+        derived = object.__new__(type(self))
+        for name in ("page_size", "memory_index", "buffer_fraction"):
+            object.__setattr__(derived, name, getattr(self, name))
+        derived._install(
+            self.object_set if objects is None else objects,
+            self.function_set if functions is None else functions,
+            self.method if method is None else method,
+            self.options if options is None else options,
+        )
         return derived
 
     def with_method(self, method: str, **options: Any) -> "Problem":
         """A copy solved by a different method (options replaced)."""
-        return self._derive(method=method, options=options)
+        return self._derive(method=method, options=_validated_options(method, options))
 
     def with_options(self, **options: Any) -> "Problem":
         """A copy with updated solver options (merged over current)."""
         merged = dict(self.options)
         merged.update(options)
-        return self._derive(options=merged)
+        return self._derive(options=_validated_options(self.method, merged))
 
     def with_functions(
         self,
@@ -261,9 +324,7 @@ class Problem:
     ) -> "Problem":
         """A new cohort over the same catalogue (index cache reuse)."""
         return self._derive(
-            functions=tuple(_point_tuple(w) for w in functions),
-            priorities=tuple(priorities) if priorities is not None else None,
-            function_capacities=tuple(capacities) if capacities is not None else None,
+            functions=validated_functions(functions, priorities, capacities)
         )
 
     def with_objects(
@@ -272,10 +333,7 @@ class Problem:
         capacities: Sequence[int] | None = None,
     ) -> "Problem":
         """The same cohort over a different catalogue."""
-        return self._derive(
-            objects=tuple(_point_tuple(p) for p in objects),
-            object_capacities=tuple(capacities) if capacities is not None else None,
-        )
+        return self._derive(objects=validated_objects(objects, capacities))
 
     # -- serde ---------------------------------------------------------
 
@@ -338,15 +396,12 @@ class Problem:
             missing = required_keys - set(section)
             if missing:
                 raise SerdeError(f"{name!r} section missing field(s) {sorted(missing)}")
-        caps = objects.get("capacities")
-        fcaps = functions.get("capacities")
-        gammas = functions.get("priorities")
         return cls(
-            objects=tuple(tuple(p) for p in objects["points"]),
-            functions=tuple(tuple(w) for w in functions["weights"]),
-            object_capacities=tuple(caps) if caps is not None else None,
-            function_capacities=tuple(fcaps) if fcaps is not None else None,
-            priorities=tuple(gammas) if gammas is not None else None,
+            objects=objects["points"],
+            functions=functions["weights"],
+            object_capacities=objects.get("capacities"),
+            function_capacities=functions.get("capacities"),
+            priorities=functions.get("priorities"),
             method=solver["method"],
             options=dict(solver.get("options") or {}),
             page_size=index.get("page_size", 4096),
@@ -474,7 +529,7 @@ class ProblemBuilder:
 
     def add_object(self, point: Sequence[float], capacity: int = 1) -> "ProblemBuilder":
         self._objects.append(_point_tuple(point))
-        self._object_caps.append(int(capacity))
+        self._object_caps.append(capacity)
         return self
 
     def add_objects(
@@ -495,7 +550,7 @@ class ProblemBuilder:
         priority: float = 1.0,
     ) -> "ProblemBuilder":
         self._functions.append(_point_tuple(weights))
-        self._function_caps.append(int(capacity))
+        self._function_caps.append(capacity)
         self._priorities.append(float(priority))
         return self
 

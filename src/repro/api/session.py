@@ -15,7 +15,7 @@ and departure.  Sessions are context managers; a closed session raises
 from __future__ import annotations
 
 import contextvars
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from concurrent.futures import Future, ThreadPoolExecutor
 
 from repro.api.events import (
@@ -25,7 +25,7 @@ from repro.api.events import (
     ObjectArrived,
     ObjectDeparted,
 )
-from repro.api.problem import Problem
+from repro.api.problem import Problem, validated_functions, validated_objects
 from repro.api.solution import Solution, SolutionDiff
 from repro.core.dynamic import CHURN_BACKENDS, DynamicStableMatching
 from repro.core.types import RunStats
@@ -40,15 +40,11 @@ from repro.service.batch import BatchSolver, SolveJob
 _DYNAMIC_METHOD = "dynamic"
 
 
-def _check_weights(weights: Sequence[float], dims: int) -> tuple[float, ...]:
-    w = tuple(float(x) for x in weights)
-    if len(w) != dims:
-        raise InvalidProblemError(f"expected {dims}-dimensional weights, got {len(w)}")
-    if any(x < 0 for x in w):
-        raise InvalidProblemError(f"weights must be non-negative, got {w}")
-    if abs(sum(w) - 1.0) > 1e-6:
-        raise InvalidProblemError(f"weights must sum to 1, got {w}")
-    return w
+def _check_dims(row: tuple[float, ...], dims: int, what: str) -> None:
+    if len(row) != dims:
+        raise InvalidProblemError(
+            f"expected {dims}-dimensional {what}, got {len(row)}"
+        )
 
 
 class AssignmentSession:
@@ -364,17 +360,15 @@ class AssignmentSession:
         dims: int,
         arrivals: list[int],
     ) -> None:
+        # Arrivals pass the same validation as a Problem's catalogue
+        # and cohort: a one-row container is built and read back.
         for event in events:
             if isinstance(event, ObjectArrived):
-                point = tuple(float(x) for x in event.point)
-                if len(point) != dims:
-                    raise InvalidProblemError(
-                        f"expected {dims}-dimensional point, got {len(point)}"
-                    )
-                if event.capacity < 1:
-                    raise InvalidProblemError("object capacity must be >= 1")
-                oid = dyn.add_object(point, capacity=event.capacity)
-                self._dyn_objects[oid] = (point, event.capacity)
+                arrived = validated_objects([event.point], [event.capacity])
+                point, capacity = arrived.points[0], arrived.capacity(0)
+                _check_dims(point, dims, "point")
+                oid = dyn.add_object(point, capacity=capacity)
+                self._dyn_objects[oid] = (point, capacity)
                 arrivals.append(oid)
             elif isinstance(event, ObjectDeparted):
                 if event.oid not in self._dyn_objects:
@@ -382,18 +376,14 @@ class AssignmentSession:
                 dyn.remove_object(event.oid)
                 del self._dyn_objects[event.oid]
             elif isinstance(event, FunctionArrived):
-                weights = _check_weights(event.weights, dims)
-                if event.priority <= 0:
-                    raise InvalidProblemError("priority must be positive")
-                if event.capacity < 1:
-                    raise InvalidProblemError("function capacity must be >= 1")
-                effective = tuple(x * event.priority for x in weights)
-                fid = dyn.add_function(effective, capacity=event.capacity)
-                self._dyn_functions[fid] = (
-                    weights,
-                    event.priority,
-                    event.capacity,
+                cohort = validated_functions(
+                    [event.weights], [event.priority], [event.capacity]
                 )
+                weights = cohort.weights[0]
+                _check_dims(weights, dims, "weights")
+                priority, capacity = cohort.gamma(0), cohort.capacity(0)
+                fid = dyn.add_function(cohort.effective_weights(0), capacity=capacity)
+                self._dyn_functions[fid] = (weights, priority, capacity)
                 arrivals.append(fid)
             elif isinstance(event, FunctionDeparted):
                 if event.fid not in self._dyn_functions:

@@ -10,15 +10,21 @@ proportional to the number of *distinct* pairs.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from repro.data.instances import FunctionSet, ObjectSet
+
+
+def _seed(capacities: Sequence[int] | None, n: int) -> list[int]:
+    return [1] * n if capacities is None else list(capacities)
 
 
 class CapacityTracker:
     """Remaining capacities of both sides of the assignment."""
 
     def __init__(self, functions: FunctionSet, objects: ObjectSet):
-        self._f_left = [functions.capacity(fid) for fid in range(len(functions))]
-        self._o_left = [objects.capacity(oid) for oid in range(len(objects))]
+        self._f_left = _seed(functions.capacities, len(functions))
+        self._o_left = _seed(objects.capacities, len(objects))
         self.alive_functions = len(functions)
         self.alive_objects = len(objects)
 

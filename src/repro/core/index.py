@@ -14,12 +14,16 @@ disk-resident), pass ``memory=True``: the tree lives in a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.data.instances import ObjectSet
 from repro.rtree.store import DiskNodeStore, MemoryNodeStore
 from repro.rtree.tree import RTree
 from repro.storage.stats import IOStats
+
+if TYPE_CHECKING:
+    from repro.kernels.columnar import CatalogueColumns
 
 
 @dataclass
@@ -31,6 +35,10 @@ class ObjectIndex:
     stats: IOStats
     buffer_fraction: float
     is_memory: bool
+    #: The catalogue's columnar state, built by the first columnar solve
+    #: over this index (:func:`repro.kernels.columnar.catalogue_columns`)
+    #: and shared by every later one.
+    columnar: CatalogueColumns | None = field(default=None, repr=False, compare=False)
 
     @property
     def dims(self) -> int:

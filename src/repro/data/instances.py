@@ -8,16 +8,24 @@ optional priorities γ and capacities, Sections 3 and 6 of the paper).
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import chain
 
 from repro.errors import FrozenInstanceError
 
 Point = tuple[float, ...]
 
 
-def _as_tuples(rows: Sequence[Sequence[float]]) -> list[Point]:
-    return [tuple(float(x) for x in row) for row in rows]
+def _as_tuples(rows: Sequence[Sequence[float]], what: str) -> list[Point]:
+    """Rows as float tuples; ``ValueError`` on a NaN or ±inf entry
+    (scores, dominance and the tolerance bands assume finite values)."""
+    out = [tuple(map(float, row)) for row in rows]
+    if not all(map(math.isfinite, chain.from_iterable(out))):
+        bad = next(row for row in out if not all(map(math.isfinite, row)))
+        raise ValueError(f"{what} must be finite, got {bad}")
+    return out
 
 
 @dataclass
@@ -32,7 +40,7 @@ class ObjectSet:
     capacities: list[int] | None = None
 
     def __post_init__(self) -> None:
-        self.points = _as_tuples(self.points)
+        self.points = _as_tuples(self.points, "object coordinates")
         if self.points:
             dims = len(self.points[0])
             if any(len(p) != dims for p in self.points):
@@ -111,7 +119,7 @@ class FunctionSet:
     _effective: list[Point] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.weights = _as_tuples(self.weights)
+        self.weights = _as_tuples(self.weights, "weights")
         if self.weights:
             dims = len(self.weights[0])
             if any(len(w) != dims for w in self.weights):
@@ -124,8 +132,8 @@ class FunctionSet:
         if self.gammas is not None:
             if len(self.gammas) != len(self.weights):
                 raise ValueError("gammas must align with weights")
-            if any(g <= 0 for g in self.gammas):
-                raise ValueError("priorities must be positive")
+            if not all(0 < g < math.inf for g in self.gammas):
+                raise ValueError("priorities must be positive and finite")
         if self.capacities is not None:
             if len(self.capacities) != len(self.weights):
                 raise ValueError("capacities must align with weights")

@@ -4,7 +4,16 @@ interpreted engine configs.
 The interpreted solvers walk objects one at a time: per-object reverse
 TA searches, R-tree skyline maintenance, per-pair Python bookkeeping.
 This package rewrites the engine's inner loops over flat float64
-arrays built once per solve (:class:`~repro.kernels.columnar.ColumnarInstance`):
+arrays.  Catalogue-only state is built once per catalogue and held by
+its cached :class:`~repro.core.index.ObjectIndex`
+(:class:`~repro.kernels.columnar.CatalogueColumns`: the read-only
+coordinate matrix, object capacities, ``max_abs_point`` and the initial
+skyline mask with its reference dominators, built on the first columnar
+solve over the index).  Cohort state is built once per solve
+(:class:`~repro.kernels.columnar.ColumnarInstance`: the weight matrix
+and function capacities).  So the ``skyline_initial`` phase reads near
+0 after a catalogue's first columnar solve: it copies two masks.  The
+kernels cover:
 
 - batch Pareto filtering and incremental skyline-membership
   maintenance (:mod:`repro.kernels.pareto`,
@@ -37,7 +46,7 @@ of TA states and BBS heaps; both divergences are documented in the
 README's "Columnar kernels" section.
 """
 
-from repro.kernels.columnar import ColumnarInstance
+from repro.kernels.columnar import CatalogueColumns, ColumnarInstance
 from repro.kernels.configs import (
     VECTORIZED_CONFIGS,
     sb_deltasky_vec_assign,
@@ -51,6 +60,7 @@ from repro.kernels.rounds import VectorizedMutualRound
 from repro.kernels.skyline import MaskSkyline, VectorizedSkylineMaintenance
 
 __all__ = [
+    "CatalogueColumns",
     "ColumnarInstance",
     "MaskSkyline",
     "MutableColumns",

@@ -8,13 +8,14 @@ round loop — only the maintenance and round seams are columnar — so
 commit, capacity and loop accounting are literally the shared engine
 code, not re-implementations.
 
-The maintenance and round strategies share one
-:class:`~repro.kernels.columnar.ColumnarInstance` and the maintenance
-object itself (the round reads its skyline masks).  Config builders
-may be reused across runs and threads, so the handoff between
-``build_maintenance`` and ``build_round`` is keyed by the identity of
-the per-run :class:`~repro.engine.engine.EngineContext` rather than
-stored on the factory.
+The maintenance and round strategies share one per-solve
+:class:`~repro.kernels.columnar.ColumnarInstance` over the index's
+cached :class:`~repro.kernels.columnar.CatalogueColumns`, and the
+maintenance object itself (the round reads its skyline masks).
+Config builders may be reused across runs and threads, so the handoff
+between ``build_maintenance`` and ``build_round`` is keyed by the
+identity of the per-run :class:`~repro.engine.engine.EngineContext`
+rather than stored on the factory.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from repro.core.types import AssignmentResult
 from repro.data.instances import FunctionSet
 from repro.engine.commit import build_commit_policy
 from repro.engine.engine import AssignmentEngine, EngineConfig, EngineContext
-from repro.kernels.columnar import ColumnarInstance
+from repro.kernels.columnar import ColumnarInstance, catalogue_columns
 from repro.kernels.rounds import VectorizedMutualRound
 from repro.kernels.skyline import VectorizedSkylineMaintenance
 
@@ -33,7 +34,7 @@ def _vectorized_config(name: str, multi_pair: bool) -> EngineConfig:
 
     def build_maintenance(ctx: EngineContext) -> VectorizedSkylineMaintenance:
         maintenance = VectorizedSkylineMaintenance(
-            ctx, ColumnarInstance(ctx.functions, ctx.objects)
+            ctx, ColumnarInstance(ctx.functions, catalogue_columns(ctx.index))
         )
         pending[id(ctx)] = maintenance
         return maintenance

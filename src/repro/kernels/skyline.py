@@ -27,19 +27,25 @@ page is ever read.
 static solve twin below and by the incremental churn kernel in
 :mod:`repro.kernels.dynamic`); :class:`VectorizedSkylineMaintenance`
 adapts it to the engine's maintenance seam (``SkylineState`` dicts,
-memory gauges, member validation).
+memory gauges, member validation).  The static twin never runs the
+initial Pareto pass itself: the catalogue's
+:class:`~repro.kernels.columnar.CatalogueColumns` runs it once, and
+each solve starts from a copy of its result.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.engine.engine import EngineContext
 from repro.engine.protocols import SkylineState
-from repro.kernels.columnar import ColumnarInstance
 from repro.kernels.pareto import dominator_index, pareto_mask
+
+if TYPE_CHECKING:
+    from repro.kernels.columnar import ColumnarInstance
 
 
 class MaskSkyline:
@@ -58,6 +64,19 @@ class MaskSkyline:
         #: non-skyline row; ``-1`` for members and dead rows.
         self.ref = np.full(n, -1, dtype=np.intp)
         self.computed = False
+
+    @classmethod
+    def from_initial(
+        cls, points: np.ndarray, sky_mask: np.ndarray, ref: np.ndarray
+    ) -> "MaskSkyline":
+        """A skyline already past :meth:`compute_initial` over
+        ``points``: it starts from copies of that pass's ``sky_mask``
+        and ``ref``, so the originals are never written."""
+        sky = cls(points)
+        sky.sky_mask = sky_mask.copy()
+        sky.ref = ref.copy()
+        sky.computed = True
+        return sky
 
     def sky_indices(self) -> np.ndarray:
         """Current skyline member rows, ascending."""
@@ -125,35 +144,41 @@ class VectorizedSkylineMaintenance:
         self.columnar = columnar
         self._objects = ctx.objects
         self._mem = ctx.mem
-        self._core = MaskSkyline(columnar.points)
+        self._core: MaskSkyline | None = None
         self._skyline: SkylineState = {}
-        self._mem.set_gauge(
-            "columnar_arrays", columnar.nbytes() + self._core.nbytes()
-        )
 
     @property
     def skyline(self) -> SkylineState:
         return self._skyline
 
+    def _computed(self) -> MaskSkyline:
+        if self._core is None:
+            raise RuntimeError("call compute_initial() first")
+        return self._core
+
     def sky_indices(self) -> np.ndarray:
         """Current skyline member ids, ascending."""
-        return self._core.sky_indices()
+        return self._computed().sky_indices()
 
     def compute_initial(self) -> SkylineState:
-        sky_idx = self._core.compute_initial()
-        self._skyline = {int(i): self._objects.points[int(i)] for i in sky_idx}
+        if self._core is not None:
+            raise RuntimeError("initial skyline already computed")
+        core = self._core = self.columnar.catalogue.initial_skyline()
+        self._mem.set_gauge("columnar_arrays", self.columnar.nbytes() + core.nbytes())
+        self._skyline = {
+            int(i): self._objects.points[int(i)] for i in core.sky_indices()
+        }
         return self._skyline
 
     def remove(self, oids: Iterable[int]) -> SkylineState:
         removed = list(oids)
-        if not self._core.computed:
-            raise RuntimeError("call compute_initial() first")
+        core = self._computed()
         for oid in removed:
-            if not self._core.sky_mask[oid]:
+            if not core.sky_mask[oid]:
                 raise KeyError(f"object {oid} is not a current skyline member")
         for oid in removed:
             del self._skyline[oid]
-        promoted = self._core.remove(np.asarray(removed, dtype=np.intp))
+        promoted = core.remove(np.asarray(removed, dtype=np.intp))
         for i in promoted:
             self._skyline[int(i)] = self._objects.points[int(i)]
         return self._skyline

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import NoReturn
 from urllib.parse import parse_qsl, unquote, urlsplit
 
 from repro.errors import SerdeError
@@ -40,6 +41,10 @@ _REASONS = {
 }
 
 
+def _reject_constant(name: str) -> NoReturn:
+    raise ValueError(f"non-finite number {name} is not JSON")
+
+
 class ProtocolError(Exception):
     """The peer sent something that is not parseable HTTP/1.x; carries
     the status the connection loop should answer with before closing."""
@@ -63,13 +68,15 @@ class Request:
     def json(self, default=None):
         """Decode the body as JSON; an empty body yields ``default``.
 
-        Raises :class:`~repro.errors.SerdeError` on malformed JSON so
-        the service's one error-mapping path (→ 400) applies.
+        Raises :class:`~repro.errors.SerdeError` on malformed JSON —
+        including the ``NaN`` / ``Infinity`` / ``-Infinity`` literals
+        Python's decoder would otherwise accept — so the service's one
+        error-mapping path (→ 400) applies.
         """
         if not self.body:
             return default
         try:
-            return json.loads(self.body)
+            return json.loads(self.body, parse_constant=_reject_constant)
         except ValueError as exc:
             raise SerdeError(f"malformed JSON request body: {exc}") from exc
 

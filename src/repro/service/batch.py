@@ -184,7 +184,10 @@ class ObjectIndexCache:
 
     Each entry carries a lock serializing solver runs on that index:
     the storage layer (LRU page buffer, I/O counters) is mutable and
-    cold-started per run via ``reset_for_run``.  Running jobs hold
+    cold-started per run via ``reset_for_run``.  The first columnar
+    run also builds the catalogue's columnar state on the index
+    (:func:`repro.kernels.columnar.catalogue_columns`) under that lock,
+    and an evicted entry takes the state with it.  Running jobs hold
     their own references, so LRU eviction never invalidates an
     in-flight run.  Concurrent jobs on the same catalogue build the
     tree exactly once — racers block on the entry's build lock rather

@@ -2,6 +2,7 @@
 normalization, derivation."""
 
 import dataclasses
+import math
 
 import pytest
 
@@ -89,6 +90,17 @@ def test_from_sets_round_trips_instance_containers():
         {"buffer_fraction": 0.0},
         {"buffer_fraction": 1.5},
         {"options": {"omega_fraction": [1, 2]}},  # non-scalar option
+        {"objects": ((0.5, 0.6), (0.2, math.inf))},  # +inf coordinate
+        {"objects": ((-math.inf, 0.6), (0.2, 0.7))},  # -inf coordinate
+        {"functions": ((math.nan, 1.0),)},  # NaN weight passed the sum check
+        {"functions": ((math.inf, -math.inf),)},  # sums to NaN
+        {"priorities": (1.0, math.nan, 1.0)},
+        {"priorities": (1.0, math.inf, 1.0)},
+        {"priorities": (1.0, 1.0)},  # misaligned, even when all 1
+        {"object_capacities": (2.7, 1, 1, 1)},  # was truncated to 2
+        {"function_capacities": (1, math.nan, 1)},
+        {"function_capacities": (1, "2", 1)},
+        {"options": {"omega_fraction": math.nan}},
     ],
 )
 def test_invalid_problems_rejected(kwargs):
@@ -145,8 +157,10 @@ def test_problem_is_hashable_value_object():
 
 
 def test_derived_problems_share_validated_sets():
-    """with_method/with_options keep the frozen ObjectSet instance, so
-    the batch cache's memoized fingerprint is computed once."""
+    """with_method/with_options/with_functions keep the catalogue's
+    point tuple and frozen ObjectSet instance, so the catalogue is
+    neither re-validated nor re-hashed (the batch cache's memoized
+    fingerprint is computed once)."""
     p = figure1_problem()
     v = p.with_method("chain")
     assert v.object_set is p.object_set
@@ -154,3 +168,79 @@ def test_derived_problems_share_validated_sets():
     w = p.with_functions([(1.0, 0.0)])
     assert w.object_set is p.object_set
     assert w.function_set is not p.function_set
+    for derived in (v, w, p.with_options(omega_fraction=0.1)):
+        assert derived.objects is p.objects
+        assert derived.object_set is p.object_set
+
+
+@pytest.mark.parametrize(
+    "derive,error",
+    [
+        (lambda p: p.with_functions([(-0.2, 1.2)]), InvalidProblemError),
+        (lambda p: p.with_functions([(0.9, 0.2)]), InvalidProblemError),
+        (lambda p: p.with_functions([(math.nan, 1.0)]), InvalidProblemError),
+        (lambda p: p.with_functions([(1.0, 0.0)], [1.0, 2.0]), InvalidProblemError),
+        (lambda p: p.with_functions([(1.0, 0.0)], None, [2.7]), InvalidProblemError),
+        (lambda p: p.with_functions([(1.0, 0.0, 0.0)]), InvalidProblemError),
+        (lambda p: p.with_functions([]), InvalidProblemError),
+        (lambda p: p.with_method("no-such-solver"), UnknownSolverError),
+        (lambda p: p.with_method("chain", omega_fraction=0.1), InvalidSolverOptionError),
+        (lambda p: p.with_options(bogus_option=1), InvalidSolverOptionError),
+        (lambda p: p.with_objects([(0.5, math.inf)]), InvalidProblemError),
+        (lambda p: p.with_objects([(0.5, 0.5)], [0]), InvalidProblemError),
+        (lambda p: p.with_objects([(0.5, 0.5, 0.5)]), InvalidProblemError),
+        (lambda p: p.with_objects([]), InvalidProblemError),
+    ],
+)
+def test_derivation_still_validates_the_changed_side(derive, error):
+    with pytest.raises(error):
+        derive(figure1_problem())
+
+
+def test_derived_problem_equals_the_same_problem_built_directly():
+    base = figure1_problem(method="auto", object_capacities=(2, 1, 1, 3))
+    base.solve_key()  # memos (digests, plan) must not leak into variants
+    fields = {f.name: getattr(base, f.name) for f in dataclasses.fields(base)}
+    cohort = [(1.0, 0.0), (0.3, 0.7)]
+    cases = [
+        (
+            base.with_functions(cohort, priorities=[2.0, 1.0], capacities=[1, 2]),
+            dict(
+                functions=tuple(cohort),
+                priorities=(2.0, 1.0),
+                function_capacities=(1, 2),
+            ),
+        ),
+        (base.with_method("sb-vec"), dict(method="sb-vec")),
+        (
+            base.with_method("sb", omega_fraction=0.1).with_options(multi_pair=False),
+            dict(method="sb", options={"multi_pair": False, "omega_fraction": 0.1}),
+        ),
+        (
+            base.with_objects([(0.1, 0.9), (0.9, 0.1)], capacities=[1, 1]),
+            dict(objects=((0.1, 0.9), (0.9, 0.1)), object_capacities=None),
+        ),
+    ]
+    for derived, changes in cases:
+        direct = Problem(**{**fields, **changes})
+        assert derived == direct and hash(derived) == hash(direct)
+        assert derived.digest() == direct.digest() != base.digest()
+        assert derived.solve_key() == direct.solve_key()
+
+
+@pytest.mark.parametrize("method", ["sb", "sb-vec", "chain", "brute-force"])
+def test_nan_coordinate_is_rejected_for_every_solver(method):
+    """One NaN coordinate used to split the solvers: ``sb`` raised
+    IndexError, ``sb-vec`` paired f0 with o1 at score nan, ``chain`` and
+    ``brute-force`` paired f2 with o1.  Every entry path now rejects it."""
+    objects = list(OBJECTS)
+    objects[1] = (math.nan, 0.7)
+    with pytest.raises(InvalidProblemError, match="finite"):
+        Problem(objects=tuple(objects), functions=tuple(FUNCTIONS), method=method)
+    base = figure1_problem(method=method)
+    with pytest.raises(InvalidProblemError, match="finite"):
+        base.with_objects(objects)
+    payload = base.to_dict()
+    payload["objects"]["points"][1][0] = math.nan
+    with pytest.raises(InvalidProblemError, match="finite"):
+        Problem.from_dict(payload)

@@ -2,6 +2,7 @@
 ``solve``, batching, futures, lifecycle, and churn against the
 from-scratch oracle."""
 
+import math
 import random
 
 import pytest
@@ -214,6 +215,14 @@ def test_apply_rejects_invalid_events_without_corrupting_state():
             FunctionArrived((0.5, 0.5), priority=0.0),
             FunctionDeparted(999),
             "not-an-event",
+            ObjectArrived((math.nan, 0.5)),
+            ObjectArrived((0.5, -math.inf)),
+            ObjectArrived((0.5, 0.5), capacity=2.7),
+            FunctionArrived((math.nan, 1.0)),  # passed the sum check
+            FunctionArrived((math.inf, -math.inf)),
+            FunctionArrived((0.5, 0.5), priority=math.nan),
+            FunctionArrived((0.5, 0.5), priority=math.inf),
+            FunctionArrived((0.5, 0.5), capacity=1.5),
         ):
             with pytest.raises(InvalidProblemError):
                 session.apply(bad)

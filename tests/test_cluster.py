@@ -422,6 +422,12 @@ def test_gateway_rejects_bad_requests_like_a_server(fleet, client):
     with pytest.raises(ServerError) as excinfo:
         client.request("GET", "/v1/diff?a=onlyone")
     assert excinfo.value.status == 400
+    payload = make_problem().to_dict()
+    payload["functions"]["weights"][0][0] = float("inf")
+    with pytest.raises(ServerError) as excinfo:
+        client.request("POST", "/v1/solve", {"problem": payload})
+    assert excinfo.value.status == 400
+    assert "non-finite" in str(excinfo.value)
 
 
 def test_gateway_serves_concurrent_clients(fleet):

@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 from repro.api import AssignmentSession, Problem
 from repro.core import build_object_index, solve
 from repro.kernels import (
+    CatalogueColumns,
     ColumnarInstance,
     VectorizedSkylineMaintenance,
     dominated_mask,
@@ -134,7 +135,7 @@ class _Ctx:
 def test_incremental_removal_matches_recompute(seed):
     functions, objects = random_instance(4, 120, 3, seed=seed, tie_heavy=seed % 2 == 0)
     maintenance = VectorizedSkylineMaintenance(
-        _Ctx(objects), ColumnarInstance(functions, objects)
+        _Ctx(objects), ColumnarInstance(functions, CatalogueColumns(objects))
     )
     skyline = maintenance.compute_initial()
     alive = dict(enumerate(objects.points))
@@ -153,7 +154,7 @@ def test_incremental_removal_matches_recompute(seed):
 def test_remove_nonmember_raises():
     functions, objects = random_instance(3, 20, 2, seed=9)
     maintenance = VectorizedSkylineMaintenance(
-        _Ctx(objects), ColumnarInstance(functions, objects)
+        _Ctx(objects), ColumnarInstance(functions, CatalogueColumns(objects))
     )
     with pytest.raises(RuntimeError):
         maintenance.remove([0])  # before compute_initial
@@ -244,3 +245,87 @@ def test_vectorized_solutions_certify_stable(method, family):
     problem = Problem.from_sets(objects, functions, method=method)
     with AssignmentSession(problem) as session:
         session.solve().verify()  # raises on any blocking pair
+
+
+# ---------------------------------------------------------------------------
+# Catalogue state: built once per cached index, shared by every solve
+# ---------------------------------------------------------------------------
+
+
+def solve_record(pairs, stats):
+    """Everything a columnar solve reports, floats as exact bits."""
+    return (
+        [(p.fid, p.oid, p.score.hex(), p.count) for p in pairs],
+        stats.loops,
+        stats.io_accesses,
+        stats.peak_memory_bytes,
+        dict(stats.counters),
+    )
+
+
+def interleaved_cohorts(base_a, base_b):
+    """Cohorts over two catalogues, alternating catalogue and kernel;
+    some carry priorities and capacities."""
+    problems = []
+    for k in range(8):
+        functions, _ = random_instance(
+            3 + 2 * k, 1, 3, seed=300 + k, capacities=k % 3 == 1, priorities=k % 4 == 2
+        )
+        base = base_a if k % 2 == 0 else base_b
+        method = "sb-vec" if k % 4 < 2 else "sb-deltasky-vec"
+        problems.append(
+            base.with_functions(
+                functions.weights, functions.gammas, functions.capacities
+            ).with_method(method)
+        )
+    return problems
+
+
+def fresh_index_record(problem):
+    index = build_object_index(problem.object_set, page_size=problem.page_size)
+    result = solve(problem.function_set, index, method=problem.method)
+    return solve_record(result.matching.pairs, result.stats)
+
+
+@pytest.mark.parametrize("index_cache_size", [32, 1])
+@pytest.mark.parametrize("executor", ["thread", "process"])
+def test_cached_catalogue_state_solves_like_a_fresh_index(executor, index_cache_size):
+    functions, objects_a = random_instance(2, 180, 3, seed=71, capacities=True)
+    _, objects_b = random_instance(1, 150, 3, seed=72, tie_heavy=True)
+    base_a = Problem.from_sets(objects_a, functions)
+    base_b = base_a.with_objects(objects_b.points)
+    problems = interleaved_cohorts(base_a, base_b)
+    with AssignmentSession(
+        base_a, executor=executor, max_workers=1, index_cache_size=index_cache_size
+    ) as session:
+        for problem in problems:
+            solution = session.solve(problem)
+            assert solve_record(solution.pairs, solution.stats) == fresh_index_record(
+                problem
+            ), (executor, index_cache_size, problem.method)
+        # Two catalogues: built once each, or (one cache slot,
+        # alternating catalogues) evicted and rebuilt on every solve.
+        builds = 2 if index_cache_size > 1 else len(problems)
+        assert session.cache_info()["misses"] == builds
+
+
+def test_catalogue_state_is_built_once_and_read_only():
+    functions, objects = random_instance(6, 120, 3, seed=81)
+    solver = BatchSolver()
+    job = SolveJob(functions=functions, objects=objects, method="sb-vec")
+    index, _, _ = solver.cache.get(objects, job.page_size, False)
+    assert index.columnar is None  # built lazily, by a columnar solve
+    first = solver.solve_one(job)
+    columns = index.columnar
+    assert columns is not None and columns.initial is not None
+    for other in ("sb-deltasky-vec", "sb-vec"):
+        job.method = other
+        solver.solve_one(job)
+        assert index.columnar is columns
+    again = solver.solve_one(job)
+    assert solve_record(first.matching.pairs, first.stats) == solve_record(
+        again.matching.pairs, again.stats
+    )
+    for array in (columns.points, columns.capacities, *columns.initial):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[1]

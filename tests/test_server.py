@@ -152,6 +152,12 @@ def test_error_mapping(client):
     with pytest.raises(ServerError) as bad_payload:
         client._request("POST", "/v1/problems", {"schema": "wrong/v9"})
     assert bad_payload.value.status == 400
+    non_finite = problem.to_dict()
+    non_finite["objects"]["points"][0][0] = float("nan")
+    with pytest.raises(ServerError) as nan_payload:
+        client._request("POST", "/v1/problems", non_finite)
+    assert nan_payload.value.status == 400
+    assert "non-finite" in str(nan_payload.value)
     with pytest.raises(ServerError) as missing_job:
         client.job("job-99999999")
     assert missing_job.value.status == 404

@@ -116,6 +116,12 @@ def test_malformed_json_body_is_serde_error():
     with pytest.raises(SerdeError):
         request.json()
     assert parse(b"GET / HTTP/1.1\r\n\r\n").json(default={}) == {}
+    # Python's decoder accepts these non-JSON literals; the server must not.
+    for literal in (b"NaN", b"Infinity", b"-Infinity"):
+        body = b'{"points": [[0.5, ' + literal + b"]]}"
+        raw = b"POST / HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body)
+        with pytest.raises(SerdeError, match="non-finite"):
+            parse(raw).json()
 
 
 def test_response_encode_round_trips_through_parser():
