@@ -18,11 +18,10 @@ they are.
 
 ``--backends N`` (N >= 1) benchmarks the *cluster* path instead: N
 embedded backends behind a ``repro-gateway``, replaying the same
-workload through the gateway.  Sticky consistent-hash routing sends
-each catalogue to one backend, so the cluster workload spreads over
-``--catalogues`` distinct catalogues (default 2×N) — a single-catalogue
-stream would hash entirely to one node and measure nothing but
-forwarding overhead.
+workload through the gateway.  Consistent-hash routing keys each
+request by its ``instance_digest`` (catalogue plus cohort), so requests
+spread over the backends; the cluster workload draws from
+``--catalogues`` distinct catalogues (default 2×N).
 
 Usage::
 
@@ -300,7 +299,7 @@ def main() -> None:
         "--catalogues", type=int, default=None,
         help=(
             "distinct catalogues in the cluster workload "
-            "(default 2x backends; sticky routing shards by catalogue)"
+            "(default 2x backends)"
         ),
     )
     parser.add_argument(

@@ -33,7 +33,7 @@ from repro.api.serde import (
     to_canonical_json,
 )
 from repro.core import validate_solver_options
-from repro.data.instances import FunctionSet, ObjectSet, Point
+from repro.data.instances import FunctionSet, ObjectSet, Point, object_set_fingerprint
 from repro.errors import InvalidProblemError, SerdeError
 from repro.planner import AUTO_METHOD, Plan, explicit_plan, plan_instance
 
@@ -292,8 +292,9 @@ class Problem:
         Callers validate only the side they change; every other side
         keeps this problem's values and containers, so M variants of
         one catalogue share its point tuple and frozen ``ObjectSet``
-        (whose memoized fingerprint keys the index cache once, not M
-        times).  Memos (digests, plan) are not carried over.
+        (whose memoized fingerprint keys the index cache and addresses
+        every variant: hashed once, not M times).  The problem's own
+        memos (digests, plan) are not carried over.
         """
         derived = object.__new__(type(self))
         for name in ("page_size", "memory_index", "buffer_fraction"):
@@ -349,6 +350,13 @@ class Problem:
                     else None
                 ),
             },
+            **self._small_sections(),
+        }
+
+    def _small_sections(self) -> dict:
+        """The payload sections after the catalogue — cohort, solver
+        and index — each O(cohort) to build."""
+        return {
             "functions": {
                 "weights": [list(w) for w in self.functions],
                 "priorities": (
@@ -438,7 +446,7 @@ class Problem:
         identity at a service boundary."""
         cached = self.__dict__.get("_digest")
         if cached is None:
-            cached = self.__dict__["_digest"] = canonical_digest(self.to_dict())
+            cached = self.__dict__["_digest"] = self._address(solver=True)
         return cached
 
     def instance_digest(self) -> str:
@@ -447,10 +455,19 @@ class Problem:
         thus share index/result cache locality downstream)."""
         cached = self.__dict__.get("_instance_digest")
         if cached is None:
-            payload = self.to_dict()
-            del payload["solver"]
-            cached = self.__dict__["_instance_digest"] = canonical_digest(payload)
+            cached = self.__dict__["_instance_digest"] = self._address(solver=False)
         return cached
+
+    def _address(self, solver: bool) -> str:
+        """SHA-256 of the canonical small sections, with the catalogue
+        section replaced by its binary :func:`object_set_fingerprint`
+        (memoized on the shared frozen ``ObjectSet``): O(cohort) once
+        the catalogue has been hashed."""
+        payload = self._small_sections()
+        if not solver:
+            del payload["solver"]
+        payload["objects"] = object_set_fingerprint(self.object_set)
+        return canonical_digest(payload)
 
     # -- planning ------------------------------------------------------
 

@@ -80,9 +80,9 @@ def canonical_digest(payload: dict) -> str:
 
     Because :func:`to_canonical_json` is deterministic (sorted keys,
     fixed separators, exact float ``repr``), structurally identical
-    payloads digest equally across processes — the content-address
-    the serving layer uses for problem registration dedup and result
-    cache keys.
+    payloads digest equally across processes.  :meth:`Problem.digest`
+    hashes a problem's small sections this way, with the catalogue
+    section replaced by its binary fingerprint.
     """
     return hashlib.sha256(to_canonical_json(payload).encode("utf-8")).hexdigest()
 

@@ -2,23 +2,29 @@
 
 ``repro-gateway`` fronts N ``repro-server`` backends and speaks the
 *same* JSON-over-HTTP protocol, so any :class:`~repro.server.Client`
-pointed at the gateway works unchanged.  Three concerns live here, on
+pointed at the gateway works unchanged.  Four concerns live here, on
 top of the :class:`~repro.cluster.forwarder.Fleet`:
 
 - **sticky sharding** — every request is keyed by the problem's
-  ``instance_digest`` and forwarded to that key's ring owner, so each
-  catalogue's R-tree index is built on exactly one node and stays hot
-  (method/option overrides share the shard: the digest excludes the
-  solver section).  Job ids come back prefixed ``{node_id}@{job_id}``,
-  so polls route by prefix without any gateway-side job state.
+  ``instance_digest`` and forwarded to that key's ring owner.  The
+  digest covers the catalogue, the cohort and the index settings but
+  not the solver section, so method/option overrides of one problem
+  share its shard (and its solution cache), while the cohorts of one
+  catalogue spread over the fleet: every backend that serves one of
+  them builds and caches that catalogue's R-tree.  Job ids come back
+  prefixed ``{node_id}@{job_id}``, so polls route by prefix without
+  any gateway-side job state.
+- **relay** — the gateway validates every problem it routes
+  (``Problem.from_dict``) and then forwards the request body byte for
+  byte; it never re-encodes a catalogue.
 - **failover** — dead backends are skipped via the ring's successor
   list (request-path transport failures mark down immediately; the
   background prober also sweeps ``/healthz``).  The gateway remembers
-  registration payloads in a bounded LRU, so when a solve re-shards to
-  a successor that has never seen the problem (404), it re-registers
-  and retries once — clients ride through a backend death without
-  re-sending anything.  A shard with no live replica answers 503 +
-  ``Retry-After``.
+  each problem's registration body (JSON bytes) in a bounded LRU, so
+  when a solve re-shards to a successor that has never seen the
+  problem (404), it re-registers and retries once — clients ride
+  through a backend death without re-sending anything.  A shard with
+  no live replica answers 503 + ``Retry-After``.
 - **fleet observability** — ``/metrics`` reports per-backend health
   and forward-latency histograms, re-shard/retry counters, and a
   fleet-wide aggregation (summed solve/cache/planner/engine counters
@@ -39,7 +45,7 @@ import logging
 import threading
 import time
 from collections import Counter, OrderedDict
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 
 from repro.api.problem import Problem
@@ -222,7 +228,8 @@ class ReproGateway:
         )
         self._metrics = GatewayMetrics()
         #: pid → {"instance_digest", "payload"} — the routing map plus
-        #: the failover re-registration store, LRU-bounded.
+        #: the failover re-registration store (``payload``: the
+        #: registration body as JSON bytes), LRU-bounded.
         self._problems: OrderedDict[str, dict] = OrderedDict()
         self._conn_tasks: set[asyncio.Task] = set()
         self._tcp: asyncio.Server | None = None
@@ -259,16 +266,22 @@ class ReproGateway:
 
     # -- problem routing state -----------------------------------------
 
-    def _remember(self, problem: Problem, payload: dict) -> str:
+    def _remember(self, problem: Problem, payload: Callable[[], bytes]) -> dict:
+        """The routing entry of a validated ``problem``, created on
+        first sight (``payload()`` then gives its registration body)
+        and LRU-refreshed on every later one."""
         pid = problem.digest()
-        self._problems[pid] = {
+        entry = self._problems.get(pid)
+        if entry is not None:
+            self._problems.move_to_end(pid)
+            return entry
+        entry = self._problems[pid] = {
             "instance_digest": problem.instance_digest(),
-            "payload": payload,
+            "payload": payload(),
         }
-        self._problems.move_to_end(pid)
         while len(self._problems) > self.config.problem_registry_size:
             self._problems.popitem(last=False)
-        return pid
+        return entry
 
     def _routing_entry(self, pid: str) -> dict:
         entry = self._problems.get(pid)
@@ -300,23 +313,23 @@ class ReproGateway:
         )
         return result
 
-    def _reregistering(self, path: str, body, entry: dict | None):
-        """A forward fn for ``POST path`` that heals a post-failover
-        404 by re-registering the remembered payload and retrying once
-        on the same backend."""
+    def _reregistering(
+        self, method: str, path: str, body: bytes | None, entry: dict
+    ):
+        """A forward fn for ``method path`` (``body`` relayed as
+        received) that heals a post-failover 404 by re-registering the
+        remembered payload and retrying once on the same backend."""
 
         def fn(backend: Backend):
             try:
-                return backend.client.request("POST", path, body)
+                return backend.client.request(method, path, body)
             except ServerError as exc:
-                if exc.status == 404 and entry is not None:
-                    with span("gateway.reregister", backend=backend.address):
-                        backend.client.request(
-                            "POST", "/v1/problems", entry["payload"]
-                        )
-                        self._fleet.count_reregistration()
-                    return backend.client.request("POST", path, body)
-                raise
+                if exc.status != 404:
+                    raise
+                with span("gateway.reregister", backend=backend.address):
+                    backend.client.request("POST", "/v1/problems", entry["payload"])
+                    self._fleet.count_reregistration()
+                return backend.client.request(method, path, body)
 
         return fn
 
@@ -326,25 +339,24 @@ class ReproGateway:
             raise SerdeError("request body must be a JSON object")
         return body
 
-    async def _resolve_inline_target(self, body) -> tuple[str, dict | None, dict]:
-        """``(routing key, registry entry, body-to-forward)`` for a
-        ``/v1/solve`` or ``/v1/jobs`` payload carrying exactly one of
-        ``problem`` (inline, parsed off-loop for its digest) or
-        ``problem_id`` (resolved from the gateway's routing map)."""
-        body = self._require_mapping(body)
+    async def _inline_target(self, request: Request) -> dict:
+        """The routing entry for a ``/v1/solve`` or ``/v1/jobs`` body
+        carrying exactly one of ``problem`` (inline, validated
+        off-loop) or ``problem_id`` (resolved from the routing map)."""
+        body = self._require_mapping(request.json(default={}))
         if ("problem" in body) == ("problem_id" in body):
             raise SerdeError(
                 "request body needs exactly one of 'problem' or 'problem_id'"
             )
         if "problem" in body:
             problem = await asyncio.to_thread(Problem.from_dict, body["problem"])
-            pid = self._remember(problem, problem.to_dict())
-            return problem.instance_digest(), self._problems[pid], dict(body)
+            return self._remember(
+                problem, lambda: json.dumps(body["problem"]).encode("utf-8")
+            )
         pid = body["problem_id"]
         if not isinstance(pid, str):
             raise SerdeError("'problem_id' must be a string")
-        entry = self._routing_entry(pid)
-        return entry["instance_digest"], entry, dict(body)
+        return self._routing_entry(pid)
 
     # -- endpoint handlers ---------------------------------------------
 
@@ -461,11 +473,10 @@ class ReproGateway:
         if payload is None:
             raise SerdeError("problem registration needs a JSON body")
         problem = await asyncio.to_thread(Problem.from_dict, payload)
-        pid = self._remember(problem, problem.to_dict())
-        entry = self._problems[pid]
+        entry = self._remember(problem, lambda: request.body)
         backend, (status, body) = await self._forward(
             entry["instance_digest"],
-            lambda b: b.client.request("POST", "/v1/problems", entry["payload"]),
+            lambda b: b.client.request("POST", "/v1/problems", request.body),
         )
         body["backend"] = backend.address
         return Response.json(body, status=status)
@@ -474,54 +485,37 @@ class ReproGateway:
         entry = self._routing_entry(pid)
         _, (status, body) = await self._forward(
             entry["instance_digest"],
-            self._reregistering_get(f"/v1/problems/{pid}", entry),
+            self._reregistering("GET", f"/v1/problems/{pid}", None, entry),
         )
         return Response.json(body, status=status)
 
-    def _reregistering_get(self, path: str, entry: dict | None):
-        def fn(backend: Backend):
-            try:
-                return backend.client.request("GET", path)
-            except ServerError as exc:
-                if exc.status == 404 and entry is not None:
-                    with span("gateway.reregister", backend=backend.address):
-                        backend.client.request(
-                            "POST", "/v1/problems", entry["payload"]
-                        )
-                        self._fleet.count_reregistration()
-                    return backend.client.request("GET", path)
-                raise
-
-        return fn
-
     async def _solve_registered(self, request: Request, pid: str) -> Response:
         entry = self._routing_entry(pid)
-        overrides = self._require_mapping(request.json(default={}))
+        # The method/options overrides are checked, then relayed as sent.
+        self._require_mapping(request.json(default={}))
         backend, (status, body) = await self._forward(
             entry["instance_digest"],
             self._reregistering(
-                f"/v1/problems/{pid}/solve", dict(overrides) or None, entry
+                "POST", f"/v1/problems/{pid}/solve", request.body or None, entry
             ),
         )
         body["backend"] = backend.address
         return Response.json(body, status=status)
 
     async def _solve_inline(self, request: Request) -> Response:
-        key, entry, body = await self._resolve_inline_target(
-            request.json(default={})
-        )
+        entry = await self._inline_target(request)
         backend, (status, payload) = await self._forward(
-            key, self._reregistering("/v1/solve", body, entry)
+            entry["instance_digest"],
+            self._reregistering("POST", "/v1/solve", request.body, entry),
         )
         payload["backend"] = backend.address
         return Response.json(payload, status=status)
 
     async def _submit_job(self, request: Request) -> Response:
-        key, entry, body = await self._resolve_inline_target(
-            request.json(default={})
-        )
+        entry = await self._inline_target(request)
         backend, (status, payload) = await self._forward(
-            key, self._reregistering("/v1/jobs", body, entry)
+            entry["instance_digest"],
+            self._reregistering("POST", "/v1/jobs", request.body, entry),
         )
         # Prefix the job id with the owning node, so later polls route
         # by prefix alone — the gateway keeps no job table.

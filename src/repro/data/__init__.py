@@ -22,7 +22,7 @@ from repro.data.generators import (
     uniform_weights,
     zipf_probabilities,
 )
-from repro.data.instances import FunctionSet, ObjectSet
+from repro.data.instances import FunctionSet, ObjectSet, object_set_fingerprint
 from repro.data.real import nba_like, zillow_like
 
 __all__ = [
@@ -37,6 +37,7 @@ __all__ = [
     "make_functions",
     "make_objects",
     "nba_like",
+    "object_set_fingerprint",
     "request_stream",
     "uniform_weights",
     "zillow_like",

@@ -8,10 +8,13 @@ optional priorities γ and capacities, Sections 3 and 6 of the paper).
 
 from __future__ import annotations
 
+import hashlib
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import chain
+
+import numpy as np
 
 from repro.errors import FrozenInstanceError
 
@@ -57,9 +60,9 @@ class ObjectSet:
     def freeze(self) -> "ObjectSet":
         """Make the catalogue immutable (idempotent; returns self).
 
-        Called when the instance enters a fingerprint-keyed cache (the
-        service layer memoizes the content hash on the instance, so a
-        later mutation would silently reuse a stale cached index).
+        Called by :func:`object_set_fingerprint`, which memoizes the
+        content hash on the instance (a later mutation would silently
+        reuse a stale cached index or problem address).
         ``points`` / ``capacities`` become tuples and rebinding either
         attribute raises :class:`~repro.errors.FrozenInstanceError`.
         """
@@ -101,6 +104,44 @@ class ObjectSet:
     def items(self) -> list[tuple[int, Point]]:
         """``(object_id, point)`` pairs; ids are positional indices."""
         return list(enumerate(self.points))
+
+
+def object_set_fingerprint(objects: ObjectSet) -> str:
+    """Content hash of an :class:`ObjectSet` — the catalogue's identity.
+
+    It keys the service layer's index cache and is the catalogue part
+    of every :class:`~repro.api.Problem` address, so two structurally
+    identical object sets (same points, same capacities) fingerprint
+    equally even when they are distinct Python objects.  It hashes the
+    shape, the coordinates as little-endian ``<f8`` and the capacities
+    as ``<i8``: the bytes, and so the hash, are the same on every host.
+
+    The digest is memoized on the instance, so K jobs or problem
+    variants over one large catalogue hash it once, not K times — and
+    the instance is **frozen** first (:meth:`ObjectSet.freeze`):
+    without that, mutating ``objects.points`` afterwards would silently
+    reuse a stale cached index for a catalogue that no longer matches.
+    """
+    objects.freeze()
+    cached = getattr(objects, "_fingerprint", None)
+    if cached is not None:
+        return cached
+    rows = objects.points
+    shape = (len(rows), len(rows[0])) if rows else (0,)
+    coords = np.fromiter(
+        chain.from_iterable(rows), dtype="<f8", count=math.prod(shape)
+    )
+    h = hashlib.sha256()
+    # Shape goes into the digest: without it, the raw bytes of e.g. a
+    # 6x2 and a 4x3 catalogue collide and would share a cached index.
+    h.update(repr(shape).encode())
+    h.update(coords.tobytes())
+    if objects.capacities is not None:
+        h.update(b"caps")
+        h.update(np.asarray(objects.capacities, dtype="<i8").tobytes())
+    digest = h.hexdigest()
+    objects._fingerprint = digest
+    return digest
 
 
 @dataclass

@@ -257,15 +257,19 @@ class ReproServer:
         return self._session
 
     def _register(self, problem: Problem) -> tuple[str, bool]:
+        """``(problem_id, created)``.  A repeat registration keeps the
+        problem registered first, with its memoized digests, plan and
+        solve key, and only refreshes its LRU position; callers read
+        the registered problem back from ``self._problems``."""
         problem_id = problem.digest()
-        created = problem_id not in self._problems
+        if problem_id in self._problems:
+            self._problems.move_to_end(problem_id)
+            return problem_id, False
         self._problems[problem_id] = problem
-        self._problems.move_to_end(problem_id)
         while len(self._problems) > self.config.problem_registry_size:
             self._problems.popitem(last=False)
-        if created:
-            self._ensure_session(problem)
-        return problem_id, created
+        self._ensure_session(problem)
+        return problem_id, True
 
     def _lookup_problem(self, problem_id: str) -> Problem:
         problem = self._problems.get(problem_id)
@@ -305,8 +309,8 @@ class ReproServer:
                 "request body needs exactly one of 'problem' or 'problem_id'"
             )
         if "problem" in body:
-            problem = Problem.from_dict(body["problem"])
-            problem_id, _ = self._register(problem)
+            problem_id, _ = self._register(Problem.from_dict(body["problem"]))
+            problem = self._problems[problem_id]
         else:
             problem_id = body["problem_id"]
             if not isinstance(problem_id, str):
@@ -480,9 +484,9 @@ class ReproServer:
         if payload is None:
             raise SerdeError("problem registration needs a JSON body")
         with span("problem.register") as register_span:
-            problem = Problem.from_dict(payload)
-            problem_id, created = self._register(problem)
+            problem_id, created = self._register(Problem.from_dict(payload))
             register_span.attributes["created"] = created
+        problem = self._problems[problem_id]
         if created:
             log.info(
                 "problem registered",

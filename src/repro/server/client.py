@@ -22,6 +22,7 @@ import http.client
 import json
 import threading
 import time
+from collections import OrderedDict
 
 from repro.api.problem import Problem
 from repro.api.solution import Solution
@@ -30,6 +31,12 @@ from repro.obs.trace import TRACE_HEADER, current_context, span
 
 #: Statuses whose ``Retry-After`` the polite-retry loop honours.
 _RETRYABLE = (ServerBusyError, ServerUnavailableError)
+
+#: How many registered problems a client remembers for re-attaching
+#: fetched solutions (LRU) — the server's default registry size
+#: (``ServerConfig.problem_registry_size``), past which the server
+#: forgets them too.
+KNOWN_PROBLEMS = 4096
 
 
 def _retry_after_seconds(response) -> float:
@@ -67,9 +74,10 @@ class Client:
         self._local = threading.local()
         self._guard = threading.Lock()
         self._conns: set[http.client.HTTPConnection] = set()
-        # Problems this client has registered, for re-attaching to
-        # solutions so ``.verify()`` works without another fetch.
-        self._known: dict[str, Problem] = {}
+        # The problems this client registered or fetched last (LRU,
+        # KNOWN_PROBLEMS), for re-attaching to solutions so
+        # ``.verify()`` works without another fetch.
+        self._known: OrderedDict[str, Problem] = OrderedDict()
         #: Trace id the server echoed on the most recent response from
         #: this thread's connection (``X-Repro-Trace``), for feeding
         #: ``repro-admin trace`` after an interesting call.
@@ -119,6 +127,10 @@ class Client:
     def request(self, method: str, path: str, payload=None):
         """One JSON round trip: ``(status, decoded body)``.
 
+        ``payload`` is a JSON-compatible value, or ``bytes`` already
+        encoded as JSON, which are sent as they are (the gateway relays
+        request bodies it has validated this way).
+
         Raises the typed :class:`~repro.errors.ServerError` hierarchy
         for non-success statuses (429 → :class:`ServerBusyError`,
         503 → :class:`ServerUnavailableError`).  Reconnects once,
@@ -139,7 +151,11 @@ class Client:
         # span's parent and the trees stitch across the wire.
         headers = {TRACE_HEADER: current_context().header()}
         if payload is not None:
-            body = json.dumps(payload).encode("utf-8")
+            body = (
+                payload
+                if isinstance(payload, bytes)
+                else json.dumps(payload).encode("utf-8")
+            )
             headers["Content-Type"] = "application/json"
         for attempt in (1, 2):
             conn = self._get_conn()
@@ -222,26 +238,35 @@ class Client:
         """Register (or re-find) a problem; returns its server id."""
         _, body = self.request("POST", "/v1/problems", problem.to_dict())
         problem_id = body["problem_id"]
-        with self._guard:
-            self._known[problem_id] = problem
+        self._remember(problem_id, problem)
         return problem_id
 
     def problem(self, problem_id: str) -> Problem:
         _, body = self.request("GET", f"/v1/problems/{problem_id}")
         problem = Problem.from_dict(body)
+        self._remember(problem_id, problem)
+        return problem
+
+    def _remember(self, problem_id: str, problem: Problem) -> None:
         with self._guard:
             self._known[problem_id] = problem
-        return problem
+            self._known.move_to_end(problem_id)
+            while len(self._known) > KNOWN_PROBLEMS:
+                self._known.popitem(last=False)
+
+    def _known_problem(self, problem_id: str) -> Problem | None:
+        with self._guard:
+            return self._known.get(problem_id)
 
     def _target(self, problem: Problem | str) -> str:
         if isinstance(problem, Problem):
             return self.register(problem)
         return problem
 
+    @staticmethod
     def _attach(
-        self,
         solution: Solution,
-        problem_id: str,
+        base: Problem | None,
         method: str | None = None,
         options: dict | None = None,
     ) -> Solution:
@@ -251,8 +276,6 @@ class Client:
         are what the server reports it solved with; ``None`` = no
         check).  An overridden solve stays detached: attaching the
         base would misreport which options produced the result."""
-        with self._guard:
-            base = self._known.get(problem_id)
         if base is None:
             return solution
         if method is not None and method != base.method:
@@ -286,7 +309,9 @@ class Client:
         solution = Solution.from_dict(body["solution"])
         if overrides:
             return solution  # detached: the base Problem would lie
-        return self._attach(solution, problem_id)
+        if isinstance(problem, Problem):
+            return self._attach(solution, problem)  # what the caller sent
+        return self._attach(solution, self._known_problem(problem_id))
 
     def submit(
         self,
@@ -339,7 +364,7 @@ class Client:
                 solution = Solution.from_dict(payload)
                 return self._attach(
                     solution,
-                    status["problem_id"],
+                    self._known_problem(status["problem_id"]),
                     status["method"],
                     status.get("options"),
                 )

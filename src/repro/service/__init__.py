@@ -11,13 +11,13 @@ cache, and :class:`~repro.service.pool.ProcessPoolSolver`
 multi-core parallelism over a shared catalogue.
 """
 
+from repro.data.instances import object_set_fingerprint
 from repro.service.batch import (
     BatchSolver,
     JobResult,
     ObjectIndexCache,
     ResolvedJob,
     SolveJob,
-    object_set_fingerprint,
 )
 from repro.service.pool import EXECUTORS, ProcessPoolSolver
 

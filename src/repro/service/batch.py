@@ -27,51 +27,18 @@ run truly in parallel with bit-identical results.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.core import solve
 from repro.core.index import ObjectIndex, build_object_index
 from repro.core.types import AssignmentResult
-from repro.data.instances import FunctionSet, ObjectSet
+from repro.data.instances import FunctionSet, ObjectSet, object_set_fingerprint
 from repro.obs.trace import attach_engine_spans, span
 from repro.planner import AUTO_METHOD, Plan, plan_instance
-
-
-def object_set_fingerprint(objects: ObjectSet) -> str:
-    """Content hash of an :class:`ObjectSet` — the cache identity.
-
-    Two structurally identical object sets (same points, same
-    capacities) fingerprint equally even when they are distinct Python
-    objects, so re-submitted catalogues hit the index cache.  The
-    digest is memoized on the instance, so a batch of K jobs over one
-    large catalogue hashes it once, not K times — and the instance is
-    **frozen** first (:meth:`ObjectSet.freeze`): without that, mutating
-    ``objects.points`` after a submit would silently reuse the stale
-    cached index for a catalogue that no longer matches the hash.
-    """
-    objects.freeze()
-    cached = getattr(objects, "_repro_fingerprint", None)
-    if cached is not None:
-        return cached
-    points = np.asarray(objects.points, dtype=np.float64)
-    h = hashlib.sha256()
-    # Shape goes into the digest: without it, the raw bytes of e.g. a
-    # 6x2 and a 4x3 catalogue collide and would share a cached index.
-    h.update(repr(points.shape).encode())
-    h.update(points.tobytes())
-    if objects.capacities is not None:
-        h.update(b"caps")
-        h.update(np.asarray(objects.capacities, dtype=np.int64).tobytes())
-    digest = h.hexdigest()
-    objects._repro_fingerprint = digest
-    return digest
 
 
 @dataclass

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 from repro.core import solve
 from repro.core.types import AssignmentResult
-from repro.data.instances import FunctionSet, ObjectSet
+from repro.data.instances import FunctionSet, ObjectSet, object_set_fingerprint
 from repro.obs.log import get_logger
 from repro.obs.trace import (
     SpanCollector,
@@ -65,7 +65,6 @@ from repro.service.batch import (
     ObjectIndexCache,
     ResolvedJob,
     SolveJob,
-    object_set_fingerprint,
 )
 
 log = get_logger("repro.service")

@@ -1,8 +1,11 @@
 """Problem/Solution file round trips and the content-address helpers."""
 
+import math
+
 import pytest
 
 from repro.api import AssignmentSession, Problem, SerdeError, Solution, canonical_digest
+from repro.data import object_set_fingerprint
 
 
 def make_problem(method="sb", **options):
@@ -81,3 +84,91 @@ def test_solve_key_separates_method_and_options():
 def test_canonical_digest_is_order_insensitive():
     assert canonical_digest({"a": 1, "b": 2}) == canonical_digest({"b": 2, "a": 1})
     assert canonical_digest({"a": 1}) != canonical_digest({"a": 2})
+
+
+def pinned_problem(**changes):
+    """A tiny fixed problem whose addresses are pinned below."""
+    fields = dict(
+        objects=[(0.5, 0.6), (0.2, 0.7), (0.8, 0.2)],
+        object_capacities=[1, 2, 1],
+        functions=[(0.75, 0.25), (0.25, 0.75)],
+        priorities=[2.0, 1.0],
+        method="sb",
+    )
+    fields.update(changes)
+    return Problem(**fields)
+
+
+def test_content_addresses_are_pinned():
+    """A problem id crosses processes and hosts: a gateway and a backend
+    that address one problem differently cannot route to each other, so
+    changing the address must be a deliberate edit of these values."""
+    problem = pinned_problem()
+    assert object_set_fingerprint(problem.object_set) == (
+        "bf1c5297348e283e145e93d3c7399ecde3de381ca3dd02b55d2bad029e22a277"
+    )
+    assert problem.digest() == (
+        "ff4ca9e16185f7f2e35c595639019e09a73b5efd8905db3fb898857724c4c385"
+    )
+    assert problem.instance_digest() == (
+        "d4fb7ea6e205ce281c7a91137edd9c3833b6c9365f902031e8b170f66c8ca8e2"
+    )
+
+
+def test_v1_and_v2_payloads_of_one_problem_address_equally():
+    problem = pinned_problem()
+    v2 = problem.to_dict()
+    v1 = {**v2, "schema": "repro.problem/v1"}
+    for payload in (v1, v2):
+        decoded = Problem.from_dict(payload)
+        assert decoded.digest() == problem.digest()
+        assert decoded.instance_digest() == problem.instance_digest()
+
+
+def test_normalized_equal_problems_address_equally():
+    """All-1 capacity and priority vectors are ``None`` in every
+    address, whichever way they were spelled."""
+    implicit = pinned_problem(object_capacities=None, priorities=None)
+    explicit = pinned_problem(
+        object_capacities=[1, 1, 1],
+        priorities=[1.0, 1.0],
+        function_capacities=[1, 1],
+    )
+    assert explicit.digest() == implicit.digest()
+    assert explicit.instance_digest() == implicit.instance_digest()
+    assert object_set_fingerprint(explicit.object_set) == object_set_fingerprint(
+        implicit.object_set
+    )
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"objects": [(0.5, 0.6), (math.nextafter(0.2, 1.0), 0.7), (0.8, 0.2)]},
+        {"object_capacities": [1, 3, 1]},
+        {"functions": [(math.nextafter(0.75, 1.0), 0.25), (0.25, 0.75)]},
+        {"priorities": [math.nextafter(2.0, 3.0), 1.0]},
+        {"function_capacities": [1, 2]},
+    ],
+    ids=["coordinate", "object-capacity", "weight", "priority", "function-capacity"],
+)
+def test_smallest_instance_change_moves_both_addresses(changes):
+    base, changed = pinned_problem(), pinned_problem(**changes)
+    assert changed.digest() != base.digest()
+    assert changed.instance_digest() != base.instance_digest()
+    catalogue_changed = "objects" in changes or "object_capacities" in changes
+    assert catalogue_changed == (
+        object_set_fingerprint(changed.object_set)
+        != object_set_fingerprint(base.object_set)
+    )
+
+
+def test_variants_of_one_catalogue_share_its_fingerprint():
+    """Derived problems share the frozen ObjectSet, so its memoized
+    fingerprint addresses every variant."""
+    base = pinned_problem()
+    variant = base.with_functions([(0.5, 0.5)]).with_method("chain")
+    assert variant.object_set is base.object_set
+    assert variant.digest() != base.digest()
+    assert variant.instance_digest() != base.instance_digest()
+    assert base.with_method("chain").instance_digest() == base.instance_digest()

@@ -9,6 +9,7 @@ to ring successors with bit-identical results.
 """
 
 import concurrent.futures
+import json
 import time
 
 import pytest
@@ -379,6 +380,35 @@ def test_inline_solve_and_submit_without_prior_registration(fleet, client):
     assert client.result(submitted["job_id"]).to_dict()["pairs"] == (
         direct.to_dict()["pairs"]
     )
+
+
+def test_gateway_and_backend_agree_on_the_problem_id(fleet, client):
+    """A v1 payload with every key out of canonical order: the gateway
+    validates it, relays the bytes it received, and its routing id,
+    the backend's problem_id and Problem.digest() are one value."""
+    problem = make_problem(seed=83)
+    canonical = problem.to_dict()
+    payload = {
+        key: (
+            dict(reversed(list(value.items())))
+            if isinstance(value, dict)
+            else value
+        )
+        for key, value in reversed(list(canonical.items()))
+    }
+    payload["schema"] = "repro.problem/v1"
+    assert list(payload) != sorted(payload)
+    status, body = client.request("POST", "/v1/problems", payload)
+    assert status == 201
+    assert body["problem_id"] == problem.digest()
+    assert body["instance_digest"] == problem.instance_digest()
+    assert body["backend"] == fleet.owner_address(problem)
+    entry = fleet.gateway.gateway._problems[problem.digest()]
+    assert entry["instance_digest"] == problem.instance_digest()
+    assert entry["payload"] == json.dumps(payload).encode("utf-8")
+    solution = client.solve(body["problem_id"])
+    with AssignmentSession(problem) as session:
+        assert solution.pairs == session.solve().pairs
 
 
 def test_gateway_metrics_aggregate_fleet_counters(fleet, client):

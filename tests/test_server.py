@@ -258,6 +258,42 @@ def test_problem_registry_is_lru_bounded():
     assert again in server._problems
 
 
+def test_repeat_registration_keeps_the_registered_problem(server, client):
+    """A repeat registration must not replace the registered Problem
+    with its fresh parse: the first keeps its memoized plan, solve key
+    and digests, so a replayed request does not plan again."""
+    problem = make_problem(method="auto")
+    pid = client.register(problem)
+    registered = server.server._problems[pid]
+    client.solve(pid)
+    assert "_plan" in registered.__dict__
+    assert client.register(problem) == pid
+    assert server.server._problems[pid] is registered
+    status, body = client.request("POST", "/v1/solve", {"problem": problem.to_dict()})
+    assert status == 200 and body["cache_hit"] is True
+    assert server.server._problems[pid] is registered
+
+
+def test_client_problem_memory_is_lru_bounded(client, monkeypatch):
+    """The client remembers at most KNOWN_PROBLEMS registrations (the
+    server's default registry size), and ``solve(problem)`` attaches
+    the Problem it was given even after its entry was evicted."""
+    from repro.server import client as client_module
+
+    assert client_module.KNOWN_PROBLEMS == ServerConfig().problem_registry_size
+    monkeypatch.setattr(client_module, "KNOWN_PROBLEMS", 3)
+    problems = [make_problem(seed=90 + i) for i in range(5)]
+    ids = [client.register(p) for p in problems]
+    assert len(client._known) == 3
+    assert list(client._known) == ids[2:]
+    # Whatever the memory holds, solve(problem) attaches its argument.
+    monkeypatch.setattr(client_module, "KNOWN_PROBLEMS", 0)
+    solution = client.solve(problems[0])
+    assert not client._known
+    assert solution.problem is problems[0]
+    assert solution.verify()
+
+
 def test_override_solutions_stay_detached_from_the_base_problem(client):
     """Regression: a solve with method/options overrides must not come
     back carrying the registered base Problem — its options would
