@@ -5,15 +5,18 @@
   observability endpoints, job status-poll GETs, probe sweeps).  These
   arrive tens-per-solve / once-per-interval; tracing or logging them
   would dominate per-request cost and churn the recent trace store.
-  The never-traced handler set is read from the module itself — its
-  ``_UNTRACED_PREFIXES`` / ``_UNTRACED_GET_PREFIXES`` constants joined
-  with its ``router.add(method, path, self._handler)`` calls — so a
-  newly registered untraced route is covered without touching the
-  linter.  Functions outside a router module opt in with a
-  ``# lint: never-traced`` marker on (or above) their ``def`` line
-  (probe sweeps).  State-*transition* logging (a backend flipping
-  down) lives in the transition methods, which these rules do not
-  descend into — per-sweep bodies stay silent, rare flips stay loud.
+  The never-traced handler set is read from the route table itself —
+  its module's ``_UNTRACED_PREFIXES`` / ``_UNTRACED_GET_PREFIXES``
+  constants joined with its ``router.add(method, path, self._handler)``
+  calls — gathered across all linted files, so the subclasses of a
+  route-declaring class (the services on the shared HTTP shell) are
+  checked in their own modules, and a newly registered untraced route
+  is covered without touching the linter.  Functions outside a router
+  module opt in with a ``# lint: never-traced`` marker on (or above)
+  their ``def`` line (probe sweeps).  State-*transition* logging (a
+  backend flipping down) lives in the transition methods, which these
+  rules do not descend into — per-sweep bodies stay silent, rare flips
+  stay loud.
 - **REP403** — bare ``except:`` anywhere: it catches
   ``KeyboardInterrupt`` / ``SystemExit`` and makes shutdown hangs.
 - **REP404** — swallowed exceptions: an ``except`` whose body is only
@@ -32,6 +35,7 @@
 from __future__ import annotations
 
 import ast
+from collections.abc import Mapping
 
 from repro.analysis.findings import Finding
 
@@ -83,7 +87,7 @@ def _module_constants(tree: ast.Module, name: str) -> tuple[str, ...]:
     return ()
 
 
-def _routes(tree: ast.Module) -> list[tuple[str, str, str]]:
+def _routes(tree: ast.AST) -> list[tuple[str, str, str]]:
     """``router.add("GET", "/path", self._handler)`` sites →
     ``[(http_method, path, handler_name), ...]``."""
     routes: list[tuple[str, str, str]] = []
@@ -127,6 +131,17 @@ def untraced_handlers(tree: ast.Module) -> set[str]:
         elif method == "GET" and get_prefixes and path.startswith(get_prefixes):
             handlers.add(handler)
     return handlers
+
+
+def routed_classes(tree: ast.Module) -> dict[str, frozenset[str]]:
+    """Classes declaring routes (``router.add`` calls in their body) →
+    the never-traced handlers among those routes."""
+    never_traced = untraced_handlers(tree)
+    return {
+        node.name: frozenset(h for _, _, h in routes if h in never_traced)
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and (routes := _routes(node))
+    }
 
 
 def _marked_functions(source: str, tree: ast.Module) -> set[str]:
@@ -322,12 +337,32 @@ class _HygieneVisitor(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def check_hotpath(tree: ast.Module, path: str, source: str) -> list[Finding]:
-    """Run the hot-path / hygiene rules over one parsed module."""
+def check_hotpath(
+    tree: ast.Module,
+    path: str,
+    source: str,
+    routed: Mapping[str, frozenset[str]] | None = None,
+) -> list[Finding]:
+    """Run the hot-path / hygiene rules over one parsed module.
+
+    ``routed`` holds the route-declaring classes of the other linted
+    modules (see :func:`routed_classes`): a module whose classes
+    subclass one serves those routes, so it is a router module and the
+    inherited never-traced handlers it defines are checked."""
     routes = _routes(tree)
     untraced = untraced_handlers(tree) if routes else set()
+    known = routed or {}
+    inherited = [  # never-traced handler sets of route-declaring bases
+        known[name]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for name in map(_dotted_tail, node.bases)
+        if name is not None and name in known
+    ]
+    for handlers in inherited:
+        untraced |= handlers
     untraced |= _marked_functions(source, tree)
-    visitor = _HygieneVisitor(path, untraced, router_module=bool(routes))
+    visitor = _HygieneVisitor(path, untraced, router_module=bool(routes or inherited))
     visitor.visit(tree)
     return visitor.findings
 
@@ -341,4 +376,5 @@ __all__ = [
     "RULE_SPAN_IN_UNTRACED",
     "RULE_SWALLOWED_EXCEPT",
     "check_hotpath",
+    "routed_classes",
 ]

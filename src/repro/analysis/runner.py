@@ -10,6 +10,7 @@ when the scanned tree contains the live registry.
 from __future__ import annotations
 
 import ast
+import contextlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,7 +23,7 @@ from repro.analysis.determinism import (
     is_deterministic_path,
 )
 from repro.analysis.findings import Finding, sort_findings
-from repro.analysis.hotpath import check_hotpath
+from repro.analysis.hotpath import check_hotpath, routed_classes
 from repro.analysis.locks import check_locks
 from repro.analysis.registry_rules import RegistryView, check_registry
 from repro.analysis.suppress import SuppressionIndex
@@ -103,9 +104,15 @@ def iter_python_files(paths: Iterable[Path]) -> list[Path]:
 
 
 def lint_file(
-    path: Path, rel_path: str, *, rules: frozenset[str] | None = None
+    path: Path,
+    rel_path: str,
+    *,
+    rules: frozenset[str] | None = None,
+    routed: dict[str, frozenset[str]] | None = None,
 ) -> tuple[list[Finding], int]:
-    """``(findings, suppressed_count)`` for one source file."""
+    """``(findings, suppressed_count)`` for one source file; ``routed``
+    maps the run's route-declaring classes to their never-traced
+    handlers (see :func:`repro.analysis.hotpath.routed_classes`)."""
     source = path.read_text(encoding="utf-8")
     try:
         tree = ast.parse(source)
@@ -125,7 +132,7 @@ def lint_file(
     raw.extend(check_locks(tree, rel_path))
     if is_deterministic_path(rel_path) or DETERMINISTIC_MARKER in source:
         raw.extend(check_determinism(tree, rel_path))
-    raw.extend(check_hotpath(tree, rel_path, source))
+    raw.extend(check_hotpath(tree, rel_path, source, routed))
 
     suppressions = SuppressionIndex(source)
     for malformed in suppressions.malformed:
@@ -169,13 +176,21 @@ def run_lint(
     root = (root or Path.cwd()).resolve()
     result = LintResult()
     findings: list[Finding] = []
-    for path in iter_python_files(paths):
+    files = iter_python_files(paths)
+    # A route table may serve classes in other modules: gather them all.
+    routed: dict[str, frozenset[str]] = {}
+    for path in files:
+        source = path.read_text(encoding="utf-8")
+        if "router.add(" in source:
+            with contextlib.suppress(SyntaxError):  # lint_file reports it
+                routed.update(routed_classes(ast.parse(source)))
+    for path in files:
         resolved = path.resolve()
         try:
             rel = resolved.relative_to(root).as_posix()
         except ValueError:
             rel = resolved.as_posix()
-        file_findings, suppressed = lint_file(resolved, rel, rules=rules)
+        file_findings, suppressed = lint_file(resolved, rel, rules=rules, routed=routed)
         findings.extend(file_findings)
         result.suppressed += suppressed
         result.files_checked += 1

@@ -7,13 +7,14 @@ A stdlib-only asyncio gateway that horizontally scales the single-node
                   (this layer)             (each owns its shards'
                                             R-tree index caches)
 
-Every request is keyed by the problem's ``instance_digest`` (solver
-selection excluded — method variants of one catalogue share a shard),
-so each catalogue's object index is built on exactly one backend and
-stays hot there.  The ring is deterministic across processes and
-restarts: no state to replicate, any gateway maps any key the same
-way.  Async job ids come back prefixed ``{node_id}@{job_id}``, so
-polls route by prefix with no gateway-side job table.
+Every request is keyed by the problem's ``instance_digest`` (catalogue,
+cohort and index settings; solver selection excluded — method variants
+of one problem share a shard and its caches), so the cohorts of one
+catalogue spread over the fleet and every backend serving one of them
+builds that catalogue's index.  The ring is deterministic across
+processes and restarts: no state to replicate, any gateway maps any key
+the same way.  Async job ids come back prefixed ``{node_id}@{job_id}``,
+so polls route by prefix with no gateway-side job table.
 
 Failover: dead backends are skipped via ring successors (never removed
 from the ring — recovery restores ownership), solves re-execute on the

@@ -12,28 +12,25 @@ from __future__ import annotations
 import argparse
 
 from repro.cluster.app import GatewayConfig, ReproGateway
-from repro.obs.log import configure_logging
+from repro.server.base import serve_console, service_parser
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-gateway",
-        description=(
+    parser = service_parser(
+        "repro-gateway",
+        (
             "Shard fair-assignment solves over a fleet of repro-server "
             "backends via a deterministic consistent-hash ring."
         ),
-    )
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument(
-        "--port", type=int, default=8100,
-        help="TCP port; 0 binds an ephemeral port (announced on stdout)",
+        port=8100,
+        retry_status=503,
     )
     parser.add_argument(
         "--backend", action="append", default=[], metavar="HOST:PORT",
         help="one backend repro-server (repeat for each fleet member)",
     )
     parser.add_argument(
-        "--backends", default=None, metavar="HOST:PORT,HOST:PORT,...",
+        "--backends", dest="backend_list", metavar="HOST:PORT,HOST:PORT,...",
         help="comma-separated backend list (alternative to --backend)",
     )
     parser.add_argument(
@@ -41,95 +38,41 @@ def build_parser() -> argparse.ArgumentParser:
         help="virtual nodes per backend on the hash ring",
     )
     parser.add_argument(
-        "--probe-interval", type=float, default=2.0,
-        help="seconds between background /healthz sweeps",
+        "--probe-interval", dest="probe_interval_seconds", type=float,
+        default=2.0, help="seconds between background /healthz sweeps",
     )
     parser.add_argument(
-        "--probe-timeout", type=float, default=2.0,
-        help="per-probe HTTP timeout (seconds)",
+        "--probe-timeout", dest="probe_timeout_seconds", type=float,
+        default=2.0, help="per-probe HTTP timeout (seconds)",
     )
     parser.add_argument(
         "--down-after", type=int, default=2,
         help="consecutive probe failures before a backend is marked down",
     )
     parser.add_argument(
-        "--forward-timeout", type=float, default=120.0,
-        help="per-forward HTTP timeout (covers backend solve time)",
-    )
-    parser.add_argument(
-        "--retry-after", type=float, default=1.0,
-        help="Retry-After hint (seconds) on 503 responses",
-    )
-    parser.add_argument(
-        "--log-level", default="INFO",
-        choices=["DEBUG", "INFO", "WARNING", "ERROR"],
-    )
-    parser.add_argument(
-        "--log-json", action="store_true",
-        help="emit structured JSON-lines logs instead of key=value text",
-    )
-    parser.add_argument(
-        "--no-observability", action="store_true",
-        help="disable request tracing and trace retention",
-    )
-    parser.add_argument(
-        "--slow-trace-threshold", type=float, default=0.25,
-        help=(
-            "requests at or over this wall time (seconds) are pinned in "
-            "the slow-trace store"
-        ),
-    )
-    parser.add_argument(
-        "--log-ring-size", type=int, default=512,
-        help="recent log records retained for GET /v1/logs",
+        "--forward-timeout", dest="forward_timeout_seconds", type=float,
+        default=120.0, help="per-forward HTTP timeout (covers backend solve time)",
     )
     return parser
 
 
 def main(argv: list[str] | None = None) -> None:
-    args = build_parser().parse_args(argv)
-    configure_logging(
-        level=args.log_level,
-        json_mode=args.log_json,
-        node=f"{args.host}:{args.port}" if args.port else args.host,
-    )
+    parser = build_parser()
+    args = parser.parse_args(argv)
     addresses = list(args.backend)
-    if args.backends:
+    if args.backend_list:
         addresses.extend(
-            part.strip() for part in args.backends.split(",") if part.strip()
+            part.strip() for part in args.backend_list.split(",") if part.strip()
         )
     if not addresses:
-        build_parser().error(
-            "at least one backend is required (--backend HOST:PORT)"
-        )
-    config = GatewayConfig(
+        parser.error("at least one backend is required (--backend HOST:PORT)")
+    serve_console(
+        ReproGateway,
+        GatewayConfig,
+        args,
+        note=f" ({len(addresses)} backends)",
         backends=tuple(addresses),
-        host=args.host,
-        port=args.port,
-        vnodes=args.vnodes,
-        probe_interval_seconds=args.probe_interval,
-        probe_timeout_seconds=args.probe_timeout,
-        down_after=args.down_after,
-        forward_timeout_seconds=args.forward_timeout,
-        retry_after_seconds=args.retry_after,
-        observability=not args.no_observability,
-        slow_trace_threshold_seconds=args.slow_trace_threshold,
-        log_ring_size=args.log_ring_size,
     )
-    gateway = ReproGateway(config)
-
-    def announce(started: ReproGateway) -> None:
-        print(
-            f"repro-gateway listening on http://{config.host}:{started.port} "
-            f"({len(config.backends)} backends)",
-            flush=True,
-        )
-
-    try:
-        gateway.serve_forever(on_started=announce)
-    # lint: except-ok(Ctrl-C is the operator's shutdown signal; exit clean)
-    except KeyboardInterrupt:
-        pass
 
 
 if __name__ == "__main__":

@@ -185,6 +185,10 @@ class Fleet:
     def alive_backends(self) -> list[Backend]:
         return [b for b in self.backends.values() if b.alive]
 
+    def snapshots(self) -> dict[str, dict]:
+        """Every backend's liveness and load record, by address."""
+        return {address: b.snapshot() for address, b in self.backends.items()}
+
     def info(self) -> dict:
         with self._guard:
             counters = {

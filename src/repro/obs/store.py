@@ -22,14 +22,18 @@ from collections import OrderedDict
 
 from repro.obs.trace import Span
 
+#: Every service's LRU bounds on recent traces and on pinned slow ones.
+RECENT_TRACES = 256
+SLOW_TRACES = 64
+
 
 class TraceStore:
     """Recent-LRU + pinned-slow retention of finished span trees."""
 
     def __init__(
         self,
-        recent_size: int = 256,
-        slow_size: int = 64,
+        recent_size: int = RECENT_TRACES,
+        slow_size: int = SLOW_TRACES,
         slow_threshold_seconds: float = 0.25,
     ):
         if recent_size < 1 or slow_size < 1:
@@ -102,9 +106,12 @@ class TraceStore:
             return record
 
     def recent(self, limit: int = 50) -> list[dict]:
-        """Newest-first summaries of recently finished traces."""
+        """Newest-first summaries of the ``limit`` most recently
+        finished traces (a negative ``limit`` lists them all)."""
         with self._guard:
-            records = list(self._recent.values())[-limit:][::-1]
+            records = list(self._recent.values())[::-1]
+        if limit >= 0:
+            records = records[:limit]
         return [
             {
                 "trace_id": r["trace_id"],
@@ -230,4 +237,4 @@ def render_tree(record: dict) -> str:
     return "\n".join(lines)
 
 
-__all__ = ["TraceStore", "assemble_tree", "render_tree"]
+__all__ = ["RECENT_TRACES", "SLOW_TRACES", "TraceStore", "assemble_tree", "render_tree"]

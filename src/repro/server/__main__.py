@@ -9,19 +9,16 @@ from __future__ import annotations
 
 import argparse
 
-from repro.obs.log import configure_logging
 from repro.server.app import ReproServer, ServerConfig
+from repro.server.base import serve_console, service_parser
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-server",
-        description="Serve fair-assignment solves over JSON/HTTP.",
-    )
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument(
-        "--port", type=int, default=8000,
-        help="TCP port; 0 binds an ephemeral port (announced on stdout)",
+    parser = service_parser(
+        "repro-server",
+        "Serve fair-assignment solves over JSON/HTTP.",
+        port=8000,
+        retry_status=429,
     )
     parser.add_argument(
         "--queue-limit", type=int, default=64,
@@ -48,70 +45,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--solution-cache-size", type=int, default=256)
     parser.add_argument("--index-cache-size", type=int, default=32)
-    parser.add_argument(
-        "--retry-after", type=float, default=1.0,
-        help="Retry-After hint (seconds) on 429 responses",
-    )
-    parser.add_argument(
-        "--log-level", default="INFO",
-        choices=["DEBUG", "INFO", "WARNING", "ERROR"],
-    )
-    parser.add_argument(
-        "--log-json", action="store_true",
-        help="emit structured JSON-lines logs instead of key=value text",
-    )
-    parser.add_argument(
-        "--no-observability", action="store_true",
-        help="disable request tracing and trace retention",
-    )
-    parser.add_argument(
-        "--slow-trace-threshold", type=float, default=0.25,
-        help=(
-            "requests at or over this wall time (seconds) are pinned in "
-            "the slow-trace store with their planner transcript"
-        ),
-    )
-    parser.add_argument(
-        "--log-ring-size", type=int, default=512,
-        help="recent log records retained for GET /v1/logs",
-    )
     return parser
 
 
 def main(argv: list[str] | None = None) -> None:
-    args = build_parser().parse_args(argv)
-    configure_logging(
-        level=args.log_level,
-        json_mode=args.log_json,
-        node=f"{args.host}:{args.port}" if args.port else args.host,
-    )
-    config = ServerConfig(
-        host=args.host,
-        port=args.port,
-        queue_limit=args.queue_limit,
-        executor=args.executor,
-        workers=args.workers,
-        pump_tasks=args.pump_tasks,
-        solution_cache_size=args.solution_cache_size,
-        index_cache_size=args.index_cache_size,
-        retry_after_seconds=args.retry_after,
-        observability=not args.no_observability,
-        slow_trace_threshold_seconds=args.slow_trace_threshold,
-        log_ring_size=args.log_ring_size,
-    )
-    server = ReproServer(config)
-
-    def announce(started: ReproServer) -> None:
-        print(
-            f"repro-server listening on http://{config.host}:{started.port}",
-            flush=True,
-        )
-
-    try:
-        server.serve_forever(on_started=announce)
-    # lint: except-ok(Ctrl-C is the operator's shutdown signal; exit clean)
-    except KeyboardInterrupt:
-        pass
+    serve_console(ReproServer, ServerConfig, build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

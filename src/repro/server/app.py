@@ -15,20 +15,17 @@ serving concerns the library layers don't have:
   one in-flight solve rather than racing N copies of it.
 
 Handlers run on the loop; the actual solving happens on the session's
-thread pool and is awaited via ``asyncio.wrap_future``.  The server
-can be embedded (:func:`running_server` hosts it on a background
-thread for tests/examples) or run standalone via ``python -m
-repro.server``.
+thread pool and is awaited via ``asyncio.wrap_future``.  Routing,
+dispatch, tracing, connections and the lifecycle come from the shared
+:class:`~repro.server.base.HttpService` shell.  The server can be
+embedded (:func:`running_server` hosts it on a background thread for
+tests/examples) or run standalone via ``python -m repro.server``.
 """
 
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import dataclasses
-import json
-import logging
-import threading
 import time
 from collections import OrderedDict
 from collections.abc import Callable, Mapping
@@ -37,36 +34,24 @@ from dataclasses import dataclass
 from repro.api.problem import Problem
 from repro.api.session import AssignmentSession
 from repro.api.solution import Solution
+from repro.errors import ReproError, SerdeError
+from repro.obs.log import get_logger
+from repro.obs.trace import SpanCollector, collecting, span
 from repro.planner import AUTO_METHOD
-from repro.errors import (
-    InvalidProblemError,
-    InvalidSolverOptionError,
-    ReproError,
-    SerdeError,
-    UnknownSolverError,
-)
-from repro.obs.log import LogRing, RingHandler, get_logger
-from repro.obs.prom import (
-    PROMETHEUS_CONTENT_TYPE,
-    render_prometheus,
-    wants_prometheus,
-)
-from repro.obs.store import TraceStore
-from repro.obs.trace import (
-    TRACE_HEADER,
-    SpanCollector,
-    TraceContext,
-    collecting,
-    span,
+from repro.server.base import (
+    Conflict,
+    HttpService,
+    NotFound,
+    ServiceConfig,
+    ServiceHandle,
+    diff_envelope,
+    diff_job_ids,
+    require_object,
+    solve_target,
+    start_in_thread,
 )
 from repro.server.cache import SolutionCache
-from repro.server.http import (
-    MAX_BODY_BYTES,
-    ProtocolError,
-    Request,
-    Response,
-    read_request,
-)
+from repro.server.http import Request, Response
 from repro.server.jobs import (
     DONE,
     FAILED,
@@ -75,53 +60,15 @@ from repro.server.jobs import (
     JobStore,
 )
 from repro.server.metrics import ServerMetrics
-from repro.server.router import Router
 from repro.service.pool import check_executor
 
 log = get_logger("repro.server")
 
-#: Paths outside the trace pipeline: probe/scrape traffic would churn
-#: the trace store, and the observability endpoints must not trace
-#: themselves.
-_UNTRACED_PREFIXES = ("/healthz", "/metrics", "/v1/traces", "/v1/logs")
 
-#: Read-only paths whose GETs skip tracing: async-job status polls
-#: arrive tens of times per solve, so tracing them would both dominate
-#: the per-request overhead and evict the solve traces an operator
-#: actually wants from the recent store.  The job's own ``job.solve``
-#: trace (recorded by the pump) is the inspectable artifact.
-_UNTRACED_GET_PREFIXES = ("/v1/jobs",)
+@dataclass(frozen=True, kw_only=True)
+class ServerConfig(ServiceConfig):
+    """Tunables of one :class:`ReproServer`, beyond the shared ones."""
 
-
-def _is_traced(method: str, path: str) -> bool:
-    if path.startswith(_UNTRACED_PREFIXES):
-        return False
-    return not (method == "GET" and path.startswith(_UNTRACED_GET_PREFIXES))
-
-_BAD_REQUEST_ERRORS = (
-    SerdeError,
-    InvalidProblemError,
-    UnknownSolverError,
-    InvalidSolverOptionError,
-)
-
-
-class _NotFound(Exception):
-    """Internal: a referenced problem/job id does not exist (→ 404)."""
-
-
-class _Conflict(Exception):
-    """Internal: the resource exists but is not in a usable state (→ 409)."""
-
-
-@dataclass(frozen=True)
-class ServerConfig:
-    """Tunables of one :class:`ReproServer`."""
-
-    host: str = "127.0.0.1"
-    #: TCP port; ``0`` binds an ephemeral port (read it back from
-    #: :attr:`ReproServer.port` once started).
-    port: int = 8000
     #: Admission limit: maximum queued+running solves before 429.
     queue_limit: int = 64
     #: Solve backend: ``"thread"`` (one shared object-index cache, one
@@ -140,109 +87,39 @@ class ServerConfig:
     solution_cache_size: int = 256
     #: LRU bound of the shared ObjectIndex cache.
     index_cache_size: int = 32
-    #: ``Retry-After`` hint attached to 429 responses, in seconds.
-    retry_after_seconds: float = 1.0
-    #: Per-request read deadline; a peer that stalls mid-request (or a
-    #: half-open connection) is dropped instead of pinning the task
-    #: forever.  ``None`` disables the deadline.
-    read_timeout_seconds: float | None = 30.0
-    max_body_bytes: int = MAX_BODY_BYTES
     #: Finished-job records retained for polling.
     job_history: int = 1024
-    #: LRU bound on registered problems (each retains its full
-    #: catalogue + cohort); an evicted id 404s and the client simply
-    #: re-registers — registration is idempotent by content digest.
-    problem_registry_size: int = 4096
-    #: Master switch for request tracing + trace retention (structured
-    #: logging and the log ring stay on; they replace plain logging).
-    observability: bool = True
-    #: Requests at or over this wall time are pinned in the slow-trace
-    #: store (the slow-solve log) with their planner transcript.
-    slow_trace_threshold_seconds: float = 0.25
-    #: LRU bound of the recent-trace store.
-    trace_store_size: int = 256
-    #: LRU bound of the pinned slow-trace store.
-    slow_trace_store_size: int = 64
-    #: Bounded in-process log ring served at ``GET /v1/logs``.
-    log_ring_size: int = 512
+
+    def validate(self) -> None:
+        # queue_limit / solution_cache_size / job_history are validated
+        # by the components built from them.
+        super().validate()
+        check_executor(self.executor)
+        if self.pump_tasks < 1:
+            raise ValueError("pump_tasks must be >= 1")
+        if self.workers is not None and self.workers < 1:
+            raise ValueError("workers must be >= 1 (or None for the default)")
 
 
-class ReproServer:
+class ReproServer(HttpService):
     """The serving facade; see the module docstring for the shape."""
 
+    name = "repro-server"
+    role = "server"
+    logger = log
+    config: ServerConfig
+    _metrics: ServerMetrics
+
     def __init__(self, config: ServerConfig | None = None):
-        self.config = config or ServerConfig()
-        self._validate_config(self.config)
-        self.port: int | None = None
+        super().__init__(config or ServerConfig(), ServerMetrics())
         self._problems: OrderedDict[str, Problem] = OrderedDict()
         self._session: AssignmentSession | None = None
         self._solutions = SolutionCache(self.config.solution_cache_size)
-        self._metrics = ServerMetrics()
         self._admission = AdmissionController(self.config.queue_limit)
         self._jobs = JobStore(history_limit=self.config.job_history)
         self._inflight: dict[tuple, asyncio.Future] = {}
         self._queue: asyncio.Queue[Job] | None = None
         self._pumps: list[asyncio.Task] = []
-        self._conn_tasks: set[asyncio.Task] = set()
-        self._tcp: asyncio.Server | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop_event: asyncio.Event | None = None
-        self._traces = TraceStore(
-            recent_size=self.config.trace_store_size,
-            slow_size=self.config.slow_trace_store_size,
-            slow_threshold_seconds=self.config.slow_trace_threshold_seconds,
-        )
-        self._log_ring = LogRing(self.config.log_ring_size)
-        self._ring_handler: RingHandler | None = None
-        self._node: str | None = None
-        self._router = self._build_router()
-
-    @staticmethod
-    def _validate_config(config: ServerConfig) -> None:
-        # queue_limit / solution_cache_size / job_history are validated
-        # by the components built from them; check the rest here so a
-        # bad flag fails at startup, not as a wedged queue later.
-        check_executor(config.executor)
-        if config.problem_registry_size < 1:
-            raise ValueError("problem_registry_size must be >= 1")
-        if config.pump_tasks < 1:
-            raise ValueError("pump_tasks must be >= 1")
-        if config.workers is not None and config.workers < 1:
-            raise ValueError("workers must be >= 1 (or None for the default)")
-        if config.retry_after_seconds < 0:
-            raise ValueError("retry_after_seconds must be >= 0")
-        if (
-            config.read_timeout_seconds is not None
-            and config.read_timeout_seconds <= 0
-        ):
-            raise ValueError("read_timeout_seconds must be > 0 (or None)")
-        if config.max_body_bytes < 1:
-            raise ValueError("max_body_bytes must be >= 1")
-        if config.slow_trace_threshold_seconds < 0:
-            raise ValueError("slow_trace_threshold_seconds must be >= 0")
-        if config.trace_store_size < 1 or config.slow_trace_store_size < 1:
-            raise ValueError("trace store sizes must be >= 1")
-        if config.log_ring_size < 1:
-            raise ValueError("log_ring_size must be >= 1")
-
-    # -- routing -------------------------------------------------------
-
-    def _build_router(self) -> Router:
-        router = Router()
-        router.add("GET", "/healthz", self._health)
-        router.add("GET", "/metrics", self._metrics_endpoint)
-        router.add("POST", "/v1/problems", self._register_endpoint)
-        router.add("GET", "/v1/problems/{pid}", self._get_problem)
-        router.add("POST", "/v1/problems/{pid}/solve", self._solve_registered)
-        router.add("POST", "/v1/solve", self._solve_inline)
-        router.add("POST", "/v1/jobs", self._submit_job)
-        router.add("GET", "/v1/jobs/{jid}", self._get_job)
-        router.add("GET", "/v1/jobs/{jid}/solution", self._get_job_solution)
-        router.add("GET", "/v1/diff", self._diff_jobs)
-        router.add("GET", "/v1/traces", self._list_traces)
-        router.add("GET", "/v1/traces/{tid}", self._get_trace)
-        router.add("GET", "/v1/logs", self._get_logs)
-        return router
 
     # -- problem registry / session ------------------------------------
 
@@ -274,14 +151,14 @@ class ReproServer:
     def _lookup_problem(self, problem_id: str) -> Problem:
         problem = self._problems.get(problem_id)
         if problem is None:
-            raise _NotFound(f"unknown problem {problem_id!r}")
+            raise NotFound(f"unknown problem {problem_id!r}")
         self._problems.move_to_end(problem_id)
         return problem
 
     def _lookup_job(self, job_id: str) -> Job:
         job = self._jobs.get(job_id)
         if job is None:
-            raise _NotFound(f"unknown job {job_id!r}")
+            raise NotFound(f"unknown job {job_id!r}")
         return job
 
     @staticmethod
@@ -302,19 +179,12 @@ class ReproServer:
         """``(problem_id, problem-with-overrides)`` from a request body
         holding either an inline ``problem`` payload (registered as a
         side effect) or a ``problem_id`` reference."""
-        if not isinstance(body, Mapping):
-            raise SerdeError("request body must be a JSON object")
-        if ("problem" in body) == ("problem_id" in body):
-            raise SerdeError(
-                "request body needs exactly one of 'problem' or 'problem_id'"
-            )
+        body = solve_target(body)
         if "problem" in body:
             problem_id, _ = self._register(Problem.from_dict(body["problem"]))
             problem = self._problems[problem_id]
         else:
             problem_id = body["problem_id"]
-            if not isinstance(problem_id, str):
-                raise SerdeError("'problem_id' must be a string")
             problem = self._lookup_problem(problem_id)
         return problem_id, self._apply_overrides(problem, body)
 
@@ -470,14 +340,7 @@ class ReproServer:
             index_cache=index_info,
             churn=churn,
         )
-        snapshot["traces"] = self._traces.info()
-        snapshot["log_ring"] = self._log_ring.info()
-        if wants_prometheus(request):
-            return Response(
-                body=render_prometheus(snapshot).encode("utf-8"),
-                content_type=PROMETHEUS_CONTENT_TYPE,
-            )
-        return Response.json(snapshot)
+        return self._metrics_response(request, snapshot)
 
     async def _register_endpoint(self, request: Request) -> Response:
         payload = request.json()
@@ -508,9 +371,7 @@ class ReproServer:
 
     def _resolve_registered(self, request: Request, pid: str) -> tuple[str, Problem]:
         problem = self._lookup_problem(pid)
-        body = request.json(default={})
-        if not isinstance(body, Mapping):
-            raise SerdeError("request body must be a JSON object")
+        body = require_object(request.json(default={}))
         return pid, self._apply_overrides(problem, body)
 
     async def _solve_registered(self, request: Request, pid: str) -> Response:
@@ -568,66 +429,22 @@ class ReproServer:
     async def _get_job_solution(self, request: Request, jid: str) -> Response:
         job = self._lookup_job(jid)
         if job.status == FAILED:
-            raise _Conflict(f"job {jid} failed: {job.error}")
+            raise Conflict(f"job {jid} failed: {job.error}")
         if job.status != DONE:
-            raise _Conflict(f"job {jid} is still {job.status}")
+            raise Conflict(f"job {jid} is still {job.status}")
         assert job.solution is not None
         return Response.json(job.solution.to_dict())
 
     async def _diff_jobs(self, request: Request) -> Response:
-        try:
-            id_a, id_b = request.query["a"], request.query["b"]
-        except KeyError:
-            raise SerdeError(
-                "diff needs 'a' and 'b' query parameters (job ids)"
-            ) from None
+        id_a, id_b = diff_job_ids(request)
         solutions = []
         for job_id in (id_a, id_b):
             job = self._lookup_job(job_id)
             if job.status != DONE:
-                raise _Conflict(f"job {job_id} is {job.status}, cannot diff")
+                raise Conflict(f"job {job_id} is {job.status}, cannot diff")
             solutions.append(job.solution)
         diff = solutions[0].diff(solutions[1])
-        return Response.json(
-            {
-                "a": id_a,
-                "b": id_b,
-                "identical": not diff,
-                "units_changed": diff.units_changed,
-                "added": [list(t) for t in diff.added],
-                "removed": [list(t) for t in diff.removed],
-            }
-        )
-
-    # -- observability endpoints ---------------------------------------
-
-    async def _list_traces(self, request: Request) -> Response:
-        try:
-            limit = int(request.query.get("limit", "50"))
-        except ValueError:
-            raise SerdeError("'limit' must be an integer") from None
-        return Response.json(
-            {"traces": self._traces.recent(limit), "info": self._traces.info()}
-        )
-
-    async def _get_trace(self, request: Request, tid: str) -> Response:
-        record = self._traces.get(tid)
-        if record is None:
-            raise _NotFound(f"unknown trace {tid!r}")
-        return Response.json(record)
-
-    async def _get_logs(self, request: Request) -> Response:
-        try:
-            limit = int(request.query.get("limit", "100"))
-        except ValueError:
-            raise SerdeError("'limit' must be an integer") from None
-        level = request.query.get("level")
-        return Response.json(
-            {
-                "entries": self._log_ring.tail(limit, level),
-                "ring": self._log_ring.info(),
-            }
-        )
+        return Response.json(diff_envelope(id_a, id_b, diff))
 
     # -- job pump ------------------------------------------------------
 
@@ -667,173 +484,19 @@ class ReproServer:
                 with span("job.solve", job_id=job.job_id) as root:
                     return await self._solve(job.problem)
         finally:
-            spans = collector.spans
-            extra = {}
-            for s in spans:
-                explain = s.attributes.pop("plan_explain", None)
-                if explain is not None:
-                    extra["plan_explain"] = explain
-            record = self._traces.record(
-                root, spans, node=self._node, extra=extra or None
-            )
-            if record["slow"]:
-                log.warning(
-                    "slow job",
-                    job_id=job.job_id,
-                    trace_id=root.trace_id,
-                    duration_ms=round(record["duration_seconds"] * 1000, 2),
-                )
-
-    # -- connection handling -------------------------------------------
-
-    async def _dispatch(self, request: Request) -> Response:
-        if not self.config.observability or not _is_traced(
-            request.method, request.path
-        ):
-            return await self._dispatch_inner(request)
-        parent = TraceContext.parse(request.headers.get("x-repro-trace"))
-        collector = SpanCollector()
-        with collecting(collector, parent=parent):
-            with span(
-                "server.request", method=request.method, path=request.path
-            ) as root:
-                response = await self._dispatch_inner(request)
-                root.attributes["status"] = response.status
-                if response.status >= 500:
-                    root.status = "error"
-                    root.error = f"HTTP {response.status}"
-        response = self._stamp_trace(response, root.trace_id, root.span_id)
-        spans = collector.spans
-        extra = {}
-        for s in spans:
-            explain = s.attributes.pop("plan_explain", None)
-            if explain is not None:
-                extra["plan_explain"] = explain
-        record = self._traces.record(root, spans, node=self._node, extra=extra or None)
-        if record["slow"]:
-            log.warning(
-                "slow request",
-                method=request.method,
-                path=request.path,
-                trace_id=root.trace_id,
-                duration_ms=round(record["duration_seconds"] * 1000, 2),
-            )
-        return response
-
-    @staticmethod
-    def _stamp_trace(response: Response, trace_id: str, span_id: str) -> Response:
-        """Echo the trace on the response: the header on every reply,
-        and ``trace_id`` inside JSON error envelopes so a failure
-        report carries its trace handle even through clients that drop
-        headers."""
-        response.headers[TRACE_HEADER] = f"{trace_id}:{span_id}"
-        if response.status >= 400 and response.content_type == "application/json":
-            try:
-                payload = json.loads(response.body)
-            except ValueError:
-                return response
-            if isinstance(payload, dict) and "trace_id" not in payload:
-                payload["trace_id"] = trace_id
-                response.body = (
-                    json.dumps(payload, sort_keys=True) + "\n"
-                ).encode("utf-8")
-        return response
-
-    async def _dispatch_inner(self, request: Request) -> Response:
-        routed = self._router.dispatch(request)
-        if isinstance(routed, Response):
-            response = routed
-        else:
-            handler, params = routed
-            try:
-                response = await handler(request, **params)
-            except _BAD_REQUEST_ERRORS as exc:
-                response = Response.error(400, str(exc), type=type(exc).__name__)
-            except _NotFound as exc:
-                response = Response.error(404, str(exc))
-            except _Conflict as exc:
-                response = Response.error(409, str(exc))
-            except asyncio.CancelledError:
-                raise
-            except Exception:
-                log.exception(
-                    "unhandled request error",
-                    method=request.method,
-                    path=request.path,
-                )
-                response = Response.error(500, "internal server error")
-        self._metrics.record_response(response.status)
-        return response
-
-    async def _handle_connection(self, reader, writer) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-        try:
-            while True:
-                try:
-                    request = await asyncio.wait_for(
-                        read_request(
-                            reader, max_body_bytes=self.config.max_body_bytes
-                        ),
-                        timeout=self.config.read_timeout_seconds,
-                    )
-                except TimeoutError:
-                    break  # stalled or idle peer: drop the connection
-                except ProtocolError as exc:
-                    response = Response.error(exc.status, str(exc))
-                    self._metrics.record_response(response.status)
-                    writer.write(response.encode(keep_alive=False))
-                    await writer.drain()
-                    break
-                if request is None:
-                    break
-                response = await self._dispatch(request)
-                keep_alive = request.keep_alive
-                writer.write(response.encode(keep_alive=keep_alive))
-                await writer.drain()
-                if not keep_alive:
-                    break
-        # lint: except-ok(client hung up or idled out; nothing to answer)
-        except (ConnectionResetError, BrokenPipeError, TimeoutError):
-            pass
-        finally:
-            if task is not None:
-                self._conn_tasks.discard(task)
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
+            self._record_trace(root, collector.spans, "slow job", job_id=job.job_id)
 
     # -- lifecycle -----------------------------------------------------
 
-    async def start(self) -> None:
-        """Bind the socket and start the pump tasks (call on the loop)."""
-        self._loop = asyncio.get_running_loop()
-        self._stop_event = asyncio.Event()
+    async def _open(self) -> None:
         self._queue = asyncio.Queue()
         self._pumps = [
-            self._loop.create_task(
-                self._drain_jobs(), name=f"repro-server-pump-{i}"
-            )
+            asyncio.create_task(self._drain_jobs(), name=f"repro-server-pump-{i}")
             for i in range(self.config.pump_tasks)
         ]
-        self._tcp = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
-        )
-        self.port = self._tcp.sockets[0].getsockname()[1]
-        # Node identity (host:bound-port) is per-server, not
-        # per-process: embedded servers and gateways can share one
-        # process, so the ring handler and trace store stamp records
-        # with their owner's identity at record time.
-        self._node = f"{self.config.host}:{self.port}"
-        self._ring_handler = RingHandler(self._log_ring, node=self._node)
-        repro_logger = logging.getLogger("repro")
-        repro_logger.addHandler(self._ring_handler)
-        # Embedded servers run without configure_logging(); the ring
-        # still captures INFO-level operational events (the last-resort
-        # console handler stays WARNING+, so stdout is unchanged).
-        if repro_logger.getEffectiveLevel() > logging.INFO:
-            repro_logger.setLevel(logging.INFO)
+
+    async def start(self) -> None:
+        await super().start()
         log.info(
             "server started",
             node=self._node,
@@ -841,106 +504,28 @@ class ReproServer:
             observability=self.config.observability,
         )
 
-    async def stop(self) -> None:
-        if self._tcp is not None:
-            self._tcp.close()
-            await self._tcp.wait_closed()
-            self._tcp = None
+    async def _close(self) -> None:
         for pump in self._pumps:
             pump.cancel()
         await asyncio.gather(*self._pumps, return_exceptions=True)
         self._pumps = []
-        for task in list(self._conn_tasks):
-            task.cancel()
-        await asyncio.gather(*self._conn_tasks, return_exceptions=True)
-        self._conn_tasks.clear()
         if self._session is not None:
             await asyncio.to_thread(self._session.close)
             self._session = None
-        if self._ring_handler is not None:
-            logging.getLogger("repro").removeHandler(self._ring_handler)
-            self._ring_handler = None
-
-    def request_stop(self) -> None:
-        """Thread-safe shutdown signal (used by :class:`ServerHandle`)."""
-        loop, event = self._loop, self._stop_event
-        if loop is None or event is None or loop.is_closed():
-            return
-        loop.call_soon_threadsafe(event.set)
-
-    async def _serve_until_stopped(
-        self, on_started: Callable[["ReproServer"], None] | None = None
-    ) -> None:
-        await self.start()
-        if on_started is not None:
-            on_started(self)
-        assert self._stop_event is not None
-        try:
-            await self._stop_event.wait()
-        finally:
-            await self.stop()
-
-    def serve_forever(
-        self, on_started: Callable[["ReproServer"], None] | None = None
-    ) -> None:
-        """Run the server on a fresh event loop until stopped."""
-        asyncio.run(self._serve_until_stopped(on_started=on_started))
 
 
-class ServerHandle:
-    """A server hosted on a background thread, for tests and examples."""
-
-    def __init__(self, server: ReproServer, thread: threading.Thread):
-        self.server = server
-        self.thread = thread
-
-    @property
-    def port(self) -> int:
-        assert self.server.port is not None
-        return self.server.port
-
-    @property
-    def base_url(self) -> str:
-        return f"http://{self.server.config.host}:{self.port}"
-
-    def close(self, timeout: float = 15.0) -> None:
-        self.server.request_stop()
-        self.thread.join(timeout)
-        if self.thread.is_alive():
-            raise RuntimeError("repro-server thread did not stop in time")
+ServerHandle = ServiceHandle
 
 
-def serve_in_thread(config: ServerConfig | None = None) -> ServerHandle:
+def serve_in_thread(config: ServerConfig | None = None) -> ServiceHandle:
     """Start a :class:`ReproServer` on a daemon thread; returns once
     the socket is bound (so :attr:`ServerHandle.port` is valid)."""
-    server = ReproServer(config or ServerConfig(port=0))
-    started = threading.Event()
-    failures: list[BaseException] = []
-
-    def _run() -> None:
-        try:
-            server.serve_forever(on_started=lambda _s: started.set())
-        except BaseException as exc:  # surfaced to the caller below
-            failures.append(exc)
-            started.set()
-
-    thread = threading.Thread(target=_run, name="repro-server", daemon=True)
-    thread.start()
-    if not started.wait(timeout=15.0):
-        raise RuntimeError("repro-server did not start within 15s")
-    if failures:
-        raise RuntimeError("repro-server failed to start") from failures[0]
-    return ServerHandle(server, thread)
+    return start_in_thread(ReproServer(config or ServerConfig(port=0)))
 
 
-@contextlib.contextmanager
-def running_server(config: ServerConfig | None = None):
-    """``with running_server() as handle:`` — thread-hosted server."""
-    handle = serve_in_thread(config)
-    try:
-        yield handle
-    finally:
-        handle.close()
+#: ``with running_server() as handle:`` — a thread-hosted server that
+#: stops when the block exits.
+running_server = serve_in_thread
 
 
 __all__ = [

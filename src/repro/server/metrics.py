@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left
-from collections import Counter
+from collections import Counter, defaultdict
 
 #: Upper bucket bounds in seconds; chosen to straddle the engine's
 #: measured range (sub-millisecond cache hits up to multi-second
@@ -94,13 +94,37 @@ class LatencyHistogram:
         }
 
 
-class ServerMetrics:
-    """All counters the server exports, plus the snapshot renderer."""
+class HttpMetrics:
+    """The HTTP counters every service exports."""
 
     def __init__(self) -> None:
         self.started = time.time()
         self.requests_total = 0
         self.responses_by_status: Counter[int] = Counter()
+
+    def record_response(self, status: int) -> None:
+        self.requests_total += 1
+        self.responses_by_status[status] += 1
+
+    def http_snapshot(self) -> dict:
+        """The ``uptime_seconds`` and ``http`` sections of ``/metrics``."""
+        return {
+            "uptime_seconds": time.time() - self.started,
+            "http": {
+                "requests_total": self.requests_total,
+                "responses_by_status": {
+                    str(status): n
+                    for status, n in sorted(self.responses_by_status.items())
+                },
+            },
+        }
+
+
+class ServerMetrics(HttpMetrics):
+    """All counters the server exports, plus the snapshot renderer."""
+
+    def __init__(self) -> None:
+        super().__init__()
         self.rejected_total = 0
         self.jobs_submitted = 0
         self.jobs_completed = 0
@@ -113,17 +137,15 @@ class ServerMetrics:
         self.planner_estimate_samples = 0
         self.planner_abs_error_seconds = 0.0
         self.planner_abs_relative_error = 0.0
-        self.latency: dict[str, LatencyHistogram] = {}
+        self.latency: defaultdict[str, LatencyHistogram] = defaultdict(
+            LatencyHistogram
+        )
         # Aggregate engine-run cost, accumulated from each fresh
         # (non-cached) solve's RunStats.
         self.engine_physical_reads = 0
         self.engine_logical_reads = 0
         self.engine_physical_writes = 0
         self.engine_cpu_seconds = 0.0
-
-    def record_response(self, status: int) -> None:
-        self.requests_total += 1
-        self.responses_by_status[status] += 1
 
     def record_solve(
         self, method: str, seconds: float, solution, cached: bool, plan=None
@@ -139,10 +161,7 @@ class ServerMetrics:
         self.solves_total += 1
         if cached:
             self.solve_cache_hits += 1
-        histogram = self.latency.get(method)
-        if histogram is None:
-            histogram = self.latency[method] = LatencyHistogram()
-        histogram.observe(seconds)
+        self.latency[method].observe(seconds)
         stats = getattr(solution, "stats", None)
         if plan is not None and plan.auto:
             # One pick per served auto-solve: the decision applies to
@@ -182,14 +201,7 @@ class ServerMetrics:
         ``None`` when the server has no live session yet.
         """
         return {
-            "uptime_seconds": time.time() - self.started,
-            "http": {
-                "requests_total": self.requests_total,
-                "responses_by_status": {
-                    str(status): n
-                    for status, n in sorted(self.responses_by_status.items())
-                },
-            },
+            **self.http_snapshot(),
             "queue": {
                 **queue,
                 "rejected_total": self.rejected_total,
@@ -237,4 +249,4 @@ class ServerMetrics:
         }
 
 
-__all__ = ["LATENCY_BUCKETS", "LatencyHistogram", "ServerMetrics"]
+__all__ = ["LATENCY_BUCKETS", "HttpMetrics", "LatencyHistogram", "ServerMetrics"]

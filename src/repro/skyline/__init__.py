@@ -1,12 +1,8 @@
 """Skyline computation and maintenance.
 
-Static algorithms (used as references and baselines):
+The static ground truth, used by the tests as the Pareto oracle:
 
-- :func:`repro.skyline.reference.naive_skyline` — O(n²) ground truth;
-- :mod:`repro.skyline.bnl` — Block-Nested-Loops [Börzsönyi et al.];
-- :mod:`repro.skyline.dc` — Divide & Conquer [Börzsönyi et al.];
-- :mod:`repro.skyline.sfs` — sort-based skyline with SaLSa-style early
-  termination [Godfrey et al.; Bartolini et al.].
+- :func:`repro.skyline.reference.naive_skyline` — O(n²) skyline.
 
 Index-based computation and maintenance (the paper's substrate):
 
@@ -15,9 +11,7 @@ Index-based computation and maintenance (the paper's substrate):
 - :mod:`repro.skyline.maintenance` — **UpdateSkyline** (paper Alg. 2):
   I/O-optimal deletion maintenance driven by the plists;
 - :mod:`repro.skyline.deltasky` — DeltaSky [Wu et al.]: per-deletion
-  constrained BBS, the maintenance baseline of Figure 8;
-- :mod:`repro.skyline.edr` — exclusive-dominance-region decomposition
-  (used for verification).
+  constrained BBS, the maintenance baseline of Figure 8.
 
 All three maintenance managers (UpdateSkyline, DeltaSky, in-memory
 plists) share the ``compute_initial()`` / ``remove()`` surface and
@@ -26,24 +20,15 @@ plug into the engine's
 """
 
 from repro.skyline.bbs import bbs_skyline
-from repro.skyline.bnl import bnl_skyline
-from repro.skyline.dc import dc_skyline
 from repro.skyline.deltasky import DeltaSkyManager
 from repro.skyline.inmemory import InMemorySkylineManager
-from repro.skyline.kskyband import bbs_kskyband, naive_kskyband
 from repro.skyline.maintenance import UpdateSkylineManager
 from repro.skyline.reference import naive_skyline
-from repro.skyline.sfs import sfs_skyline
 
 __all__ = [
     "DeltaSkyManager",
     "InMemorySkylineManager",
     "UpdateSkylineManager",
-    "bbs_kskyband",
     "bbs_skyline",
-    "bnl_skyline",
-    "dc_skyline",
-    "naive_kskyband",
     "naive_skyline",
-    "sfs_skyline",
 ]

@@ -1,4 +1,4 @@
-"""Reference (naive) skyline and dominance helpers.
+"""Reference (naive) skyline.
 
 Ground truth for every other skyline implementation: a point survives
 iff no other point dominates it (paper Section 2.2's definition —
@@ -23,16 +23,3 @@ def naive_skyline(items: Sequence[tuple[int, Point]]) -> dict[int, Point]:
             out[oid] = p
     return out
 
-
-def is_skyline_of(
-    skyline: dict[int, Point], items: Sequence[tuple[int, Point]]
-) -> bool:
-    """Check that ``skyline`` is exactly the skyline of ``items``."""
-    return skyline == naive_skyline(items)
-
-
-def dominators_of(
-    p: Point, items: Sequence[tuple[int, Point]]
-) -> list[tuple[int, Point]]:
-    """All items dominating ``p`` (for diagnostics and tests)."""
-    return [(oid, q) for oid, q in items if dominates(q, p)]

@@ -10,27 +10,19 @@
 - :mod:`repro.topk.reverse` — reverse top-1: the best function for a
   given object via TA with biased list probing, resumable state and
   the Ω-bounded candidate heap.
-- :mod:`repro.topk.ta` — classic Fagin TA over sorted attribute lists
-  (related work [8]; reference implementation and tests).
 - :mod:`repro.topk.brs` — BRS [19]: incremental, resumable
   branch-and-bound ranked search over an R-tree, used by the Brute
   Force and Chain baselines.
-- :mod:`repro.topk.onion` — Onion [5]: convex-hull-layer
-  precomputation for linear top-k (related-work baseline).
 """
 
 from repro.topk.brs import BRSSearch
 from repro.topk.knapsack import tight_threshold
-from repro.topk.onion import OnionIndex
 from repro.topk.reverse import ReverseBestSearch
 from repro.topk.sorted_lists import CoefficientLists
-from repro.topk.ta import ta_topk
 
 __all__ = [
     "BRSSearch",
     "CoefficientLists",
-    "OnionIndex",
     "ReverseBestSearch",
-    "ta_topk",
     "tight_threshold",
 ]

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
 import random
 
 import pytest
 from hypothesis import strategies as st
 
+from repro.cluster import GatewayConfig, running_gateway
 from repro.data.instances import FunctionSet, ObjectSet
+from repro.server import ServerConfig, running_server
 
 # ---------------------------------------------------------------------------
 # Random instance builders (plain `random`, used by seeded loop tests)
@@ -85,3 +88,28 @@ def weights_strategy(dims: int, min_size=1, max_size=15):
 @pytest.fixture
 def rng():
     return random.Random(1234)
+
+
+# ---------------------------------------------------------------------------
+# The two services on the shared HTTP shell
+# ---------------------------------------------------------------------------
+
+#: Parametrize a shell test over both services with these ids.
+SHELL_TARGETS = ("server", "gateway")
+
+
+@contextlib.contextmanager
+def serving(target: str, **settings):
+    """A thread-hosted service of ``target`` taking the shared
+    ``settings``: the server itself, or a gateway in front of one
+    embedded backend (which keeps its defaults)."""
+    if target == "server":
+        with running_server(ServerConfig(port=0, **settings)) as handle:
+            yield handle
+        return
+    with running_server(ServerConfig(port=0)) as backend:
+        config = GatewayConfig(
+            backends=(f"127.0.0.1:{backend.port}",), port=0, **settings
+        )
+        with running_gateway(config) as handle:
+            yield handle

@@ -302,6 +302,43 @@ def sweep(backends):
     assert rules_at(findings) == [("REP402", 3)]
 
 
+def test_never_traced_rules_reach_the_services_on_the_shared_shell(tmp_path):
+    """The route table lives in ``server/base.py``, but the handlers it
+    marks never-traced are defined in each service's own module: a span
+    or log record slipped into one of them must still fire."""
+    serving = REPO_ROOT / "src/repro/server"
+    (tmp_path / "base.py").write_text(
+        (serving / "base.py").read_text(encoding="utf-8"), encoding="utf-8"
+    )
+    insertions = {
+        "server_app.py": (
+            serving / "app.py",
+            "    async def _get_job(self, request: Request, jid: str) -> Response:\n",
+            '        with span("job.poll"):\n            pass\n',
+        ),
+        "cluster_app.py": (
+            REPO_ROOT / "src/repro/cluster/app.py",
+            "    async def _health(self, request: Request) -> Response:\n",
+            '        log.info("health checked")\n',
+        ),
+    }
+    for name, (source, handler_def, inserted) in insertions.items():
+        text = source.read_text(encoding="utf-8")
+        assert text.count(handler_def) == 1, name
+        patched = text.replace(handler_def, handler_def + inserted)
+        (tmp_path / name).write_text(patched, encoding="utf-8")
+    result = run_lint([tmp_path], root=tmp_path)
+    fired = {
+        (f.path, f.rule, f.scope)
+        for f in result.new
+        if f.rule in ("REP401", "REP402")
+    }
+    assert fired == {
+        ("server_app.py", "REP401", "ReproServer._get_job"),
+        ("cluster_app.py", "REP402", "ReproGateway._health"),
+    }
+
+
 # ---------------------------------------------------------------------------
 # suppressions
 

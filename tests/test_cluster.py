@@ -61,7 +61,7 @@ class FleetFixture:
         self.gateway = serve_gateway_in_thread(gateway_config(self.addresses))
 
     def owner_address(self, problem: Problem) -> str:
-        fleet = self.gateway.gateway._fleet
+        fleet = self.gateway.service._fleet
         owner = fleet.owner(problem.instance_digest())
         assert owner is not None
         return owner.address
@@ -80,7 +80,7 @@ class FleetFixture:
 
     def wait_alive(self, address: str, alive: bool, timeout: float = 15.0):
         deadline = time.monotonic() + timeout
-        backend = self.gateway.gateway._fleet.backends[address]
+        backend = self.gateway.service._fleet.backends[address]
         while time.monotonic() < deadline:
             if backend.alive == alive:
                 return
@@ -403,7 +403,7 @@ def test_gateway_and_backend_agree_on_the_problem_id(fleet, client):
     assert body["problem_id"] == problem.digest()
     assert body["instance_digest"] == problem.instance_digest()
     assert body["backend"] == fleet.owner_address(problem)
-    entry = fleet.gateway.gateway._problems[problem.digest()]
+    entry = fleet.gateway.service._problems[problem.digest()]
     assert entry["instance_digest"] == problem.instance_digest()
     assert entry["payload"] == json.dumps(payload).encode("utf-8")
     solution = client.solve(body["problem_id"])

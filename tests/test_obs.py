@@ -39,7 +39,7 @@ from repro.obs.trace import (
 )
 from repro.server import Client, ServerConfig, serve_in_thread
 
-from .conftest import random_instance
+from .conftest import SHELL_TARGETS, random_instance, serving
 
 
 def make_problem(nf=5, no=24, dims=3, seed=11, method="sb", **options):
@@ -228,6 +228,16 @@ class TestTraceStore:
         assert all(s["node"] == "127.0.0.1:99" for s in record["spans"])
         assert record["plan_explain"] == "why"
         assert len(record["spans"]) == 2  # root deduped into the list
+
+    def test_recent_zero_limit_returns_nothing(self):
+        # regression: the newest-first slice [-0:] is the whole store,
+        # so recent(0) used to list every retained trace
+        store = TraceStore(slow_threshold_seconds=10.0)
+        for _ in range(4):
+            store.record(self._root(), [])
+        assert store.recent(limit=0) == []
+        assert len(store.recent(limit=2)) == 2
+        assert len(store.recent(limit=-1)) == 4  # negative = unbounded
 
 
 # ---------------------------------------------------------------------------
@@ -438,14 +448,31 @@ class TestServerObservability:
         newest = listing["traces"][0]
         assert newest["trace_id"] == obs_client.last_trace_id
 
-    def test_error_envelopes_carry_the_trace_id(self, obs_server, obs_client):
-        with pytest.raises(ServerError) as excinfo:
-            obs_client.request("GET", "/v1/problems/no-such-problem")
+    @pytest.mark.parametrize("target", SHELL_TARGETS)
+    def test_error_envelopes_carry_the_trace_id(self, target):
+        with serving(target) as handle, Client(handle.base_url) as obs_client:
+            with pytest.raises(ServerError) as excinfo:
+                obs_client.request("GET", "/v1/problems/no-such-problem")
         error = excinfo.value
         assert error.status == 404
         assert error.trace_id is not None
         assert error.payload["trace_id"] == error.trace_id
         assert f"[trace {error.trace_id}]" in str(error)
+
+    @pytest.mark.parametrize("target", SHELL_TARGETS)
+    def test_listing_limits_are_bounded(self, target):
+        with serving(target) as handle, Client(handle.base_url) as client:
+            for seed in (106, 108):
+                client.solve(make_problem(seed=seed))
+            listing = client.request("GET", "/v1/traces?limit=1")[1]
+            assert len(listing["traces"]) == 1
+            assert client.request("GET", "/v1/traces?limit=0")[1]["traces"] == []
+            assert client.request("GET", "/v1/logs?limit=0")[1]["entries"] == []
+            for path in ("/v1/traces?limit=-2", "/v1/logs?limit=-1"):
+                with pytest.raises(ServerError) as excinfo:
+                    client.request("GET", path)
+                assert excinfo.value.status == 400
+                assert excinfo.value.payload["type"] == "SerdeError"
 
     def test_operational_events_land_in_the_ring(self, obs_server, obs_client):
         problem_id = obs_client.register(make_problem(seed=107))
@@ -488,21 +515,21 @@ class TestServerObservability:
         status, headers, _ = _raw_get(obs_server, "/metrics?format=prometheus")
         assert headers["Content-Type"] == PROMETHEUS_CONTENT_TYPE
 
-    def test_infrastructure_paths_are_not_traced(self, obs_server):
-        status, headers, _ = _raw_get(obs_server, "/healthz")
+    @pytest.mark.parametrize("target", SHELL_TARGETS)
+    def test_infrastructure_paths_are_not_traced(self, target):
+        with serving(target) as handle:
+            status, headers, _ = _raw_get(handle, "/healthz")
         assert status == 200
         assert TRACE_HEADER not in headers
 
-    def test_observability_off_disables_tracing(self):
-        handle = serve_in_thread(ServerConfig(port=0, observability=False))
-        try:
+    @pytest.mark.parametrize("target", SHELL_TARGETS)
+    def test_observability_off_disables_tracing(self, target):
+        with serving(target, observability=False) as handle:
             with Client(handle.base_url) as client:
                 client.solve(make_problem(seed=105))
                 assert client.last_trace_id is None
                 listing = client.request("GET", "/v1/traces")[1]
                 assert listing["traces"] == []
-        finally:
-            handle.close()
 
 
 # ---------------------------------------------------------------------------

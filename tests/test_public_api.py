@@ -74,10 +74,9 @@ def test_every_solver_name_is_callable():
         "repro.rtree", "repro.rtree.tree", "repro.rtree.bulk",
         "repro.rtree.geometry", "repro.rtree.encoding", "repro.rtree.store",
         "repro.skyline", "repro.skyline.bbs", "repro.skyline.maintenance",
-        "repro.skyline.deltasky", "repro.skyline.bnl", "repro.skyline.dc",
-        "repro.skyline.sfs", "repro.skyline.edr", "repro.skyline.inmemory",
+        "repro.skyline.deltasky", "repro.skyline.inmemory",
         "repro.skyline.dominance", "repro.skyline.reference",
-        "repro.topk", "repro.topk.ta", "repro.topk.brs", "repro.topk.onion",
+        "repro.topk", "repro.topk.brs",
         "repro.topk.reverse", "repro.topk.sorted_lists", "repro.topk.knapsack",
         "repro.data", "repro.data.generators", "repro.data.instances",
         "repro.data.real",

@@ -13,10 +13,11 @@ import threading
 import pytest
 
 from repro.api import AssignmentSession, Problem
+from repro.cluster import GatewayConfig, ReproGateway
 from repro.errors import ServerBusyError, ServerError
 from repro.server import Client, ReproServer, ServerConfig, running_server
 
-from .conftest import random_instance
+from .conftest import SHELL_TARGETS, random_instance, serving
 
 ENGINE_CONFIGS = ("sb", "sb-update", "sb-deltasky", "sb-alt", "sb-two-skylines", "chain")
 
@@ -206,17 +207,28 @@ def test_backpressure_returns_429_with_retry_after():
                 assert client.metrics()["queue"]["rejected_total"] >= 1
 
 
-def test_bad_server_config_fails_at_startup():
+@pytest.mark.parametrize("target", SHELL_TARGETS)
+def test_bad_server_config_fails_at_startup(target):
     """Regression: a zero pump pool or worker pool must fail loudly at
-    construction, not as a silently wedged queue at runtime."""
-    for bad in (
-        dict(pump_tasks=0),
-        dict(workers=0),
-        dict(executor="fibers"),
+    construction, not as a silently wedged queue at runtime.  The
+    shared settings are validated the same way for both services."""
+    shared = (
         dict(problem_registry_size=0),
         dict(retry_after_seconds=-1.0),
         dict(read_timeout_seconds=0.0),
         dict(max_body_bytes=0),
+        dict(slow_trace_threshold_seconds=-1.0),
+        dict(log_ring_size=0),
+    )
+    if target == "gateway":
+        for bad in shared:
+            with pytest.raises(ValueError):
+                ReproGateway(GatewayConfig(backends=("127.0.0.1:1",), **bad))
+        return
+    for bad in shared + (
+        dict(pump_tasks=0),
+        dict(workers=0),
+        dict(executor="fibers"),
         dict(queue_limit=0),
         dict(job_history=0),
     ):
@@ -224,14 +236,13 @@ def test_bad_server_config_fails_at_startup():
             ReproServer(ServerConfig(**bad))
 
 
-def test_stalled_connection_is_dropped_by_read_timeout():
+@pytest.mark.parametrize("target", SHELL_TARGETS)
+def test_stalled_connection_is_dropped_by_read_timeout(target):
     """Regression: a peer that opens a connection and never finishes a
     request must be dropped, not pin its connection task forever."""
     import socket
 
-    with running_server(
-        ServerConfig(port=0, read_timeout_seconds=0.2)
-    ) as handle:
+    with serving(target, read_timeout_seconds=0.2) as handle:
         stalled = socket.create_connection(("127.0.0.1", handle.port), timeout=10)
         stalled.sendall(b"POST /v1/solve HTTP/1.1\r\nContent-Length: 100\r\n\r\n")
         stalled.settimeout(10)
@@ -264,14 +275,14 @@ def test_repeat_registration_keeps_the_registered_problem(server, client):
     and digests, so a replayed request does not plan again."""
     problem = make_problem(method="auto")
     pid = client.register(problem)
-    registered = server.server._problems[pid]
+    registered = server.service._problems[pid]
     client.solve(pid)
     assert "_plan" in registered.__dict__
     assert client.register(problem) == pid
-    assert server.server._problems[pid] is registered
+    assert server.service._problems[pid] is registered
     status, body = client.request("POST", "/v1/solve", {"problem": problem.to_dict()})
     assert status == 200 and body["cache_hit"] is True
-    assert server.server._problems[pid] is registered
+    assert server.service._problems[pid] is registered
 
 
 def test_client_problem_memory_is_lru_bounded(client, monkeypatch):
@@ -449,7 +460,7 @@ def test_job_finish_is_never_observed_without_its_solution():
                 )
                 for i in range(6)
             ]
-            jobs = [handle.server._jobs.get(jid) for jid in job_ids]
+            jobs = [handle.service._jobs.get(jid) for jid in job_ids]
             assert all(job is not None for job in jobs)
             violations = []
             done = threading.Event()

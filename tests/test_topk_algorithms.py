@@ -1,16 +1,12 @@
-"""Classic TA, BRS and Onion against exhaustive oracles."""
+"""BRS against exhaustive oracles."""
 
-import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.ordering import object_key
 from repro.rtree.store import DiskNodeStore
 from repro.rtree.tree import RTree
 from repro.scoring import score
 from repro.topk.brs import BRSSearch
-from repro.topk.onion import OnionIndex
-from repro.topk.ta import ta_topk
 
 from .conftest import points_strategy, random_points, random_weights
 
@@ -27,36 +23,6 @@ def exhaustive_order(items, weights):
 def build_tree(items, dims):
     store = DiskNodeStore(dims, page_size=256, buffer_capacity=10**6)
     return RTree.bulk_load(store, dims, items)
-
-
-class TestTA:
-    @pytest.mark.parametrize("k", [1, 3, 10])
-    def test_matches_exhaustive(self, k, rng):
-        for _ in range(10):
-            items = list(enumerate(random_points(50, 3, rng)))
-            w = tuple(random_weights(1, 3, rng)[0])
-            got = [oid for oid, _ in ta_topk(items, w, k)]
-            assert got == exhaustive_order(items, w)[: min(k, len(items))]
-
-    def test_k_larger_than_n(self, rng):
-        items = list(enumerate(random_points(5, 2, rng)))
-        w = (0.5, 0.5)
-        assert len(ta_topk(items, w, 100)) == 5
-
-    def test_empty_input(self):
-        assert ta_topk([], (1.0,), 3) == []
-
-    def test_invalid_k(self):
-        with pytest.raises(ValueError):
-            ta_topk([(0, (0.5,))], (1.0,), 0)
-
-    @given(points_strategy(2, min_size=1, max_size=25), st.integers(1, 5))
-    @settings(max_examples=40, deadline=None)
-    def test_property(self, pts, k):
-        items = list(enumerate(pts))
-        w = (0.3, 0.7)
-        got = [oid for oid, _ in ta_topk(items, w, k)]
-        assert got == exhaustive_order(items, w)[: min(k, len(items))]
 
 
 class TestBRS:
@@ -112,60 +78,3 @@ class TestBRS:
         while (r := search.next()) is not None:
             got.append(r[0])
         assert got == exhaustive_order(items, w)
-
-
-class TestOnion:
-    def test_layers_partition_input(self, rng):
-        items = list(enumerate(random_points(80, 3, rng)))
-        onion = OnionIndex(items)
-        flattened = sorted(oid for layer in onion.layers for oid, _ in layer)
-        assert flattened == sorted(oid for oid, _ in items)
-
-    def test_layer_maxima_non_increasing(self, rng):
-        items = list(enumerate(random_points(100, 2, rng)))
-        onion = OnionIndex(items)
-        w = (0.5, 0.5)
-        maxima = [
-            max(score(w, p) for _, p in layer) for layer in onion.layers
-        ]
-        for earlier, later in zip(maxima, maxima[1:]):
-            assert later <= earlier + 1e-9
-
-    @pytest.mark.parametrize("k", [1, 4, 9])
-    def test_topk_matches_exhaustive(self, k, rng):
-        for dims in (2, 3):
-            items = list(enumerate(random_points(60, dims, rng)))
-            onion = OnionIndex(items)
-            w = tuple(random_weights(1, dims, rng)[0])
-            got = [oid for oid, _ in onion.topk(w, k)]
-            assert got == exhaustive_order(items, w)[: min(k, len(items))]
-
-    def test_duplicates_share_layer(self):
-        items = [(0, (1.0, 0.0)), (1, (1.0, 0.0)), (2, (0.5, 0.5)),
-                 (3, (0.0, 1.0)), (4, (0.2, 0.2))]
-        onion = OnionIndex(items)
-        layer1 = {oid for oid, _ in onion.layers[0]}
-        assert {0, 1} <= layer1
-
-    def test_degenerate_collinear_input(self):
-        # All points on a line: qhull needs the joggle/fallback path.
-        items = [(i, (0.1 * i, 0.1 * i)) for i in range(8)]
-        onion = OnionIndex(items)
-        got = [oid for oid, _ in onion.topk((0.5, 0.5), 3)]
-        assert got == [7, 6, 5]
-
-    def test_invalid_k(self, rng):
-        onion = OnionIndex([(0, (0.5, 0.5))])
-        with pytest.raises(ValueError):
-            onion.topk((1.0, 0.0), 0)
-
-    def test_paper_weakness_large_k_expands_layers(self, rng):
-        """The paper's criticism: large k forces deep layer expansion."""
-        items = list(enumerate(random_points(200, 2, rng)))
-        onion = OnionIndex(items)
-        w = (0.5, 0.5)
-        onion.topk(w, 1)
-        shallow = onion.last_layers_expanded
-        onion.topk(w, 100)
-        deep = onion.last_layers_expanded
-        assert deep > shallow
