@@ -43,7 +43,7 @@ from __future__ import annotations
 import asyncio
 import json
 import time
-from collections import Counter, OrderedDict, defaultdict
+from collections import Counter, OrderedDict
 from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Any
@@ -52,7 +52,7 @@ from repro.api.problem import Problem
 from repro.api.solution import Solution
 from repro.cluster.forwarder import Fleet
 from repro.cluster.probe import Backend, HealthProber
-from repro.errors import ServerError
+from repro.errors import SerdeError, ServerError
 from repro.obs.log import get_logger
 from repro.obs.trace import span
 from repro.server.base import (
@@ -128,12 +128,13 @@ class GatewayMetrics(HttpMetrics):
     def __init__(self) -> None:
         super().__init__()
         #: End-to-end forward latency per backend address.
-        self.forward_latency: defaultdict[str, LatencyHistogram] = defaultdict(
-            LatencyHistogram
-        )
+        self.forward_latency: dict[str, LatencyHistogram] = {}
 
     def record_forward(self, address: str, seconds: float) -> None:
-        self.forward_latency[address].observe(seconds)
+        histogram = self.forward_latency.get(address)
+        if histogram is None:
+            histogram = self.forward_latency[address] = LatencyHistogram()
+        histogram.observe(seconds)
 
 
 class ReproGateway(HttpService):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left
-from collections import Counter, defaultdict
+from collections import Counter
 
 #: Upper bucket bounds in seconds; chosen to straddle the engine's
 #: measured range (sub-millisecond cache hits up to multi-second
@@ -137,9 +137,7 @@ class ServerMetrics(HttpMetrics):
         self.planner_estimate_samples = 0
         self.planner_abs_error_seconds = 0.0
         self.planner_abs_relative_error = 0.0
-        self.latency: defaultdict[str, LatencyHistogram] = defaultdict(
-            LatencyHistogram
-        )
+        self.latency: dict[str, LatencyHistogram] = {}
         # Aggregate engine-run cost, accumulated from each fresh
         # (non-cached) solve's RunStats.
         self.engine_physical_reads = 0
@@ -161,7 +159,10 @@ class ServerMetrics(HttpMetrics):
         self.solves_total += 1
         if cached:
             self.solve_cache_hits += 1
-        self.latency[method].observe(seconds)
+        histogram = self.latency.get(method)
+        if histogram is None:
+            histogram = self.latency[method] = LatencyHistogram()
+        histogram.observe(seconds)
         stats = getattr(solution, "stats", None)
         if plan is not None and plan.auto:
             # One pick per served auto-solve: the decision applies to

@@ -253,6 +253,19 @@ def test_stalled_connection_is_dropped_by_read_timeout(target):
             assert client.health()["status"] == "ok"
 
 
+@pytest.mark.parametrize("target", SHELL_TARGETS)
+def test_registration_without_a_body_is_a_bad_request(target):
+    """Regression: an empty or ``null`` registration body is a 400
+    ``SerdeError`` from either service, never a 500."""
+    with serving(target) as handle, Client(handle.base_url) as client:
+        for body in (None, b"null"):
+            with pytest.raises(ServerError) as excinfo:
+                client.request("POST", "/v1/problems", body)
+            assert excinfo.value.status == 400
+            assert excinfo.value.payload["type"] == "SerdeError"
+            assert "needs a JSON body" in excinfo.value.payload["error"]
+
+
 def test_problem_registry_is_lru_bounded():
     """Regression: registrations must not retain catalogues without
     bound — the registry evicts least-recently-used entries, and an
