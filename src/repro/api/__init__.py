@@ -42,7 +42,12 @@ from repro.api.events import (
     ObjectArrived,
     ObjectDeparted,
 )
-from repro.api.problem import Problem, ProblemBuilder
+from repro.api.problem import (
+    Problem,
+    ProblemBuilder,
+    catalogue_from_dict,
+    catalogue_to_dict,
+)
 from repro.api.serde import canonical_digest
 from repro.api.session import AssignmentSession
 from repro.api.solution import Solution, SolutionDiff
@@ -56,6 +61,7 @@ from repro.errors import (
     ServerBusyError,
     ServerError,
     SessionClosedError,
+    UnknownCatalogueError,
     UnknownSolverError,
 )
 
@@ -82,6 +88,9 @@ __all__ = [
     "SessionClosedError",
     "Solution",
     "SolutionDiff",
+    "UnknownCatalogueError",
     "UnknownSolverError",
     "canonical_digest",
+    "catalogue_from_dict",
+    "catalogue_to_dict",
 ]

@@ -12,6 +12,7 @@ from repro.errors import (
     ReproError,
     SerdeError,
     SessionClosedError,
+    UnknownCatalogueError,
     UnknownSolverError,
 )
 
@@ -22,5 +23,6 @@ __all__ = [
     "ReproError",
     "SerdeError",
     "SessionClosedError",
+    "UnknownCatalogueError",
     "UnknownSolverError",
 ]

@@ -8,7 +8,16 @@ validates on construction (:class:`~repro.errors.InvalidProblemError`
 / :class:`~repro.errors.UnknownSolverError`), is canonically
 normalized (all-1 capacity and priority vectors collapse to ``None``),
 and round-trips through versioned dict/JSON serde so instances can
-cross a process boundary — the contract a future HTTP layer serves.
+cross a process boundary — the contract :mod:`repro.server` serves.
+
+Two payload families cross that boundary.  A ``repro.problem/v2``
+payload (:meth:`Problem.to_dict`, also read as v1) is self-contained:
+it carries the catalogue.  A ``repro.problem/v3`` payload
+(:meth:`Problem.to_reference_dict`) names the catalogue by its
+fingerprint instead, so a catalogue sent once as a
+``repro.catalogue/v1`` payload (:func:`catalogue_to_dict`) serves any
+number of cohorts; it decodes against the catalogues a caller holds.
+Both spellings of one problem have the same content addresses.
 """
 
 from __future__ import annotations
@@ -24,7 +33,9 @@ from typing import Any
 from pathlib import Path
 
 from repro.api.serde import (
+    CATALOGUE_SCHEMA,
     PROBLEM_SCHEMA,
+    PROBLEM_SCHEMA_V3,
     PROBLEM_SCHEMAS,
     SCHEMA_KEY,
     canonical_digest,
@@ -34,7 +45,7 @@ from repro.api.serde import (
 )
 from repro.core import validate_solver_options
 from repro.data.instances import FunctionSet, ObjectSet, Point, object_set_fingerprint
-from repro.errors import InvalidProblemError, SerdeError
+from repro.errors import InvalidProblemError, SerdeError, UnknownCatalogueError
 from repro.planner import AUTO_METHOD, Plan, explicit_plan, plan_instance
 
 _OPTION_TYPES = (bool, int, float, str, type(None))
@@ -56,6 +67,13 @@ def _capacity(value: Any) -> int:
     if not value.is_integer():
         raise ValueError(f"{value!r} is not an integer")
     return int(value)
+
+
+def _rows(values: Iterable[Any], what: str) -> list[Any]:
+    try:
+        return list(values)
+    except TypeError as exc:
+        raise InvalidProblemError(f"malformed {what}: {exc}") from exc
 
 
 def _aligned(
@@ -88,7 +106,7 @@ def validated_objects(
     :class:`~repro.errors.InvalidProblemError`: at least one point, one
     dimensionality, finite coordinates, integral capacities >= 1
     aligned with the points (all-1 capacities normalize to ``None``)."""
-    rows: list[Any] = list(objects)
+    rows = _rows(objects, "object points")
     if not rows:
         raise InvalidProblemError("a Problem needs at least one object")
     caps = _aligned(capacities, len(rows), "object capacities", "object", _capacity, 1)
@@ -108,7 +126,7 @@ def validated_functions(
     one dimensionality, finite non-negative weights summing to 1,
     finite positive priorities and integral capacities >= 1, both
     aligned with the weights (all-1 vectors normalize to ``None``)."""
-    rows: list[Any] = list(functions)
+    rows = _rows(functions, "function weights")
     if not rows:
         raise InvalidProblemError("a Problem needs at least one function")
     gammas = _aligned(priorities, len(rows), "priorities", "function", float, 1.0)
@@ -119,6 +137,49 @@ def validated_functions(
         return FunctionSet(rows, gammas=gammas, capacities=caps)
     except (TypeError, ValueError) as exc:
         raise InvalidProblemError(str(exc)) from exc
+
+
+def catalogue_to_dict(objects: ObjectSet) -> dict:
+    """The ``repro.catalogue/v1`` payload of a catalogue, the body of
+    ``POST /v1/catalogues``."""
+    return {SCHEMA_KEY: CATALOGUE_SCHEMA, **_catalogue_section(objects)}
+
+
+def catalogue_from_dict(payload: Any) -> ObjectSet:
+    """A ``repro.catalogue/v1`` payload as a frozen :class:`ObjectSet`,
+    checked exactly as a problem's catalogue is (:func:`validated_objects`):
+    :class:`~repro.errors.SerdeError` or
+    :class:`~repro.errors.InvalidProblemError` when it is not one."""
+    check_payload(
+        payload, CATALOGUE_SCHEMA, required={"points"}, optional={"capacities"}
+    )
+    return validated_objects(payload["points"], payload.get("capacities"))
+
+
+def is_reference_payload(payload: Any) -> bool:
+    """Whether ``payload`` is tagged ``repro.problem/v3``: a problem
+    that names its catalogue by fingerprint instead of carrying it."""
+    return isinstance(payload, Mapping) and payload.get(SCHEMA_KEY) == PROBLEM_SCHEMA_V3
+
+
+def _catalogue_section(objects: ObjectSet) -> dict:
+    return {
+        "points": [list(p) for p in objects.points],
+        "capacities": (
+            list(objects.capacities) if objects.capacities is not None else None
+        ),
+    }
+
+
+def _check_section(section: Any, name: str, required: set, optional: set) -> None:
+    if not isinstance(section, Mapping):
+        raise SerdeError(f"{name!r} section must be a mapping")
+    unknown = set(section) - required - optional
+    if unknown:
+        raise SerdeError(f"{name!r} section has unknown field(s) {sorted(unknown)}")
+    missing = required - set(section)
+    if missing:
+        raise SerdeError(f"{name!r} section missing field(s) {sorted(missing)}")
 
 
 def _validated_options(method: str, options: Mapping[str, Any]) -> Mapping[str, Any]:
@@ -158,6 +219,17 @@ class Problem:
     buffer_fraction: float = 0.02
 
     def __post_init__(self) -> None:
+        self._check_index_settings()
+        self._install(
+            validated_objects(self.objects, self.object_capacities),
+            validated_functions(
+                self.functions, self.priorities, self.function_capacities
+            ),
+            self.method,
+            _validated_options(self.method, self.options),
+        )
+
+    def _check_index_settings(self) -> None:
         if not isinstance(self.page_size, int) or self.page_size < 64:
             raise InvalidProblemError(
                 f"page_size must be an int >= 64, got {self.page_size!r}"
@@ -167,14 +239,6 @@ class Problem:
                 f"buffer_fraction must be in (0, 1], got {self.buffer_fraction!r}"
             )
         object.__setattr__(self, "buffer_fraction", float(self.buffer_fraction))
-        self._install(
-            validated_objects(self.objects, self.object_capacities),
-            validated_functions(
-                self.functions, self.priorities, self.function_capacities
-            ),
-            self.method,
-            _validated_options(self.method, self.options),
-        )
 
     def _install(
         self,
@@ -339,17 +403,22 @@ class Problem:
     # -- serde ---------------------------------------------------------
 
     def to_dict(self) -> dict:
-        """Canonical JSON-compatible payload (versioned schema)."""
+        """Canonical JSON-compatible payload (``repro.problem/v2``),
+        self-contained: it carries the catalogue."""
         return {
             SCHEMA_KEY: PROBLEM_SCHEMA,
-            "objects": {
-                "points": [list(p) for p in self.objects],
-                "capacities": (
-                    list(self.object_capacities)
-                    if self.object_capacities is not None
-                    else None
-                ),
-            },
+            "objects": _catalogue_section(self.object_set),
+            **self._small_sections(),
+        }
+
+    def to_reference_dict(self) -> dict:
+        """The ``repro.problem/v3`` payload: the :meth:`to_dict`
+        sections with the catalogue named by its fingerprint, O(cohort)
+        once the catalogue has been hashed.  A reader decodes it against
+        the catalogues it holds (see :meth:`from_dict`)."""
+        return {
+            SCHEMA_KEY: PROBLEM_SCHEMA_V3,
+            "catalogue": object_set_fingerprint(self.object_set),
             **self._small_sections(),
         }
 
@@ -377,45 +446,65 @@ class Problem:
         }
 
     @classmethod
-    def from_dict(cls, payload: Mapping) -> "Problem":
+    def from_dict(
+        cls, payload: Mapping, catalogues: Mapping[str, ObjectSet] | None = None
+    ) -> "Problem":
+        """Decode a v1, v2 or v3 problem payload.
+
+        A v3 payload decodes only against ``catalogues``, which maps
+        fingerprints to frozen catalogues the caller holds (validated
+        when they arrived).  The problem is built on the held
+        ``ObjectSet`` itself, with no copy and no second catalogue
+        validation, so every cohort over one catalogue shares it and its
+        memoized fingerprint.  Without ``catalogues`` a v3 payload raises
+        :class:`~repro.errors.SerdeError`; a fingerprint ``catalogues``
+        lacks raises :class:`~repro.errors.UnknownCatalogueError`.
+        """
+        by_reference = is_reference_payload(payload)
+        catalogue_field = "catalogue" if by_reference else "objects"
         check_payload(
             payload,
-            PROBLEM_SCHEMAS,  # v2, plus backward-compatible v1 reads
-            required={"objects", "functions", "solver"},
+            PROBLEM_SCHEMA_V3 if by_reference else PROBLEM_SCHEMAS,
+            required={catalogue_field, "functions", "solver"},
             optional={"index"},
         )
-        objects = payload["objects"]
         functions = payload["functions"]
         solver = payload["solver"]
         index = payload.get("index") or {}
-        for section, name, required_keys, optional_keys in (
-            (objects, "objects", {"points"}, {"capacities"}),
+        sections = [
             (functions, "functions", {"weights"}, {"priorities", "capacities"}),
             (solver, "solver", {"method"}, {"options"}),
             (index, "index", set(), {"page_size", "memory", "buffer_fraction"}),
+        ]
+        if not by_reference:
+            objects = payload["objects"]
+            sections.insert(0, (objects, "objects", {"points"}, {"capacities"}))
+        for section in sections:
+            _check_section(*section)
+        problem = object.__new__(cls)
+        for name, value in (
+            ("page_size", index.get("page_size", 4096)),
+            ("memory_index", index.get("memory")),
+            ("buffer_fraction", index.get("buffer_fraction", 0.02)),
         ):
-            if not isinstance(section, Mapping):
-                raise SerdeError(f"{name!r} section must be a mapping")
-            unknown = set(section) - required_keys - optional_keys
-            if unknown:
-                raise SerdeError(
-                    f"{name!r} section has unknown field(s) {sorted(unknown)}"
-                )
-            missing = required_keys - set(section)
-            if missing:
-                raise SerdeError(f"{name!r} section missing field(s) {sorted(missing)}")
-        return cls(
-            objects=objects["points"],
-            functions=functions["weights"],
-            object_capacities=objects.get("capacities"),
-            function_capacities=functions.get("capacities"),
-            priorities=functions.get("priorities"),
-            method=solver["method"],
-            options=dict(solver.get("options") or {}),
-            page_size=index.get("page_size", 4096),
-            memory_index=index.get("memory"),
-            buffer_fraction=index.get("buffer_fraction", 0.02),
+            object.__setattr__(problem, name, value)
+        problem._check_index_settings()
+        if by_reference:
+            oset = _held_catalogue(payload["catalogue"], catalogues)
+        else:
+            oset = validated_objects(objects["points"], objects.get("capacities"))
+        method = solver["method"]
+        problem._install(
+            oset,
+            validated_functions(
+                functions["weights"],
+                functions.get("priorities"),
+                functions.get("capacities"),
+            ),
+            method,
+            _validated_options(method, dict(solver.get("options") or {})),
         )
+        return problem
 
     def to_json(self) -> str:
         return to_canonical_json(self.to_dict())
@@ -515,6 +604,22 @@ class Problem:
             plan.method,
             to_canonical_json(plan.options_dict()),
         )
+
+
+def _held_catalogue(
+    reference: Any, catalogues: Mapping[str, ObjectSet] | None
+) -> ObjectSet:
+    if not isinstance(reference, str):
+        raise SerdeError("'catalogue' must be a fingerprint string")
+    if catalogues is None:
+        raise SerdeError(
+            f"a {PROBLEM_SCHEMA_V3!r} payload names its catalogue by "
+            "fingerprint; decoding it needs the catalogues it may name"
+        )
+    objects = catalogues.get(reference)
+    if objects is None:
+        raise UnknownCatalogueError(reference)
+    return objects
 
 
 class ProblemBuilder:
@@ -625,4 +730,10 @@ class ProblemBuilder:
         )
 
 
-__all__ = ["Problem", "ProblemBuilder"]
+__all__ = [
+    "Problem",
+    "ProblemBuilder",
+    "catalogue_from_dict",
+    "catalogue_to_dict",
+    "is_reference_payload",
+]

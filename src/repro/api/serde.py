@@ -26,8 +26,15 @@ SCHEMA_KEY = "schema"
 #: identical.
 PROBLEM_SCHEMA = "repro.problem/v2"
 PROBLEM_SCHEMA_V1 = "repro.problem/v1"
-#: Schema tags accepted when *reading* a problem payload.
+#: Schema tags of the self-contained problem payloads a reader accepts.
 PROBLEM_SCHEMAS = (PROBLEM_SCHEMA, PROBLEM_SCHEMA_V1)
+#: A problem that names its catalogue by fingerprint instead of
+#: carrying it: the v2 sections with ``"objects"`` replaced by
+#: ``"catalogue"``.  It decodes only against a catalogue resolver.
+PROBLEM_SCHEMA_V3 = "repro.problem/v3"
+#: A catalogue on its own: ``points`` and ``capacities``, the v2
+#: ``"objects"`` section.
+CATALOGUE_SCHEMA = "repro.catalogue/v1"
 SOLUTION_SCHEMA = "repro.solution/v1"
 
 
@@ -88,9 +95,11 @@ def canonical_digest(payload: dict) -> str:
 
 
 __all__ = [
+    "CATALOGUE_SCHEMA",
     "PROBLEM_SCHEMA",
     "PROBLEM_SCHEMAS",
     "PROBLEM_SCHEMA_V1",
+    "PROBLEM_SCHEMA_V3",
     "SCHEMA_KEY",
     "SOLUTION_SCHEMA",
     "canonical_digest",

@@ -15,16 +15,23 @@ top of the :class:`~repro.cluster.forwarder.Fleet`:
   prefixed ``{node_id}@{job_id}``, so polls route by prefix without
   any gateway-side job state.
 - **relay** — the gateway validates every problem it routes
-  (``Problem.from_dict``) and then forwards the request body byte for
-  byte; it never re-encodes a catalogue.
+  (``Problem.from_dict``; a ``repro.problem/v3`` problem against the
+  catalogue it holds) and then forwards the request body byte for
+  byte; it never re-encodes a catalogue.  It answers
+  ``POST /v1/catalogues`` itself, into the shell's catalogue store, and
+  forwards no catalogue until a backend asks for it.
 - **failover** — dead backends are skipped via the ring's successor
   list (request-path transport failures mark down immediately; the
   background prober also sweeps ``/healthz``).  The gateway remembers
-  each problem's registration body (JSON bytes) in a bounded LRU, so
-  when a solve re-shards to a successor that has never seen the
-  problem (404), it re-registers and retries once — clients ride
-  through a backend death without re-sending anything.  A shard with
-  no live replica answers 503 + ``Retry-After``.
+  each problem's registration body (JSON bytes; O(cohort) for a v3
+  problem, whose catalogue lives once, in the store) in a bounded LRU.
+  A forward heals a backend's 404 once, inside the forward itself: a
+  typed ``UnknownCatalogueError`` by pushing the stored catalogue
+  bytes, an unknown problem by re-registering it (pushing its catalogue
+  first if that 404s too).  So a catalogue reaches a backend lazily,
+  once, and clients ride through a backend death or restart without
+  re-sending anything.  A shard with no live replica answers 503 +
+  ``Retry-After``.
 - **fleet observability** — ``/metrics`` reports per-backend health
   and forward-latency histograms, re-shard/retry counters, and a
   fleet-wide aggregation (summed solve/cache/planner/engine counters
@@ -34,8 +41,8 @@ The gateway keeps no solver, no session and no cache of its own —
 results, admission control (429s propagate untouched) and planner
 decisions all belong to the backends, which plan deterministically, so
 any replica of a shard returns the bit-identical solution.  Routing,
-dispatch, tracing, connections and the lifecycle come from the shared
-:class:`~repro.server.base.HttpService` shell.
+dispatch, tracing, connections, the catalogue store and the lifecycle
+come from the shared :class:`~repro.server.base.HttpService` shell.
 """
 
 from __future__ import annotations
@@ -48,11 +55,12 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Any
 
-from repro.api.problem import Problem
+from repro.api.problem import Problem, is_reference_payload
 from repro.api.solution import Solution
 from repro.cluster.forwarder import Fleet
 from repro.cluster.probe import Backend, HealthProber
-from repro.errors import SerdeError, ServerError
+from repro.data.instances import object_set_fingerprint
+from repro.errors import SerdeError, ServerError, UnknownCatalogueError
 from repro.obs.log import get_logger
 from repro.obs.trace import span
 from repro.server.base import (
@@ -163,29 +171,45 @@ class ReproGateway(HttpService):
             list(self._fleet.backends.values()),
             interval=config.probe_interval_seconds,
         )
-        #: pid → {"instance_digest", "payload"} — the routing map plus
-        #: the failover re-registration store (``payload``: the
-        #: registration body as JSON bytes), LRU-bounded.
+        #: pid → {"instance_digest", "payload", "catalogue"} — the
+        #: routing map plus the failover re-registration store
+        #: (``payload``: the registration body as JSON bytes;
+        #: ``catalogue``: for a v3 body, the bytes of the catalogue it
+        #: names, shared with the store, never copied), LRU-bounded.
         self._problems: OrderedDict[str, dict] = OrderedDict()
 
     # -- problem routing state -----------------------------------------
 
-    def _remember(self, problem: Problem, payload: Callable[[], bytes]) -> dict:
-        """The routing entry of a validated ``problem``, created on
-        first sight (``payload()`` then gives its registration body)
-        and LRU-refreshed on every later one."""
+    async def _route(
+        self, payload: Any, body: Callable[[], bytes]
+    ) -> tuple[dict, bytes | None]:
+        """Validate a problem payload and return its routing entry, with
+        the bytes of the catalogue the payload names (``None`` when it
+        carries its own).  The entry is created on first sight
+        (``body()`` then gives its registration body) and LRU-refreshed
+        on every later one.  A self-contained payload decodes off the
+        loop; a v3 one costs O(cohort) and decodes on it, against the
+        store, which worker threads never touch."""
+        if is_reference_payload(payload):
+            problem = Problem.from_dict(payload, catalogues=self._catalogues)
+            fingerprint = object_set_fingerprint(problem.object_set)
+            catalogue = self._catalogues.body(fingerprint)
+        else:
+            problem = await asyncio.to_thread(Problem.from_dict, payload)
+            catalogue = None
         pid = problem.digest()
         entry = self._problems.get(pid)
         if entry is not None:
             self._problems.move_to_end(pid)
-            return entry
+            return entry, catalogue
         entry = self._problems[pid] = {
             "instance_digest": problem.instance_digest(),
-            "payload": payload(),
+            "payload": body(),
+            "catalogue": catalogue,
         }
         while len(self._problems) > self.config.problem_registry_size:
             self._problems.popitem(last=False)
-        return entry
+        return entry, catalogue
 
     def _routing_entry(self, pid: str) -> dict:
         entry = self._problems.get(pid)
@@ -218,11 +242,38 @@ class ReproGateway(HttpService):
         return result
 
     def _reregistering(
-        self, method: str, path: str, body: bytes | None, entry: dict
+        self,
+        method: str,
+        path: str,
+        body: bytes | None,
+        entry: dict,
+        catalogue: bytes | None,
     ):
         """A forward fn for ``method path`` (``body`` relayed as
-        received) that heals a post-failover 404 by re-registering the
-        remembered payload and retrying once on the same backend."""
+        received) that heals a backend's 404 and retries once on the
+        same backend.  A typed ``UnknownCatalogueError`` pushes
+        ``catalogue``, the bytes of the catalogue the request names
+        (read on the loop, passed in here).  An unknown problem
+        re-registers the remembered payload, pushing the catalogue first
+        if that registration 404s on it.  The heal runs inside the
+        forward, so a transport failure during it fails over like any
+        other forward."""
+
+        def push(backend: Backend) -> None:
+            with span("gateway.catalogue_push", backend=backend.address):
+                backend.client.request("POST", "/v1/catalogues", catalogue)
+                self._fleet.count_catalogue_push()
+
+        def reregister(backend: Backend) -> None:
+            with span("gateway.reregister", backend=backend.address):
+                try:
+                    backend.client.request("POST", "/v1/problems", entry["payload"])
+                except ServerError as exc:
+                    if exc.error_type != UnknownCatalogueError.__name__:
+                        raise
+                    push(backend)
+                    backend.client.request("POST", "/v1/problems", entry["payload"])
+                self._fleet.count_reregistration()
 
         def fn(backend: Backend):
             try:
@@ -230,24 +281,27 @@ class ReproGateway(HttpService):
             except ServerError as exc:
                 if exc.status != 404:
                     raise
-                with span("gateway.reregister", backend=backend.address):
-                    backend.client.request("POST", "/v1/problems", entry["payload"])
-                    self._fleet.count_reregistration()
-                return backend.client.request(method, path, body)
+                if exc.error_type == UnknownCatalogueError.__name__:
+                    push(backend)
+                else:
+                    reregister(backend)
+            return backend.client.request(method, path, body)
 
         return fn
 
-    async def _inline_target(self, request: Request) -> dict:
-        """The routing entry for a ``/v1/solve`` or ``/v1/jobs`` body
-        carrying exactly one of ``problem`` (inline, validated
-        off-loop) or ``problem_id`` (resolved from the routing map)."""
+    async def _inline_target(self, request: Request) -> tuple[dict, bytes | None]:
+        """The routing entry and catalogue bytes (see :meth:`_route`)
+        for a ``/v1/solve`` or ``/v1/jobs`` body carrying exactly one
+        of ``problem`` (inline, validated) or ``problem_id`` (resolved
+        from the routing map)."""
         body = solve_target(request.json(default={}))
         if "problem" in body:
-            problem = await asyncio.to_thread(Problem.from_dict, body["problem"])
-            return self._remember(
-                problem, lambda: json.dumps(body["problem"]).encode("utf-8")
+            payload = body["problem"]
+            return await self._route(
+                payload, lambda: json.dumps(payload).encode("utf-8")
             )
-        return self._routing_entry(body["problem_id"])
+        entry = self._routing_entry(body["problem_id"])
+        return entry, entry["catalogue"]
 
     # -- endpoint handlers ---------------------------------------------
 
@@ -345,11 +399,12 @@ class ReproGateway(HttpService):
         payload = request.json()
         if payload is None:
             raise SerdeError("problem registration needs a JSON body")
-        problem = await asyncio.to_thread(Problem.from_dict, payload)
-        entry = self._remember(problem, lambda: request.body)
+        entry, catalogue = await self._route(payload, lambda: request.body)
         backend, (status, body) = await self._forward(
             entry["instance_digest"],
-            lambda b: b.client.request("POST", "/v1/problems", request.body),
+            self._reregistering(
+                "POST", "/v1/problems", request.body, entry, catalogue
+            ),
         )
         body["backend"] = backend.address
         return Response.json(body, status=status)
@@ -358,7 +413,9 @@ class ReproGateway(HttpService):
         entry = self._routing_entry(pid)
         _, (status, body) = await self._forward(
             entry["instance_digest"],
-            self._reregistering("GET", f"/v1/problems/{pid}", None, entry),
+            self._reregistering(
+                "GET", f"/v1/problems/{pid}", None, entry, entry["catalogue"]
+            ),
         )
         return Response.json(body, status=status)
 
@@ -369,26 +426,30 @@ class ReproGateway(HttpService):
         backend, (status, body) = await self._forward(
             entry["instance_digest"],
             self._reregistering(
-                "POST", f"/v1/problems/{pid}/solve", request.body or None, entry
+                "POST",
+                f"/v1/problems/{pid}/solve",
+                request.body or None,
+                entry,
+                entry["catalogue"],
             ),
         )
         body["backend"] = backend.address
         return Response.json(body, status=status)
 
     async def _solve_inline(self, request: Request) -> Response:
-        entry = await self._inline_target(request)
+        entry, catalogue = await self._inline_target(request)
         backend, (status, payload) = await self._forward(
             entry["instance_digest"],
-            self._reregistering("POST", "/v1/solve", request.body, entry),
+            self._reregistering("POST", "/v1/solve", request.body, entry, catalogue),
         )
         payload["backend"] = backend.address
         return Response.json(payload, status=status)
 
     async def _submit_job(self, request: Request) -> Response:
-        entry = await self._inline_target(request)
+        entry, catalogue = await self._inline_target(request)
         backend, (status, payload) = await self._forward(
             entry["instance_digest"],
-            self._reregistering("POST", "/v1/jobs", request.body, entry),
+            self._reregistering("POST", "/v1/jobs", request.body, entry, catalogue),
         )
         # Prefix the job id with the owning node, so later polls route
         # by prefix alone — the gateway keeps no job table.

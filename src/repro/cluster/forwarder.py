@@ -81,6 +81,7 @@ class Fleet:
         self.reshards_total = 0
         self.no_owner_total = 0
         self.reregistrations_total = 0
+        self.catalogue_pushes_total = 0
 
     # -- routing -------------------------------------------------------
 
@@ -114,6 +115,10 @@ class Fleet:
     def count_reregistration(self) -> None:
         with self._guard:
             self.reregistrations_total += 1
+
+    def count_catalogue_push(self) -> None:
+        with self._guard:
+            self.catalogue_pushes_total += 1
 
     def _no_live_owner(self, key: str) -> ServerUnavailableError:
         with self._guard:
@@ -196,6 +201,7 @@ class Fleet:
                 "reshards_total": self.reshards_total,
                 "no_owner_total": self.no_owner_total,
                 "reregistrations_total": self.reregistrations_total,
+                "catalogue_pushes_total": self.catalogue_pushes_total,
             }
         return {
             **counters,

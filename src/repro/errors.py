@@ -73,6 +73,20 @@ class SerdeError(ReproError, ValueError):
     missing or unknown fields, malformed values)."""
 
 
+class UnknownCatalogueError(ReproError, LookupError):
+    """A ``repro.problem/v3`` payload names its catalogue by a
+    fingerprint the decoder does not hold.  A service answers it with
+    HTTP 404 and ``"type": "UnknownCatalogueError"``; the sender then
+    sends the catalogue (``POST /v1/catalogues``) and retries."""
+
+    def __init__(self, fingerprint: object) -> None:
+        self.fingerprint = fingerprint
+        super().__init__(
+            f"unknown catalogue {fingerprint!r}; send it with "
+            "POST /v1/catalogues first"
+        )
+
+
 class FrozenInstanceError(ReproError, AttributeError):
     """Mutation of a frozen instance container (an :class:`ObjectSet`
     submitted to the index cache, whose fingerprint is memoized)."""
@@ -103,6 +117,14 @@ class ServerError(ReproError):
         #: for ``repro-admin trace`` / ``GET /v1/traces/{id}`` lookup.
         self.trace_id = trace_id
         super().__init__(message)
+
+    @property
+    def error_type(self) -> str | None:
+        """The exception class an error envelope names in its
+        ``"type"`` field, when the service sent one."""
+        payload = self.payload
+        kind = payload.get("type") if isinstance(payload, dict) else None
+        return kind if isinstance(kind, str) else None
 
 
 class ServerBusyError(ServerError):
@@ -148,5 +170,6 @@ __all__ = [
     "ServerError",
     "ServerUnavailableError",
     "SessionClosedError",
+    "UnknownCatalogueError",
     "UnknownSolverError",
 ]

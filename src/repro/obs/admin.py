@@ -111,6 +111,7 @@ def _render_gateway_status(health: dict, metrics: dict, url: str) -> list[str]:
         f"  forwards {gw.get('forwards_total', 0)}"
         f" · reshards {gw.get('reshards_total', 0)}"
         f" · re-registrations {gw.get('reregistrations_total', 0)}"
+        f" · catalogue pushes {gw.get('catalogue_pushes_total', 0)}"
         f" · no-owner 503s {gw.get('no_owner_total', 0)}"
     )
     for address, backend in sorted(health.get("backends", {}).items()):

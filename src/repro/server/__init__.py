@@ -20,9 +20,11 @@ or embed it (tests, examples, benchmarks)::
             problem_id = client.register(problem)
             solution = client.solve(problem_id)
 
-Endpoints: problem registration (deduplicated by content digest),
-synchronous solve, async job submission + polling, solution
-retrieval/diff, ``/metrics`` and ``/healthz``.  Overload answers
+Endpoints: catalogue registration (by fingerprint, so later problems
+can name their catalogue instead of carrying it), problem registration
+(deduplicated by content digest), synchronous solve, async job
+submission + polling, solution retrieval/diff, ``/metrics`` and
+``/healthz``.  Overload answers
 HTTP 429 with ``Retry-After`` (see
 :class:`~repro.server.jobs.AdmissionController`).
 """

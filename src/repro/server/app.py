@@ -16,8 +16,10 @@ serving concerns the library layers don't have:
 
 Handlers run on the loop; the actual solving happens on the session's
 thread pool and is awaited via ``asyncio.wrap_future``.  Routing,
-dispatch, tracing, connections and the lifecycle come from the shared
-:class:`~repro.server.base.HttpService` shell.  The server can be
+dispatch, tracing, connections, the catalogue store and the lifecycle
+come from the shared :class:`~repro.server.base.HttpService` shell; a
+``repro.problem/v3`` problem is built on the stored catalogue, so every
+cohort over one catalogue shares its ``ObjectSet``.  The server can be
 embedded (:func:`running_server` hosts it on a background thread for
 tests/examples) or run standalone via ``python -m repro.server``.
 """
@@ -177,11 +179,12 @@ class ReproServer(HttpService):
 
     def _resolve_target(self, body) -> tuple[str, Problem]:
         """``(problem_id, problem-with-overrides)`` from a request body
-        holding either an inline ``problem`` payload (registered as a
-        side effect) or a ``problem_id`` reference."""
+        holding either an inline ``problem`` payload of any version
+        (registered as a side effect) or a ``problem_id`` reference."""
         body = solve_target(body)
         if "problem" in body:
-            problem_id, _ = self._register(Problem.from_dict(body["problem"]))
+            problem = Problem.from_dict(body["problem"], catalogues=self._catalogues)
+            problem_id, _ = self._register(problem)
             problem = self._problems[problem_id]
         else:
             problem_id = body["problem_id"]
@@ -347,7 +350,8 @@ class ReproServer(HttpService):
         if payload is None:
             raise SerdeError("problem registration needs a JSON body")
         with span("problem.register") as register_span:
-            problem_id, created = self._register(Problem.from_dict(payload))
+            problem = Problem.from_dict(payload, catalogues=self._catalogues)
+            problem_id, created = self._register(problem)
             register_span.attributes["created"] = created
         problem = self._problems[problem_id]
         if created:

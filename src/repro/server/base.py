@@ -6,6 +6,9 @@ event loop, so everything that does not depend on what a request
 
 - the settings both services take (:class:`ServiceConfig`) and their
   validation;
+- the catalogue store (:class:`CatalogueStore`) and its endpoint,
+  ``POST /v1/catalogues``, which lets a request name its catalogue by
+  fingerprint instead of carrying it;
 - the route table and the rule for which paths are never traced;
 - dispatch: the root span, the ``X-Repro-Trace`` echo and the one
   translation of raised errors into HTTP statuses;
@@ -28,16 +31,20 @@ import dataclasses
 import json
 import logging
 import threading
-from collections.abc import Callable, Mapping
+from collections import OrderedDict
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
 from typing import Any, ClassVar
 
+from repro.api.problem import catalogue_from_dict
 from repro.api.solution import SolutionDiff
+from repro.data.instances import ObjectSet, object_set_fingerprint
 from repro.errors import (
     InvalidProblemError,
     InvalidSolverOptionError,
     SerdeError,
     ServerError,
+    UnknownCatalogueError,
     UnknownSolverError,
 )
 from repro.obs.log import LogRing, RingHandler, StructuredLogger, configure_logging
@@ -60,6 +67,11 @@ from repro.server.http import (
 )
 from repro.server.metrics import HttpMetrics
 from repro.server.router import Handler, Router
+
+#: LRU bound of a service's catalogue store (beside the trace store's
+#: ``RECENT_TRACES`` / ``SLOW_TRACES``).  An evicted catalogue costs a
+#: typed 404 that the sender heals by sending it again.
+CATALOGUE_STORE_SIZE = 64
 
 #: Paths outside the trace pipeline: probe/scrape traffic would churn
 #: the trace store, and the observability endpoints must not trace
@@ -113,9 +125,9 @@ class ServiceConfig:
     read_timeout_seconds: float | None = 30.0
     max_body_bytes: int = MAX_BODY_BYTES
     #: LRU bound on remembered problems: a server keeps each registered
-    #: problem with its full catalogue and cohort, a gateway its routing
-    #: entry and registration body.  An evicted id 404s and the client
-    #: simply re-registers — registration is idempotent by content digest.
+    #: problem with its catalogue and cohort, a gateway its routing entry
+    #: and registration body.  An evicted id 404s and the client simply
+    #: re-registers — registration is idempotent by content digest.
     problem_registry_size: int = 4096
     #: Master switch for request tracing + trace retention (structured
     #: logging and the log ring stay on; they replace plain logging).
@@ -141,6 +153,59 @@ class ServiceConfig:
             raise ValueError("slow_trace_threshold_seconds must be >= 0")
         if self.log_ring_size < 1:
             raise ValueError("log_ring_size must be >= 1")
+
+
+class CatalogueStore(Mapping[str, ObjectSet]):
+    """The catalogues a service holds, by fingerprint, LRU-bounded.
+
+    Each entry is the validated frozen :class:`ObjectSet`, which every
+    problem naming it is built on, and the body bytes it arrived as,
+    which a gateway relays to a backend that lacks it.  As a mapping it
+    resolves ``repro.problem/v3`` references
+    (``Problem.from_dict(payload, catalogues=store)``); a lookup
+    refreshes the entry.  Registered problems keep their own reference
+    to their catalogue, so eviction only costs a later reference its
+    typed 404.  Event-loop state: worker threads never touch it.
+    """
+
+    def __init__(self, size: int):
+        self._size = size
+        self._entries: OrderedDict[str, tuple[ObjectSet, bytes]] = OrderedDict()
+
+    def add(self, objects: ObjectSet, body: bytes) -> tuple[str, bool]:
+        """``(fingerprint, created)``.  A catalogue already held keeps
+        its first ``ObjectSet``, so every cohort shares one."""
+        fingerprint = object_set_fingerprint(objects)
+        if fingerprint in self._entries:
+            self._entries.move_to_end(fingerprint)
+            return fingerprint, False
+        self._entries[fingerprint] = (objects, body)
+        while len(self._entries) > self._size:
+            self._entries.popitem(last=False)
+        return fingerprint, True
+
+    def body(self, fingerprint: str) -> bytes:
+        """The bytes a held catalogue arrived as."""
+        return self._entries[fingerprint][1]
+
+    def __getitem__(self, fingerprint: str) -> ObjectSet:
+        objects = self._entries[fingerprint][0]
+        self._entries.move_to_end(fingerprint)
+        return objects
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._entries)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
+def _decoded_catalogue(request: Request) -> ObjectSet:
+    """The ``POST /v1/catalogues`` body, validated and fingerprinted
+    (the hash memoizes on the frozen set, off the loop)."""
+    objects = catalogue_from_dict(request.json())
+    object_set_fingerprint(objects)
+    return objects
 
 
 # -- request helpers both services' handlers use -------------------------
@@ -257,12 +322,14 @@ class HttpService:
         self._log_ring = LogRing(config.log_ring_size)
         self._ring_handler: RingHandler | None = None
         self._node: str | None = None
+        self._catalogues = CatalogueStore(CATALOGUE_STORE_SIZE)
         self._router = self._build_router()
 
     def _build_router(self) -> Router:
         router = Router()
         router.add("GET", "/healthz", self._health)
         router.add("GET", "/metrics", self._metrics_endpoint)
+        router.add("POST", "/v1/catalogues", self._register_catalogue)
         router.add("POST", "/v1/problems", self._register_endpoint)
         router.add("GET", "/v1/problems/{pid}", self._get_problem)
         router.add("POST", "/v1/problems/{pid}/solve", self._solve_registered)
@@ -275,6 +342,25 @@ class HttpService:
         router.add("GET", "/v1/traces/{tid}", self._get_trace)
         router.add("GET", "/v1/logs", self._get_logs)
         return router
+
+    # -- catalogues -----------------------------------------------------
+
+    async def _register_catalogue(self, request: Request) -> Response:
+        """Hold a catalogue under its fingerprint: 201 when it is new,
+        200 when the store already held it.  Either service answers
+        this itself; a gateway forwards it to no backend."""
+        with span("catalogue.register") as register_span:
+            objects = await asyncio.to_thread(_decoded_catalogue, request)
+            fingerprint, created = self._catalogues.add(objects, request.body)
+            register_span.attributes["created"] = created
+        if created:
+            self.logger.info(
+                "catalogue registered", catalogue=fingerprint, objects=len(objects)
+            )
+        return Response.json(
+            {"catalogue": fingerprint, "created": created},
+            status=201 if created else 200,
+        )
 
     # -- observability endpoints ---------------------------------------
 
@@ -373,6 +459,8 @@ class HttpService:
                 response = Response.error(400, str(exc), type=type(exc).__name__)
             except NotFound as exc:
                 response = Response.error(404, str(exc))
+            except UnknownCatalogueError as exc:
+                response = Response.error(404, str(exc), type=type(exc).__name__)
             except Conflict as exc:
                 response = Response.error(409, str(exc))
             except ServerError as exc:
@@ -630,6 +718,8 @@ def serve_console(
 
 
 __all__ = [
+    "CATALOGUE_STORE_SIZE",
+    "CatalogueStore",
     "Conflict",
     "HttpService",
     "NotFound",

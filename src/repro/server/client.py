@@ -8,11 +8,21 @@ wire payloads into the same :class:`Problem` / :class:`Solution` value
 objects the in-process API returns — a solution fetched over the wire
 is ``==`` to one solved locally.
 
+A :class:`Problem` goes over the wire one way: by catalogue reference.
+The client sends each catalogue to its base URL once
+(``POST /v1/catalogues``) and remembers which fingerprints the base URL
+holds; ``solve``, ``submit`` and ``register`` then send the
+``repro.problem/v3`` payload, which names the catalogue by fingerprint,
+so a solve or a job is one round trip whose body is O(cohort).  A
+server or gateway that no longer holds the catalogue (restarted, or
+evicted it) answers a typed 404; the client sends the catalogue again
+and retries once.
+
 Thread-safe: each thread gets its own keep-alive connection (held in
 ``threading.local`` storage), so one ``Client`` may be shared by any
 number of concurrent callers — the cluster gateway forwards every
 in-flight request for a backend through one shared ``Client``.  The
-problem cache that re-attaches fetched solutions is guarded by a lock.
+problem and catalogue memories are guarded by a lock.
 """
 
 from __future__ import annotations
@@ -24,10 +34,17 @@ import threading
 import time
 from collections import OrderedDict
 
-from repro.api.problem import Problem
+from repro.api.problem import Problem, catalogue_to_dict
 from repro.api.solution import Solution
-from repro.errors import ServerBusyError, ServerError, ServerUnavailableError
+from repro.data.instances import ObjectSet, object_set_fingerprint
+from repro.errors import (
+    ServerBusyError,
+    ServerError,
+    ServerUnavailableError,
+    UnknownCatalogueError,
+)
 from repro.obs.trace import TRACE_HEADER, current_context, span
+from repro.server.base import CATALOGUE_STORE_SIZE
 
 #: Statuses whose ``Retry-After`` the polite-retry loop honours.
 _RETRYABLE = (ServerBusyError, ServerUnavailableError)
@@ -37,6 +54,11 @@ _RETRYABLE = (ServerBusyError, ServerUnavailableError)
 #: (``ServerConfig.problem_registry_size``), past which the server
 #: forgets them too.
 KNOWN_PROBLEMS = 4096
+
+#: How many catalogue fingerprints a client remembers its base URL
+#: holding (LRU) — the services' catalogue store bound, past which they
+#: forget them too.
+KNOWN_CATALOGUES = CATALOGUE_STORE_SIZE
 
 
 def _retry_after_seconds(response) -> float:
@@ -78,6 +100,9 @@ class Client:
         # KNOWN_PROBLEMS), for re-attaching to solutions so
         # ``.verify()`` works without another fetch.
         self._known: OrderedDict[str, Problem] = OrderedDict()
+        # The catalogue fingerprints the base URL holds, as far as this
+        # client knows (LRU, KNOWN_CATALOGUES).
+        self._catalogues: OrderedDict[str, None] = OrderedDict()
         #: Trace id the server echoed on the most recent response from
         #: this thread's connection (``X-Repro-Trace``), for feeding
         #: ``repro-admin trace`` after an interesting call.
@@ -236,7 +261,9 @@ class Client:
 
     def register(self, problem: Problem) -> str:
         """Register (or re-find) a problem; returns its server id."""
-        _, body = self.request("POST", "/v1/problems", problem.to_dict())
+        _, body = self._by_reference(
+            problem, lambda payload: self.request("POST", "/v1/problems", payload)
+        )
         problem_id = body["problem_id"]
         self._remember(problem_id, problem)
         return problem_id
@@ -258,10 +285,61 @@ class Client:
         with self._guard:
             return self._known.get(problem_id)
 
-    def _target(self, problem: Problem | str) -> str:
-        if isinstance(problem, Problem):
-            return self.register(problem)
-        return problem
+    # -- catalogues ----------------------------------------------------
+
+    def _send_catalogue(self, objects: ObjectSet, fingerprint: str) -> None:
+        self.request("POST", "/v1/catalogues", catalogue_to_dict(objects))
+        with self._guard:
+            self._catalogues[fingerprint] = None
+            self._catalogues.move_to_end(fingerprint)
+            while len(self._catalogues) > KNOWN_CATALOGUES:
+                self._catalogues.popitem(last=False)
+
+    def _by_reference(self, problem: Problem, send):
+        """``send(payload)`` with ``problem``'s ``repro.problem/v3``
+        payload, once the base URL holds its catalogue: sent first when
+        this client has not sent it, and again, with one retry, when
+        the base URL answers that it does not hold it."""
+        objects = problem.object_set
+        fingerprint = object_set_fingerprint(objects)
+        with self._guard:
+            held = fingerprint in self._catalogues
+            if held:
+                self._catalogues.move_to_end(fingerprint)
+        if not held:
+            self._send_catalogue(objects, fingerprint)
+        payload = problem.to_reference_dict()
+        try:
+            return send(payload)
+        except ServerError as exc:
+            if exc.error_type != UnknownCatalogueError.__name__:
+                raise
+        self._send_catalogue(objects, fingerprint)
+        return send(payload)
+
+    def _post_problem(
+        self,
+        path: str,
+        problem: Problem | str,
+        method: str | None,
+        options: dict | None,
+    ):
+        """One ``POST path`` naming ``problem`` — inline by catalogue
+        reference, or by id — with any ``method`` / ``options``
+        overrides in the same body."""
+        overrides: dict = {}
+        if method is not None:
+            overrides["method"] = method
+        if options is not None:
+            overrides["options"] = options
+        if not isinstance(problem, Problem):
+            return self.request("POST", path, {"problem_id": problem, **overrides})
+        return self._by_reference(
+            problem,
+            lambda payload: self.request(
+                "POST", path, {"problem": payload, **overrides}
+            ),
+        )
 
     @staticmethod
     def _attach(
@@ -292,26 +370,20 @@ class Client:
         options: dict | None = None,
         timeout: float = 120.0,
     ) -> Solution:
-        """Synchronous solve; retries politely on 429/503 until
-        ``timeout``."""
-        problem_id = self._target(problem)
-        overrides: dict = {}
-        if method is not None:
-            overrides["method"] = method
-        if options is not None:
-            overrides["options"] = options
+        """Synchronous solve in one round trip; retries politely on
+        429/503 until ``timeout``."""
         body = self._retry_busy(
-            lambda: self.request(
-                "POST", f"/v1/problems/{problem_id}/solve", overrides or None
-            ),
+            lambda: self._post_problem("/v1/solve", problem, method, options),
             timeout,
         )
         solution = Solution.from_dict(body["solution"])
-        if overrides:
+        if isinstance(problem, Problem):
+            self._remember(body["problem_id"], problem)
+        if method is not None or options is not None:
             return solution  # detached: the base Problem would lie
         if isinstance(problem, Problem):
             return self._attach(solution, problem)  # what the caller sent
-        return self._attach(solution, self._known_problem(problem_id))
+        return self._attach(solution, self._known_problem(problem))
 
     def submit(
         self,
@@ -321,27 +393,23 @@ class Client:
         options: dict | None = None,
         timeout: float | None = None,
     ) -> str:
-        """Enqueue an async solve; returns the job id.
+        """Enqueue an async solve in one round trip; returns the job id.
 
         With ``timeout=None`` a saturated queue raises
         :class:`~repro.errors.ServerBusyError` immediately (the caller
         owns backoff); with a timeout the client honours ``Retry-After``
         and retries until admitted or out of time.
         """
-        problem_id = self._target(problem)
-        payload: dict = {"problem_id": problem_id}
-        if method is not None:
-            payload["method"] = method
-        if options is not None:
-            payload["options"] = options
 
         def request():
-            return self.request("POST", "/v1/jobs", payload)
+            return self._post_problem("/v1/jobs", problem, method, options)
 
         if timeout is None:
             _, body = request()
         else:
             body = self._retry_busy(request, timeout)
+        if isinstance(problem, Problem):
+            self._remember(body["problem_id"], problem)
         return body["job_id"]
 
     def job(self, job_id: str, *, include_solution: bool = True) -> dict:

@@ -174,14 +174,16 @@ async def read_request(
     body = b""
     length_header = headers.get("content-length")
     if length_header is not None:
+        # RFC 9110 §8.6: digits only.  int() would also take a sign,
+        # underscores and surrounding whitespace ("+2", "0_2").
         try:
+            if not (length_header.isascii() and length_header.isdigit()):
+                raise ValueError
             length = int(length_header)
         except ValueError:
             raise ProtocolError(
                 f"malformed Content-Length {length_header!r}"
             ) from None
-        if length < 0:
-            raise ProtocolError(f"negative Content-Length {length}")
         if length > max_body_bytes:
             raise ProtocolError(
                 f"request body of {length} bytes exceeds the "
@@ -194,7 +196,10 @@ async def read_request(
             except Exception as exc:  # IncompleteReadError and friends
                 raise ProtocolError("connection closed mid-body") from exc
 
-    parts = urlsplit(target)
+    try:
+        parts = urlsplit(target)
+    except ValueError:  # e.g. "http://[": an unterminated IPv6 host
+        raise ProtocolError(f"malformed request target {target!r}") from None
     connection = headers.get("connection", "").lower()
     keep_alive = (
         connection != "close"

@@ -36,6 +36,7 @@ resumption and the Ω/biased/fresh toggles.
 from __future__ import annotations
 
 import bisect
+import math
 from collections.abc import Sequence
 
 import numpy as np
@@ -151,8 +152,11 @@ class ReverseBestSearch:
     def _pick_list(self) -> int:
         lengths = self.lists.length
         if self.biased:
+            # Start below any product: with negative coordinates every
+            # open list's bound x coordinate may be <= -1, and one of
+            # them must still be picked.
             best_d = -1
-            best_v = -1.0
+            best_v = -math.inf
             for d in range(self._dims):
                 if self._pos[d] >= lengths(d):
                     continue

@@ -4,7 +4,17 @@ import math
 
 import pytest
 
-from repro.api import AssignmentSession, Problem, SerdeError, Solution, canonical_digest
+from repro.api import (
+    AssignmentSession,
+    InvalidProblemError,
+    Problem,
+    SerdeError,
+    Solution,
+    UnknownCatalogueError,
+    canonical_digest,
+    catalogue_from_dict,
+    catalogue_to_dict,
+)
 from repro.data import object_set_fingerprint
 
 
@@ -116,13 +126,57 @@ def test_content_addresses_are_pinned():
 
 
 def test_v1_and_v2_payloads_of_one_problem_address_equally():
+    """Every spelling of one problem has one address: v1, v2 and the v3
+    payload that names the catalogue by its fingerprint."""
     problem = pinned_problem()
     v2 = problem.to_dict()
     v1 = {**v2, "schema": "repro.problem/v1"}
-    for payload in (v1, v2):
-        decoded = Problem.from_dict(payload)
+    v3 = problem.to_reference_dict()
+    catalogue = catalogue_from_dict(catalogue_to_dict(problem.object_set))
+    held = {v3["catalogue"]: catalogue}
+    for payload in (v1, v2, v3):
+        decoded = Problem.from_dict(payload, catalogues=held)
+        assert decoded == problem
         assert decoded.digest() == problem.digest()
         assert decoded.instance_digest() == problem.instance_digest()
+    assert Problem.from_dict(v3, catalogues=held).object_set is catalogue
+
+
+def test_v3_payloads_decode_only_against_held_catalogues():
+    problem = pinned_problem()
+    v3 = problem.to_reference_dict()
+    assert "objects" not in v3
+    assert v3["catalogue"] == object_set_fingerprint(problem.object_set)
+    with pytest.raises(SerdeError, match="catalogue"):
+        Problem.from_dict(v3)
+    with pytest.raises(UnknownCatalogueError) as excinfo:
+        Problem.from_dict(v3, catalogues={})
+    assert excinfo.value.fingerprint == v3["catalogue"]
+    with pytest.raises(SerdeError):
+        Problem.from_dict({**v3, "catalogue": 7}, catalogues={})
+    # The cohort is still checked against the held catalogue.
+    held = {v3["catalogue"]: problem.object_set}
+    three_d = {**v3, "functions": {"weights": [[0.2, 0.3, 0.5]]}}
+    with pytest.raises(InvalidProblemError, match="dimensional"):
+        Problem.from_dict(three_d, catalogues=held)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        None,
+        {"schema": "repro.catalogue/v1"},
+        {"schema": "repro.catalogue/v1", "points": None},
+        {"schema": "repro.catalogue/v1", "points": 5},
+        {"schema": "repro.catalogue/v1", "points": []},
+        {"schema": "repro.catalogue/v1", "points": [[0.5, float("nan")]]},
+        {"schema": "repro.catalogue/v1", "points": [[0.5]], "capacities": [0]},
+        {"schema": "repro.catalogue/v1", "points": [[0.5]], "extra": 1},
+    ],
+)
+def test_malformed_catalogue_payloads_are_typed_errors(payload):
+    with pytest.raises((SerdeError, InvalidProblemError)):
+        catalogue_from_dict(payload)
 
 
 def test_normalized_equal_problems_address_equally():

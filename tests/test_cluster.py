@@ -10,6 +10,7 @@ to ring successors with bit-identical results.
 
 import concurrent.futures
 import json
+import socket
 import time
 
 import pytest
@@ -513,3 +514,125 @@ def test_gateway_boots_with_backends_already_down():
                 solution.verify()
     finally:
         live.close()
+
+
+# -- catalogues by reference through the gateway --------------------------------
+
+
+def _pairs_and_score_bits(solution):
+    return [(p.fid, p.oid, p.score.hex(), p.count) for p in solution.pairs]
+
+
+def test_by_reference_solves_are_bit_identical_through_failover(fleet, client):
+    """Every engine config and ``auto``, solved through the gateway by
+    catalogue reference, equals a local session solve in pairs and
+    score bits — and still does once the owner is killed and the
+    successor has to be sent the catalogue."""
+    problem = make_problem(seed=13)
+    with AssignmentSession(problem) as session:
+        expected = {
+            method: _pairs_and_score_bits(session.solve(problem.with_method(method)))
+            for method in ENGINE_CONFIGS + ("auto",)
+        }
+    for method, pairs in expected.items():
+        assert _pairs_and_score_bits(client.solve(problem.with_method(method))) == pairs
+    pushes = client.metrics()["gateway"]["catalogue_pushes_total"]
+    assert pushes == 1  # one catalogue, one owner: pushed once
+    fleet.kill(fleet.owner_address(problem))
+    for method, pairs in expected.items():
+        assert _pairs_and_score_bits(client.solve(problem.with_method(method))) == pairs
+    assert client.metrics()["gateway"]["catalogue_pushes_total"] == pushes + 1
+
+
+def test_restarted_backend_costs_one_catalogue_push(fleet, client):
+    problem = make_problem(seed=17)
+    before = client.solve(problem)
+    owner = fleet.owner_address(problem)
+    pushes = client.metrics()["gateway"]["catalogue_pushes_total"]
+    fleet.kill(owner)
+    fleet.restart(owner)
+    fleet.wait_alive(owner, alive=True)
+    after = client.solve(problem)
+    assert _pairs_and_score_bits(after) == _pairs_and_score_bits(before)
+    # The restarted owner holds the catalogue again.
+    client.solve(problem.with_method("chain"))
+    gateway = client.metrics()["gateway"]
+    assert gateway["catalogue_pushes_total"] == pushes + 1
+    assert fleet.owner_address(problem) == owner
+
+
+class _Stalled:
+    """Stops a live backend and leaves on its port a socket that accepts
+    connections (the kernel's backlog does) and never answers a byte."""
+
+    def __init__(self, handle):
+        port = handle.port
+        handle.close()
+        self.socket = socket.socket()
+        self.socket.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        self.socket.bind(("127.0.0.1", port))
+        self.socket.listen(16)
+
+    def __enter__(self) -> "_Stalled":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.socket.close()
+
+
+def _owned_by(gateway_handle, address: str) -> Problem:
+    fleet = gateway_handle.service._fleet
+    for seed in range(200):
+        problem = make_problem(seed=seed)
+        if fleet.owner(problem.instance_digest()).address == address:
+            return problem
+    raise AssertionError(f"no test problem routes to {address}")
+
+
+def _stall_config(addresses) -> GatewayConfig:
+    # Probes stay out of the way: the forward path must find the stall.
+    return gateway_config(
+        addresses, forward_timeout_seconds=0.5, probe_interval_seconds=60.0
+    )
+
+
+def test_stalled_backend_fails_over_within_the_forward_timeout():
+    """A backend that stops answering (it still accepts connections)
+    costs one forward timeout: the solve completes on the ring
+    successor, which is sent the catalogue inside the same forward, and
+    the stalled backend is marked down."""
+    live = serve_in_thread(ServerConfig(port=0))
+    doomed = serve_in_thread(ServerConfig(port=0))
+    stalled_address = f"127.0.0.1:{doomed.port}"
+    config = _stall_config([f"127.0.0.1:{live.port}", stalled_address])
+    try:
+        with running_gateway(config) as gw, Client(gw.base_url) as client:
+            problem = _owned_by(gw, stalled_address)
+            with AssignmentSession(problem) as session:
+                expected = _pairs_and_score_bits(session.solve())
+            with _Stalled(doomed):
+                started = time.monotonic()
+                solution = client.solve(problem)
+                assert time.monotonic() - started < 10.0
+                metrics = client.metrics()
+            assert _pairs_and_score_bits(solution) == expected
+            assert metrics["backends"][stalled_address]["alive"] is False
+            assert metrics["gateway"]["reshards_total"] == 1
+            assert metrics["gateway"]["catalogue_pushes_total"] == 1
+    finally:
+        live.close()
+
+
+def test_only_a_stalled_backend_is_a_typed_503_not_a_hang():
+    doomed = serve_in_thread(ServerConfig(port=0))
+    stalled_address = f"127.0.0.1:{doomed.port}"
+    with running_gateway(_stall_config([stalled_address])) as gw:
+        with Client(gw.base_url) as client, _Stalled(doomed):
+            started = time.monotonic()
+            with pytest.raises(ServerUnavailableError) as excinfo:
+                client.request(
+                    "POST", "/v1/solve", {"problem": make_problem().to_dict()}
+                )
+            assert time.monotonic() - started < 10.0
+            assert excinfo.value.status == 503
+            assert client.metrics()["backends"][stalled_address]["alive"] is False

@@ -9,7 +9,7 @@ from repro.core import SOLVERS
 
 
 def test_version():
-    assert repro.__version__ == "1.8.0"
+    assert repro.__version__ == "1.9.0"
 
 
 def test_top_level_exports():

@@ -144,3 +144,33 @@ def test_property_exactness(ws, data):
     search = ReverseBestSearch(lists, point, omega=omega)
     got = search.best()
     assert got == exhaustive_best(ws, point)
+
+
+def _pairs_and_score_bits(solution):
+    return [(p.fid, p.oid, p.score.hex(), p.count) for p in solution.pairs]
+
+
+@pytest.mark.parametrize(
+    "objects, functions",
+    [
+        # Every bound x coordinate is <= -1: the minimal failing case.
+        ([(-2.0, -3.0)], [(0.5, 0.5)]),
+        (
+            [(-2.0, -3.0), (-1.5, -4.0), (-6.0, -1.0), (-2.5, -2.5)],
+            [(0.5, 0.5), (0.9, 0.1), (0.2, 0.8)],
+        ),
+    ],
+)
+def test_sb_matches_brute_force_when_every_product_is_negative(objects, functions):
+    """Regression: biased probing started from -1, so when every open
+    list's bound x coordinate was <= -1 it picked no list and ``sb``
+    raised ``IndexError``."""
+    from repro.api import AssignmentSession, Problem
+
+    problem = (
+        Problem.builder().add_objects(objects).add_functions(functions).build()
+    )
+    with AssignmentSession(problem) as session:
+        sb = session.solve()
+        reference = session.solve(problem.with_method("brute-force"))
+    assert _pairs_and_score_bits(sb) == _pairs_and_score_bits(reference)

@@ -12,10 +12,12 @@ import threading
 
 import pytest
 
-from repro.api import AssignmentSession, Problem
-from repro.cluster import GatewayConfig, ReproGateway
+from repro.api import AssignmentSession, Problem, catalogue_to_dict
+from repro.cluster import GatewayConfig, ReproGateway, running_gateway
+from repro.data import object_set_fingerprint
 from repro.errors import ServerBusyError, ServerError
 from repro.server import Client, ReproServer, ServerConfig, running_server
+from repro.server import base
 
 from .conftest import SHELL_TARGETS, random_instance, serving
 
@@ -177,6 +179,17 @@ def test_inline_one_shot_solve_registers_as_side_effect(client):
     )
     assert body["problem_id"] == problem.digest()
     assert client.problem(body["problem_id"]) == problem
+
+
+def test_sb_solves_all_negative_products_over_the_wire(client):
+    """Regression: when every bound x coordinate is <= -1, ``sb`` raised
+    ``IndexError`` and the server answered 500."""
+    problem = (
+        Problem.builder().add_object((-2.0, -3.0)).add_function((0.5, 0.5)).build()
+    )
+    status, body = client.request("POST", "/v1/solve", {"problem": problem.to_dict()})
+    assert status == 200
+    assert body["solution"]["pairs"] == [[0, 0, -2.5, 1]]
 
 
 def test_backpressure_returns_429_with_retry_after():
@@ -572,3 +585,169 @@ def test_shared_client_is_thread_safe(server):
         # usable afterwards (threads transparently reconnect).
         shared.close()
         assert shared.health()["status"] == "ok"
+
+
+# -- catalogues by reference ---------------------------------------------------
+
+
+def _pairs_and_score_bits(solution):
+    return [(p.fid, p.oid, p.score.hex(), p.count) for p in solution.pairs]
+
+
+def _recording(client: Client) -> list:
+    """The paths of every request ``client`` sends from now on."""
+    paths: list = []
+    send = client.request
+
+    def request(method, path, payload=None):
+        paths.append(path)
+        return send(method, path, payload)
+
+    client.request = request  # type: ignore[method-assign]
+    return paths
+
+
+def _reference_answer(problem):
+    with AssignmentSession(problem) as session:
+        return _pairs_and_score_bits(session.solve())
+
+
+@pytest.mark.parametrize("target", SHELL_TARGETS)
+def test_v2_and_v3_payloads_register_under_one_problem_id(target):
+    problem = make_problem(seed=37)
+    catalogue = catalogue_to_dict(problem.object_set)
+    fingerprint = object_set_fingerprint(problem.object_set)
+    with serving(target) as handle, Client(handle.base_url) as client:
+        _, v2 = client.request("POST", "/v1/problems", problem.to_dict())
+        assert client.request("POST", "/v1/catalogues", catalogue) == (
+            201, {"catalogue": fingerprint, "created": True}
+        )
+        assert client.request("POST", "/v1/catalogues", catalogue) == (
+            200, {"catalogue": fingerprint, "created": False}
+        )
+        _, v3 = client.request("POST", "/v1/problems", problem.to_reference_dict())
+        assert v2["problem_id"] == v3["problem_id"] == problem.digest()
+        assert v2["instance_digest"] == v3["instance_digest"]
+        # GET still answers the self-contained v2 payload.
+        assert client.problem(v3["problem_id"]) == problem
+
+
+@pytest.mark.parametrize("target", SHELL_TARGETS)
+def test_unknown_catalogue_is_a_typed_404_and_bad_catalogues_are_400(target):
+    v3 = make_problem(seed=38).to_reference_dict()
+    with serving(target) as handle, Client(handle.base_url) as client:
+        for path, body in (
+            ("/v1/problems", v3),
+            ("/v1/solve", {"problem": v3}),
+            ("/v1/jobs", {"problem": v3}),
+        ):
+            with pytest.raises(ServerError) as excinfo:
+                client.request("POST", path, body)
+            assert excinfo.value.status == 404
+            assert excinfo.value.error_type == "UnknownCatalogueError"
+            assert v3["catalogue"] in excinfo.value.payload["error"]
+        schema = {"schema": "repro.catalogue/v1"}
+        for body, kind in (
+            (None, "SerdeError"),
+            ({**schema, "points": [[0.5, float("nan")]]}, "SerdeError"),
+            (b'{"schema": "repro.catalogue/v1", "points": [[1e999]]}', None),
+            ({**schema, "points": 5}, "InvalidProblemError"),
+            ({**schema, "points": [[0.5], [0.5, 0.5]]}, "InvalidProblemError"),
+            ({**schema, "points": [[0.5]], "capacities": [0]}, "InvalidProblemError"),
+            ({"schema": "repro.problem/v2", "points": [[0.5]]}, "SerdeError"),
+        ):
+            with pytest.raises(ServerError) as excinfo:
+                client.request("POST", "/v1/catalogues", body)
+            assert excinfo.value.status == 400, body
+            assert excinfo.value.error_type == (kind or "InvalidProblemError")
+
+
+@pytest.mark.parametrize("target", SHELL_TARGETS)
+def test_a_second_cohort_over_a_held_catalogue_is_one_request(target):
+    base_problem = make_problem(nf=5, no=40, seed=39)
+    second = base_problem.with_functions([(0.2, 0.3, 0.5), (0.6, 0.2, 0.2)])
+    with serving(target) as handle, Client(handle.base_url) as client:
+        paths = _recording(client)
+        first = client.solve(base_problem)
+        assert paths == ["/v1/catalogues", "/v1/solve"]
+        del paths[:]
+        again = client.solve(second, method="chain")
+        assert paths == ["/v1/solve"]
+        assert _pairs_and_score_bits(first) == _reference_answer(base_problem)
+        assert _pairs_and_score_bits(again) == _reference_answer(second)
+        if target == "gateway":
+            gateway = client.metrics()["gateway"]
+            assert gateway["forwards_total"] == 2
+            assert gateway["catalogue_pushes_total"] == 1
+        del paths[:]
+        job = client.submit(second)
+        assert paths == ["/v1/jobs"]
+        assert client.result(job).problem is second
+
+
+def _restart_on_same_port(handle, target: str, backends: list):
+    port = handle.port
+    handle.close()
+    if target == "server":
+        return running_server(ServerConfig(port=port))
+    return running_gateway(GatewayConfig(backends=tuple(backends), port=port))
+
+
+@pytest.mark.parametrize("target", SHELL_TARGETS)
+def test_restarted_service_makes_the_client_resend_the_catalogue_once(target):
+    problem = make_problem(seed=43)
+    cohort = problem.with_functions([(0.1, 0.1, 0.8)])
+    with running_server(ServerConfig(port=0)) as backend:
+        backends = [f"127.0.0.1:{backend.port}"]
+        first = (
+            running_server(ServerConfig(port=0))
+            if target == "server"
+            else running_gateway(GatewayConfig(backends=tuple(backends), port=0))
+        )
+        with Client(first.base_url) as client:
+            paths = _recording(client)
+            before = client.solve(problem)
+            with _restart_on_same_port(first, target, backends):
+                after = client.solve(problem)
+                assert client.solve(cohort).problem is cohort
+            assert paths.count("/v1/catalogues") == 2
+            assert _pairs_and_score_bits(after) == _pairs_and_score_bits(before)
+
+
+@pytest.mark.parametrize("target", SHELL_TARGETS)
+def test_evicted_catalogue_heals_like_an_unknown_one(target, monkeypatch):
+    monkeypatch.setattr(base, "CATALOGUE_STORE_SIZE", 1)
+    problem_a = make_problem(seed=44)
+    problem_b = make_problem(seed=45)
+    cohort_a = problem_a.with_functions([(0.3, 0.3, 0.4)])
+    with serving(target) as handle, Client(handle.base_url) as client:
+        paths = _recording(client)
+        client.solve(problem_a)
+        client.solve(problem_b)  # evicts catalogue a everywhere
+        assert len(handle.service._catalogues) == 1
+        solution = client.solve(cohort_a)
+        assert paths.count("/v1/catalogues") == 3
+        assert _pairs_and_score_bits(solution) == _reference_answer(cohort_a)
+
+
+def test_cohorts_over_one_catalogue_share_its_object_set(server, client):
+    problem = make_problem(seed=46)
+    cohort = problem.with_functions([(0.5, 0.25, 0.25)])
+    first, second = client.register(problem), client.register(cohort)
+    registered = server.service._problems
+    assert first != second
+    assert registered[first].object_set is registered[second].object_set
+    fingerprint = object_set_fingerprint(problem.object_set)
+    assert registered[first].object_set is server.service._catalogues[fingerprint]
+
+
+@pytest.mark.parametrize("target", SHELL_TARGETS)
+def test_unparseable_request_target_is_a_400(target):
+    """Regression: ``urlsplit`` raised on an unterminated IPv6 host and
+    the connection closed without a response."""
+    import socket
+
+    with serving(target) as handle:
+        with socket.create_connection(("127.0.0.1", handle.port), timeout=10) as raw:
+            raw.sendall(b"GET http://[ HTTP/1.1\r\n\r\n")
+            assert raw.recv(1024).startswith(b"HTTP/1.1 400 ")

@@ -3,6 +3,8 @@
 import asyncio
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SerdeError
 from repro.server.http import ProtocolError, Request, Response, read_request
@@ -169,3 +171,80 @@ def test_router_placeholder_does_not_cross_segments():
     router.add("GET", "/v1/jobs/{jid}", handler)
     nested = router.dispatch(Request("GET", "/v1/jobs/a/solution", {}, {}, b"", True))
     assert isinstance(nested, Response) and nested.status == 404
+
+
+# -- fuzzing the request reader ----------------------------------------------
+
+_TEXT = st.text(alphabet=st.characters(max_codepoint=255), max_size=12)
+_TARGETS = st.builds(
+    "{}{}".format,
+    st.sampled_from(["/", "http://", "//", "*"]),
+    st.text(alphabet="/:[]?#=&%@a1. ", max_size=6),
+)
+_CONTENT_LENGTHS = st.one_of(
+    st.builds(
+        "{}{}".format,
+        st.sampled_from(["", "", "", "+", "0_", "-", " ", "0x", "²"]),
+        st.integers(min_value=0, max_value=20),
+    ),
+    st.sampled_from(["", "9" * 30, "9" * 5000]),
+    _TEXT,
+)
+_HEADERS = st.lists(
+    st.one_of(
+        st.tuples(st.just("Content-Length"), _CONTENT_LENGTHS),
+        st.tuples(st.sampled_from(["Host", "Connection", "Transfer-Encoding"]), _TEXT),
+        st.tuples(_TEXT, _TEXT),
+    ),
+    max_size=3,
+)
+
+
+def _rarely(draw) -> bool:
+    return draw(st.integers(min_value=0, max_value=9)) == 0
+
+
+@st.composite
+def raw_requests(draw) -> bytes:
+    """Request bytes near the grammar — a request line, headers (often
+    a Content-Length, right or wrong) and a body — now and then with a
+    mangled request line, truncated, or replaced by random bytes."""
+    if _rarely(draw):
+        return draw(st.binary(max_size=64))
+    if _rarely(draw):
+        line = draw(_TEXT)
+    else:
+        method = draw(st.sampled_from(["GET", "POST", "get"]))
+        version = draw(st.sampled_from(["HTTP/1.1", "HTTP/1.0", "HTTP/2"]))
+        line = f"{method} {draw(_TARGETS)} {version}"
+    headers = "".join(f"{name}:{value}\r\n" for name, value in draw(_HEADERS))
+    raw = f"{line}\r\n{headers}\r\n".encode("latin-1") + draw(st.binary(max_size=24))
+    if _rarely(draw):
+        raw = raw[: draw(st.integers(min_value=0, max_value=len(raw)))]
+    return raw
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(raw=raw_requests())
+@example(raw=b"GET http://[ HTTP/1.1\r\n\r\n")
+@example(raw=b"POST / HTTP/1.1\r\nContent-Length: +2\r\n\r\nab")
+@example(raw=b"POST / HTTP/1.1\r\nContent-Length: 0_2\r\n\r\nab")
+def test_read_request_answers_any_bytes_with_a_request_or_a_protocol_error(raw):
+    """Whatever the peer sends, the reader returns a ``Request``, ``None``
+    (clean EOF) or raises ``ProtocolError`` — the connection loop's
+    answer is then a request or a 4xx, never a crashed task.  A parsed
+    body is exactly as long as its all-digit Content-Length."""
+    try:
+        request = parse(raw)
+    except ProtocolError as exc:
+        assert exc.status in (400, 411, 413, 431)
+        return
+    if request is None:
+        assert raw == b""
+        return
+    length = request.headers.get("content-length")
+    if length is None:
+        assert request.body == b""
+    else:
+        assert length.isascii() and length.isdigit(), length
+        assert len(request.body) == int(length)
