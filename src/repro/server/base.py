@@ -315,6 +315,7 @@ class HttpService:
         self._tcp: asyncio.Server | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._stop_event: asyncio.Event | None = None
+        self._stopping = False
         # Retention bounds are the store's own (RECENT_TRACES / SLOW_TRACES).
         self._traces = TraceStore(
             slow_threshold_seconds=config.slow_trace_threshold_seconds
@@ -482,7 +483,11 @@ class HttpService:
         if task is not None:
             self._conn_tasks.add(task)
         try:
-            while True:
+            # stop() cancels this task.  The flag also ends the loop when
+            # Python 3.11's wait_for swallowed that cancellation because a
+            # request arrived in the same instant; without it the task
+            # would wait out a whole read deadline on the idle connection.
+            while not self._stopping:
                 try:
                     request = await asyncio.wait_for(
                         read_request(
@@ -548,6 +553,7 @@ class HttpService:
             repro_logger.setLevel(logging.INFO)
 
     async def stop(self) -> None:
+        self._stopping = True
         if self._tcp is not None:
             self._tcp.close()
             await self._tcp.wait_closed()

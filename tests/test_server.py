@@ -267,6 +267,31 @@ def test_stalled_connection_is_dropped_by_read_timeout(target):
 
 
 @pytest.mark.parametrize("target", SHELL_TARGETS)
+def test_a_stopping_service_ends_keep_alive_connections(target):
+    """Regression: Python 3.11's ``wait_for`` swallows ``stop()``'s cancel
+    of a connection task when a request arrives in the same instant.
+    The task then waited out a whole read deadline on the idle
+    connection, and the service did not stop in time.  Once a service
+    is stopping, a connection ends instead of waiting for its next
+    request (here the socket timeout would fire first)."""
+    import contextlib
+    import socket
+
+    probe = b"GET /healthz HTTP/1.1\r\n\r\n"
+    with serving(target) as handle:
+        with socket.create_connection(("127.0.0.1", handle.port), timeout=10) as raw:
+            raw.sendall(probe)
+            assert raw.recv(65536).startswith(b"HTTP/1.1 200 ")
+            handle.service._stopping = True
+            # The loop may still answer this request, or may already
+            # have ended and reset it; either way the connection ends.
+            with contextlib.suppress(ConnectionResetError):
+                raw.sendall(probe)
+                while raw.recv(65536):
+                    pass
+
+
+@pytest.mark.parametrize("target", SHELL_TARGETS)
 def test_registration_without_a_body_is_a_bad_request(target):
     """Regression: an empty or ``null`` registration body is a 400
     ``SerdeError`` from either service, never a 500."""
@@ -561,25 +586,42 @@ def test_shared_client_is_thread_safe(server):
     """One Client shared by many threads: each thread gets its own
     keep-alive connection, so concurrent calls cannot interleave on a
     single HTTP stream (the cluster gateway forwards every in-flight
-    request for a backend through one shared Client)."""
+    request for a backend through one shared Client).  Half the solves
+    go by catalogue reference over catalogues no thread has sent yet,
+    so the threads race on the client's catalogue memory too."""
+    import sys
+
     problems = [make_problem(seed=s) for s in (101, 102, 103)]
+    by_reference = [make_problem(seed=s) for s in (104, 105, 106)]
     with AssignmentSession(problems[0]) as session:
         references = {
-            p.digest(): session.solve(p).to_dict()["pairs"] for p in problems
+            p.digest(): session.solve(p).to_dict()["pairs"]
+            for p in problems + by_reference
         }
 
     with Client(server.base_url) as shared:
         ids = [shared.register(p) for p in problems]
 
         def hammer(i):
+            if i % 2:
+                problem = by_reference[i % len(by_reference)]
+                return problem.digest(), shared.solve(problem).to_dict()["pairs"]
             pid = ids[i % len(ids)]
             if i % 5 == 4:
                 assert shared.health()["status"] == "ok"
             return pid, shared.solve(pid).to_dict()["pairs"]
 
-        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
-            for pid, pairs in pool.map(hammer, range(24)):
-                assert pairs == references[pid]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+                for pid, pairs in pool.map(hammer, range(48), timeout=120):
+                    assert pairs == references[pid]
+        finally:
+            sys.setswitchinterval(interval)
+        assert set(shared._catalogues) == {
+            object_set_fingerprint(p.object_set) for p in problems + by_reference
+        }
 
         # close() drops every thread's connection; the client remains
         # usable afterwards (threads transparently reconnect).
@@ -685,9 +727,7 @@ def test_a_second_cohort_over_a_held_catalogue_is_one_request(target):
         assert client.result(job).problem is second
 
 
-def _restart_on_same_port(handle, target: str, backends: list):
-    port = handle.port
-    handle.close()
+def _start(target: str, backends: list, port: int = 0):
     if target == "server":
         return running_server(ServerConfig(port=port))
     return running_gateway(GatewayConfig(backends=tuple(backends), port=port))
@@ -699,19 +739,15 @@ def test_restarted_service_makes_the_client_resend_the_catalogue_once(target):
     cohort = problem.with_functions([(0.1, 0.1, 0.8)])
     with running_server(ServerConfig(port=0)) as backend:
         backends = [f"127.0.0.1:{backend.port}"]
-        first = (
-            running_server(ServerConfig(port=0))
-            if target == "server"
-            else running_gateway(GatewayConfig(backends=tuple(backends), port=0))
-        )
-        with Client(first.base_url) as client:
+        with _start(target, backends) as first, Client(first.base_url) as client:
             paths = _recording(client)
             before = client.solve(problem)
-            with _restart_on_same_port(first, target, backends):
+            first.close()
+            with _start(target, backends, port=first.port):
                 after = client.solve(problem)
                 assert client.solve(cohort).problem is cohort
-            assert paths.count("/v1/catalogues") == 2
-            assert _pairs_and_score_bits(after) == _pairs_and_score_bits(before)
+        assert paths.count("/v1/catalogues") == 2
+        assert _pairs_and_score_bits(after) == _pairs_and_score_bits(before)
 
 
 @pytest.mark.parametrize("target", SHELL_TARGETS)
