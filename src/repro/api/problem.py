@@ -171,17 +171,6 @@ def _catalogue_section(objects: ObjectSet) -> dict:
     }
 
 
-def _check_section(section: Any, name: str, required: set, optional: set) -> None:
-    if not isinstance(section, Mapping):
-        raise SerdeError(f"{name!r} section must be a mapping")
-    unknown = set(section) - required - optional
-    if unknown:
-        raise SerdeError(f"{name!r} section has unknown field(s) {sorted(unknown)}")
-    missing = required - set(section)
-    if missing:
-        raise SerdeError(f"{name!r} section missing field(s) {sorted(missing)}")
-
-
 def _validated_options(method: str, options: Mapping[str, Any]) -> Mapping[str, Any]:
     items = dict(options)
     for name, value in items.items():
@@ -479,8 +468,17 @@ class Problem:
         if not by_reference:
             objects = payload["objects"]
             sections.insert(0, (objects, "objects", {"points"}, {"capacities"}))
-        for section in sections:
-            _check_section(*section)
+        for section, name, required_keys, optional_keys in sections:
+            if not isinstance(section, Mapping):
+                raise SerdeError(f"{name!r} section must be a mapping")
+            unknown = set(section) - required_keys - optional_keys
+            if unknown:
+                raise SerdeError(
+                    f"{name!r} section has unknown field(s) {sorted(unknown)}"
+                )
+            missing = required_keys - set(section)
+            if missing:
+                raise SerdeError(f"{name!r} section missing field(s) {sorted(missing)}")
         problem = object.__new__(cls)
         for name, value in (
             ("page_size", index.get("page_size", 4096)),

@@ -379,11 +379,12 @@ class Client:
         solution = Solution.from_dict(body["solution"])
         if isinstance(problem, Problem):
             self._remember(body["problem_id"], problem)
+            base = problem  # what the caller sent
+        else:
+            base = self._known_problem(problem)
         if method is not None or options is not None:
             return solution  # detached: the base Problem would lie
-        if isinstance(problem, Problem):
-            return self._attach(solution, problem)  # what the caller sent
-        return self._attach(solution, self._known_problem(problem))
+        return self._attach(solution, base)
 
     def submit(
         self,
