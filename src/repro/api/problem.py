@@ -460,7 +460,7 @@ class Problem:
         functions = payload["functions"]
         solver = payload["solver"]
         index = payload.get("index") or {}
-        sections = [
+        sections: list[tuple[Any, str, set[str], set[str]]] = [
             (functions, "functions", {"weights"}, {"priorities", "capacities"}),
             (solver, "solver", {"method"}, {"options"}),
             (index, "index", set(), {"page_size", "memory", "buffer_fraction"}),
