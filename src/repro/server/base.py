@@ -125,9 +125,9 @@ class ServiceConfig:
     read_timeout_seconds: float | None = 30.0
     max_body_bytes: int = MAX_BODY_BYTES
     #: LRU bound on remembered problems: a server keeps each registered
-    #: problem with its catalogue and cohort, a gateway its routing entry
-    #: and registration body.  An evicted id 404s and the client simply
-    #: re-registers — registration is idempotent by content digest.
+    #: problem with its full catalogue and cohort, a gateway its routing
+    #: entry and registration body.  An evicted id 404s and the client
+    #: simply re-registers — registration is idempotent by content digest.
     problem_registry_size: int = 4096
     #: Master switch for request tracing + trace retention (structured
     #: logging and the log ring stay on; they replace plain logging).
