@@ -10,14 +10,12 @@ both speak the same protocol):
 - ``trace ID``    render a span tree from ``/v1/traces/{id}``
                   (``--last`` picks the newest recorded trace)
 - ``logs``        tail the remote ``/v1/logs`` ring
-- ``bench-trend`` render the BENCH_server.json trajectory
 
 Usage::
 
     repro-admin --url http://127.0.0.1:8000 status
     repro-admin --url http://127.0.0.1:8100 watch --interval 2
     repro-admin --url http://127.0.0.1:8100 trace --last
-    repro-admin bench-trend --file BENCH_server.json
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ import argparse
 import json
 import sys
 import time
-from pathlib import Path
 
 from repro.errors import ServerError
 from repro.obs.store import render_tree
@@ -242,55 +239,6 @@ def cmd_logs(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# bench-trend
-
-
-def _trend_rows(results: dict) -> list[tuple[str, dict]]:
-    """Flatten BENCH_server.json into renderable ``(name, row)`` pairs
-    — comparison rows (thread_vs_process, obs_overhead) expand into
-    one row per arm."""
-    rows: list[tuple[str, dict]] = []
-    for label, row in results.items():
-        if not isinstance(row, dict):
-            continue
-        if "requests_per_second" in row:
-            rows.append((label, row))
-            continue
-        for arm, sub in row.items():
-            if isinstance(sub, dict) and "requests_per_second" in sub:
-                rows.append((f"{label}/{arm}", sub))
-    return rows
-
-
-def cmd_bench_trend(args) -> int:
-    path = Path(args.file)
-    if not path.exists():
-        print(f"no benchmark file at {path}", file=sys.stderr)
-        return 1
-    results = json.loads(path.read_text())
-    rows = _trend_rows(results)
-    if not rows:
-        print(f"no throughput rows in {path}", file=sys.stderr)
-        return 1
-    best = max(row["requests_per_second"] for _, row in rows)
-    width = max(len(name) for name, _ in rows)
-    print(f"serving throughput trajectory ({path.name}):")
-    for name, row in rows:
-        rps = row["requests_per_second"]
-        print(
-            f"  {name:<{width}}  {rps:7.1f} req/s  {_bar(rps / best)}"
-            f"  p50 {_fmt_seconds(row.get('latency_p50_seconds'))}"
-            f"  p99 {_fmt_seconds(row.get('latency_p99_seconds'))}"
-        )
-    for label, row in results.items():
-        if isinstance(row, dict) and "overhead_pct" in row:
-            print(f"  {label}: observability overhead {row['overhead_pct']:+.2f}%")
-        if isinstance(row, dict) and "process_speedup" in row:
-            print(f"  {label}: process speedup {row['process_speedup']:.2f}x")
-    return 0
-
-
-# ---------------------------------------------------------------------------
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -329,15 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     logs.add_argument("--limit", type=int, default=50)
     logs.add_argument("--level", default=None, help="minimum severity")
 
-    trend = sub.add_parser(
-        "bench-trend", help="render the BENCH_server.json trajectory"
-    )
-    trend.add_argument(
-        "--file", default=str(
-            Path(__file__).resolve().parents[3] / "BENCH_server.json"
-        ),
-        help="benchmark results file (default: repo BENCH_server.json)",
-    )
     return parser
 
 
@@ -348,7 +287,6 @@ def main(argv: list[str] | None = None) -> int:
         "watch": cmd_watch,
         "trace": cmd_trace,
         "logs": cmd_logs,
-        "bench-trend": cmd_bench_trend,
     }
     try:
         return handlers[args.command](args)

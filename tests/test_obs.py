@@ -602,31 +602,3 @@ class TestAdminConsole:
         )
         assert code == 1
         assert "cannot reach" in capsys.readouterr().err
-
-    def test_bench_trend_expands_comparison_rows(self, tmp_path, capsys):
-        arm = {
-            "requests_per_second": 100.0,
-            "latency_p50_seconds": 0.01,
-            "latency_p99_seconds": 0.05,
-        }
-        results = {
-            "pr3_server": dict(arm, requests_per_second=80.0),
-            "pr8_obs_overhead": {
-                "mode": "obs_overhead",
-                "on": arm,
-                "off": dict(arm, requests_per_second=101.0),
-                "overhead_pct": 0.99,
-            },
-        }
-        path = tmp_path / "BENCH_server.json"
-        path.write_text(json.dumps(results))
-        assert admin.main(["bench-trend", "--file", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "pr3_server" in out
-        assert "pr8_obs_overhead/on" in out
-        assert "pr8_obs_overhead/off" in out
-        assert "observability overhead +0.99%" in out
-
-    def test_bench_trend_missing_file_exits_nonzero(self, tmp_path, capsys):
-        code = admin.main(["bench-trend", "--file", str(tmp_path / "nope.json")])
-        assert code == 1
