@@ -54,7 +54,7 @@ from repro.data.instances import FunctionSet, ObjectSet
 from repro.engine import AssignmentEngine, EngineConfig, engine_config
 from repro.service import BatchSolver, JobResult, SolveJob
 
-__version__ = "1.9.0"
+__version__ = "2.0.0"
 
 #: Deprecated top-level names that have already warned (each shim
 #: warns exactly once per process).

@@ -1,14 +1,16 @@
 """REP20x — determinism discipline in the bit-identity packages.
 
-The engine's headline guarantee is that every executor, engine config
-and cluster topology returns *bit-identical* solutions.  The packages
+The engine's headline guarantee is that every engine config, serving
+layer and cluster topology returns *bit-identical* solutions, although
+the gateway, its backends and their clients each compute answers and
+digests in their own process.  The packages
 on that path (``engine``, ``kernels``, ``skyline``, ``planner``,
 ``rtree``) therefore must not let run-to-run-varying state influence
 results:
 
 - **REP201** — ``random`` / ``uuid`` / ``numpy.random`` usage: seeds
   differ across processes, so any RNG in a solve path breaks
-  cross-executor identity;
+  cross-process identity;
 - **REP202** — wall-clock-dependent control flow: ``time.time()`` /
   ``monotonic()`` / ``perf_counter()`` inside an ``if`` / ``while``
   condition or comparison (pure *measurement* — assigning a duration
@@ -175,7 +177,7 @@ class _DeterminismVisitor(ast.NodeVisitor):
                     RULE_RNG,
                     node,
                     f"import of '{alias.name}' in a bit-identity package: "
-                    "RNG state varies per process and breaks cross-executor "
+                    "RNG state varies per process and breaks cross-process "
                     "identity",
                 )
         self.generic_visit(node)
@@ -187,7 +189,7 @@ class _DeterminismVisitor(ast.NodeVisitor):
                 RULE_RNG,
                 node,
                 f"import from '{node.module}' in a bit-identity package: "
-                "RNG state varies per process and breaks cross-executor "
+                "RNG state varies per process and breaks cross-process "
                 "identity",
             )
         self.generic_visit(node)

@@ -4,9 +4,9 @@ A session binds one base :class:`~repro.api.problem.Problem` to the
 service machinery: the instance-hash
 :class:`~repro.service.batch.ObjectIndexCache` (so the catalogue's
 R-tree is built once and shared across every solve), a
-:class:`~repro.service.batch.BatchSolver` worker pool for
-:meth:`solve_many`, a persistent executor for :meth:`submit` futures,
-and a :class:`~repro.core.dynamic.DynamicStableMatching` behind
+:class:`~repro.service.batch.BatchSolver` thread pool for
+:meth:`solve_many`, a persistent thread pool for :meth:`submit`
+futures, and a :class:`~repro.core.dynamic.DynamicStableMatching` behind
 :meth:`apply` for incremental re-solve under object/function arrival
 and departure.  Sessions are context managers; a closed session raises
 :class:`~repro.errors.SessionClosedError`.
@@ -57,10 +57,8 @@ class AssignmentSession:
     always answers for the immutable base problem, ``current()`` for
     the churned population.
 
-    ``executor`` selects the solve backend: ``"thread"`` (default,
-    one shared index cache) or ``"process"`` (per-worker index
-    replicas, true multi-core parallelism over a shared catalogue,
-    bit-identical results; see :mod:`repro.service.pool`).
+    ``max_workers`` sizes the solve thread pools, which share one
+    index cache (``None`` = the ``ThreadPoolExecutor`` default).
 
     ``churn_backend`` selects the suffix-rematch engine behind
     ``apply``: ``"interp"``, ``"vec"`` (columnar kernels), or
@@ -77,7 +75,6 @@ class AssignmentSession:
         *,
         max_workers: int | None = None,
         index_cache_size: int = 32,
-        executor: str = "thread",
         churn_backend: str = _AUTO,
     ):
         if churn_backend != _AUTO and churn_backend not in CHURN_BACKENDS:
@@ -91,7 +88,6 @@ class AssignmentSession:
         self._batch = BatchSolver(
             max_workers=max_workers,
             index_cache_size=index_cache_size,
-            executor=executor,
         )
         self._max_workers = max_workers
         self._pool: ThreadPoolExecutor | None = None
@@ -115,11 +111,6 @@ class AssignmentSession:
         return self._problem
 
     @property
-    def executor(self) -> str:
-        """The execution backend: ``"thread"`` or ``"process"``."""
-        return self._batch.executor
-
-    @property
     def closed(self) -> bool:
         return self._closed
 
@@ -133,7 +124,6 @@ class AssignmentSession:
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-        self._batch.close()  # releases process-backend workers, if any
         self._closed = True
 
     def __enter__(self) -> "AssignmentSession":
@@ -164,15 +154,8 @@ class AssignmentSession:
         )
 
     def warm(self) -> "AssignmentSession":
-        """Pre-build (and cache) the base problem's object index.
-
-        On the process backend this is a no-op: the replicas live in
-        the worker processes, and a parent-side build would cost a full
-        bulk-load that no solve ever reads.
-        """
+        """Pre-build (and cache) the base problem's object index."""
         self._check_open()
-        if self._batch.executor != "thread":
-            return self
         job = self._job_for(self._problem)
         self._batch.cache.get(job.objects, job.page_size, job.wants_memory_index)
         return self

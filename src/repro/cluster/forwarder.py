@@ -5,10 +5,8 @@
 currently marked down, and runs its blocking client call on the first
 live candidate.  A transport failure (connection refused/reset/timed
 out, stale keep-alive the client could not revive) marks that backend
-down *immediately* and re-shards to the next successor — mirroring the
-pool-rebuild discipline of :mod:`repro.service.pool`, where a broken
-worker pool is discarded and the job retried on a fresh one rather
-than wedging every later request.  HTTP-level errors from a live
+down *immediately* and re-shards to the next successor rather than
+wedging every later request on a dead node.  HTTP-level errors from a live
 backend (400/404/409/429/…) are *not* failover events: the backend
 answered; its answer propagates.
 

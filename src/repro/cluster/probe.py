@@ -155,7 +155,6 @@ class Backend:
                 # Load signals lifted from the backend's own /healthz.
                 "queue_depth": health.get("queue_depth"),
                 "jobs_inflight": health.get("jobs_inflight"),
-                "executor": health.get("executor"),
                 "version": health.get("version"),
                 "uptime_seconds": health.get("uptime_seconds"),
             }

@@ -119,8 +119,8 @@ class RunStats:
     counters: dict[str, int] = field(default_factory=dict)
     #: Wall-clock seconds per engine round-loop phase (skyline_initial,
     #: search, commit, skyline_repair).  Timing data, so excluded from
-    #: equality: bit-identity checks compare results across executors,
-    #: and wall clocks never agree.
+    #: equality: bit-identity checks compare results across runs and
+    #: processes, and wall clocks never agree.
     phases: dict[str, float] = field(default_factory=dict, compare=False)
 
     @property

@@ -49,7 +49,7 @@ class Instrumentation:
         """Accumulate wall-clock time against a round-loop phase
         (``skyline_initial`` / ``search`` / ``commit`` /
         ``skyline_repair``).  Phases feed span trees, not counters —
-        counters stay bit-identical across executors."""
+        counters stay bit-identical across runs and processes."""
         self.phases[name] = self.phases.get(name, 0.0) + seconds
 
     def finish(self, loops: int) -> RunStats:

@@ -31,10 +31,10 @@ twin* of an interpreted config: same pairs in the same order with the
 same float scores, same loop count.  The interpreted configs remain
 the ground truth — ``tests/test_kernels.py`` verifies each twin
 pair-for-pair (and the planner identity suite exercises the vectorized
-configs through batch/session/server on both executors).  Exactness
-comes from the MatrixView pattern generalized: numpy produces a
-*candidate band* (everything within a term-magnitude-scaled tolerance
-of the approximate maximum), and the canonical winner is resolved
+configs through batch/session/server).  Exactness comes from the
+MatrixView pattern generalized: numpy produces a *candidate band*
+(everything within a term-magnitude-scaled tolerance of the
+approximate maximum), and the canonical winner is resolved
 inside the band with :func:`repro.scoring.score` and the canonical
 tuple orders of :mod:`repro.ordering`.
 

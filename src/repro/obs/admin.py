@@ -60,8 +60,7 @@ def _render_server_status(health: dict, metrics: dict, url: str) -> list[str]:
         f"repro-server @ {url} — {health.get('status', '?')}"
         f" — v{health.get('version', '?')}"
         f" — up {health.get('uptime_seconds', 0.0):.0f}s",
-        f"  executor {health.get('executor', '?')}"
-        f" · problems {health.get('problems', 0)}"
+        f"  problems {health.get('problems', 0)}"
         f" · queue {queue.get('depth', 0)}/{queue.get('limit', 0)}"
         f" (peak {queue.get('peak_depth', 0)},"
         f" rejected {queue.get('rejected_total', 0)})",

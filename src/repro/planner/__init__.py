@@ -16,8 +16,8 @@ Three pieces, consulted by every layer above the engine:
   checked-in table.
 
 ``method="auto"`` (:data:`AUTO_METHOD`) threads through the whole
-stack — ``Problem`` → ``AssignmentSession`` → ``BatchSolver`` /
-``ProcessPoolSolver`` → ``repro-server`` — resolving exactly once per
+stack — ``Problem`` → ``AssignmentSession`` → ``BatchSolver`` →
+``repro-server`` — resolving exactly once per
 solve key via :func:`plan_instance` and surfacing the decision as a
 :class:`Plan` (``explain()``, the solve envelope, ``/metrics`` pick
 counters).  The resolved run is bit-identical to invoking the chosen

@@ -25,18 +25,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="max queued+running solves before requests get 429",
     )
     parser.add_argument(
-        "--executor", choices=["thread", "process"], default="thread",
-        help=(
-            "solve backend: 'thread' shares one object-index cache, "
-            "'process' gives each worker process a private index "
-            "replica for true multi-core parallelism"
-        ),
-    )
-    parser.add_argument(
         "--workers", type=int, default=None,
         help=(
-            "solver pool size — threads or worker processes depending "
-            "on --executor (default: executor default)"
+            "solve pool size in threads, which share one object-index "
+            "cache (default: the ThreadPoolExecutor default)"
         ),
     )
     parser.add_argument(

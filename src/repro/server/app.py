@@ -62,7 +62,6 @@ from repro.server.jobs import (
     JobStore,
 )
 from repro.server.metrics import ServerMetrics
-from repro.service.pool import check_executor
 
 log = get_logger("repro.server")
 
@@ -73,15 +72,8 @@ class ServerConfig(ServiceConfig):
 
     #: Admission limit: maximum queued+running solves before 429.
     queue_limit: int = 64
-    #: Solve backend: ``"thread"`` (one shared object-index cache, one
-    #: R-tree build per catalogue, GIL-bound) or ``"process"`` (a
-    #: worker-process pool where each worker owns a private index
-    #: replica — same-catalogue solves run truly in parallel with
-    #: bit-identical results; see :mod:`repro.service.pool`).
-    executor: str = "thread"
-    #: Workers in the session's solve pool: threads for the thread
-    #: executor, worker processes for the process executor (``None`` =
-    #: executor default — CPU count for processes).
+    #: Threads in the session's solve pool, which share one object-index
+    #: cache (``None`` = the ``ThreadPoolExecutor`` default).
     workers: int | None = None
     #: Concurrent async jobs in flight (pump task count).
     pump_tasks: int = 8
@@ -96,7 +88,6 @@ class ServerConfig(ServiceConfig):
         # queue_limit / solution_cache_size / job_history are validated
         # by the components built from them.
         super().validate()
-        check_executor(self.executor)
         if self.pump_tasks < 1:
             raise ValueError("pump_tasks must be >= 1")
         if self.workers is not None and self.workers < 1:
@@ -131,7 +122,6 @@ class ReproServer(HttpService):
                 problem,
                 max_workers=self.config.workers,
                 index_cache_size=self.config.index_cache_size,
-                executor=self.config.executor,
             )
         return self._session
 
@@ -311,14 +301,14 @@ class ReproServer(HttpService):
         # Load-bearing beyond liveness: the cluster gateway's probes
         # read queue_depth / jobs_inflight off this payload to make
         # load-aware decisions, so it stays cheap (no solves, no
-        # backend round trips).  Existing keys are stable for compat.
+        # backend round trips).  Keys change only with a major version
+        # (2.0.0 dropped ``executor``).
         import repro
 
         return Response.json(
             {
                 "status": "ok",
                 "problems": len(self._problems),
-                "executor": self.config.executor,
                 "version": repro.__version__,
                 "uptime_seconds": time.time() - self._metrics.started,
                 "queue_depth": self._admission.depth,
@@ -504,7 +494,6 @@ class ReproServer(HttpService):
         log.info(
             "server started",
             node=self._node,
-            executor=self.config.executor,
             observability=self.config.observability,
         )
 

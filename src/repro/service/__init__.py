@@ -3,12 +3,9 @@
 The first serving layer on the road to the ROADMAP's heavy-traffic
 story: :class:`~repro.service.batch.BatchSolver` accepts many
 (FunctionSet, ObjectSet) jobs, reuses built object R-trees across
-jobs through an instance-hash cache, runs the jobs on a worker pool
-and returns per-job :class:`~repro.core.types.AssignmentResult`\\ s.
-Two execution backends: the default thread pool over one shared index
-cache, and :class:`~repro.service.pool.ProcessPoolSolver`
-(``executor="process"``) with per-worker index replicas for true
-multi-core parallelism over a shared catalogue.
+jobs through an instance-hash cache, runs the jobs on a thread pool
+over that one shared cache and returns per-job
+:class:`~repro.core.types.AssignmentResult`\\ s.
 """
 
 from repro.data.instances import object_set_fingerprint
@@ -19,14 +16,11 @@ from repro.service.batch import (
     ResolvedJob,
     SolveJob,
 )
-from repro.service.pool import EXECUTORS, ProcessPoolSolver
 
 __all__ = [
-    "EXECUTORS",
     "BatchSolver",
     "JobResult",
     "ObjectIndexCache",
-    "ProcessPoolSolver",
     "ResolvedJob",
     "SolveJob",
     "object_set_fingerprint",

@@ -19,10 +19,10 @@ solved side by side.  Two observations make this batchable:
   measured, mutable storage model.
 
 For many-cohorts-over-one-catalogue traffic that per-index lock (plus
-the GIL) is the bottleneck; ``BatchSolver(executor="process")`` routes
-jobs to :class:`~repro.service.pool.ProcessPoolSolver`, where each
-worker process owns a private index replica and same-catalogue jobs
-run truly in parallel with bit-identical results.
+the GIL) bounds the pool to one solve at a time per catalogue.  On the
+served mix the vectorized kernels do most of a solve's work, and a
+process pool with per-worker index replicas measured no faster (see
+README, "Solve pool"), so the thread pool is the only solve path.
 """
 
 from __future__ import annotations
@@ -84,10 +84,10 @@ class SolveJob:
 
         For ``method="auto"`` the planner resolves (and memoizes on
         the job) the pick; every other method passes through.  All
-        downstream consumers — the thread executor, the process
-        executor's wire payload, the index-mode choice — read the
-        *resolved* method, so an ``auto`` job is indistinguishable
-        from an explicitly routed one by the time an engine runs.
+        downstream consumers — the solve itself, the index-mode
+        choice — read the *resolved* method, so an ``auto`` job is
+        indistinguishable from an explicitly routed one by the time an
+        engine runs.
         """
         if self.method == AUTO_METHOD:
             if self.plan is None:
@@ -207,79 +207,32 @@ class ObjectIndexCache:
 
 
 class BatchSolver:
-    """Solves batches of :class:`SolveJob`\\ s on a worker pool.
+    """Solves batches of :class:`SolveJob`\\ s on a thread pool.
 
-    ``executor`` selects the execution backend:
-
-    - ``"thread"`` (default) — a :class:`ThreadPoolExecutor` over one
-      shared :class:`ObjectIndexCache`; same-catalogue jobs serialize
-      on the entry's run lock (and on the GIL), but a shared catalogue
-      is built exactly once per host.
-    - ``"process"`` — a persistent
-      :class:`~repro.service.pool.ProcessPoolSolver`; each worker
-      process owns a private index replica, so same-catalogue jobs run
-      truly in parallel with bit-identical results.  Requires named
-      (string) methods; call :meth:`close` (or use the solver as a
-      context manager) to release the worker processes.
+    The pool runs over one shared :class:`ObjectIndexCache`, so a
+    shared catalogue is built exactly once; same-catalogue jobs
+    serialize on the entry's run lock (and on the GIL).
+    ``max_workers`` sizes the thread pool (``None`` = the
+    :class:`~concurrent.futures.ThreadPoolExecutor` default).
     """
 
     def __init__(
         self,
         max_workers: int | None = None,
         index_cache_size: int = 32,
-        executor: str = "thread",
     ):
-        from repro.service.pool import check_executor
-
-        self.executor = check_executor(executor)
         self.max_workers = max_workers
         self.cache = ObjectIndexCache(max_entries=index_cache_size)
-        self._index_cache_size = index_cache_size
-        self._process = None  # lazy ProcessPoolSolver
-        self._process_guard = threading.Lock()
         self._concurrency_guard = threading.Lock()
         self._in_flight = 0
         #: High-water mark of jobs simultaneously *executing* a solve
         #: (jobs waiting on a shared index's run lock don't count).
         self.peak_concurrency = 0
 
-    def _ensure_process(self):
-        # Imported lazily: pool.py imports this module's cache/job types.
-        from repro.service.pool import ProcessPoolSolver
-
-        with self._process_guard:
-            if self._process is None:
-                self._process = ProcessPoolSolver(
-                    max_workers=self.max_workers,
-                    index_cache_size=self._index_cache_size,
-                )
-            return self._process
-
-    def close(self) -> None:
-        """Release the process pool (a no-op on the thread backend)."""
-        with self._process_guard:
-            process, self._process = self._process, None
-        if process is not None:
-            process.close()
-
-    def __enter__(self) -> "BatchSolver":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
     def solve_many(self, jobs: list[SolveJob]) -> list[JobResult]:
         """Solve all jobs; results are returned in submission order."""
         if not jobs:
             return []
-        if self.executor == "process":
-            process = self._ensure_process()
-            results = process.solve_many(jobs)
-            with self._concurrency_guard:
-                self.peak_concurrency = max(
-                    self.peak_concurrency, process.peak_concurrency
-                )
-            return results
         with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
             futures = [
                 pool.submit(self._run_job, i, job)
@@ -288,23 +241,10 @@ class BatchSolver:
             return [f.result() for f in futures]
 
     def solve_one(self, job: SolveJob) -> JobResult:
-        if self.executor == "process":
-            process = self._ensure_process()
-            result = process.solve_one(job)
-            with self._concurrency_guard:
-                self.peak_concurrency = max(
-                    self.peak_concurrency, process.peak_concurrency
-                )
-            return result
         return self._run_job(0, job)
 
     def cache_info(self) -> dict[str, int]:
-        """Index-cache counters for the active backend: the shared
-        cache on the thread backend, the aggregated per-worker replica
-        counters (one miss = one build on *some* worker) on the
-        process backend."""
-        if self.executor == "process":
-            return self._ensure_process().info()
+        """Counters of the shared index cache."""
         return self.cache.info()
 
     # ------------------------------------------------------------------

@@ -287,30 +287,3 @@ def test_freeze_is_idempotent_and_unfrozen_sets_stay_mutable():
     assert objects.freeze() is objects  # idempotent
     assert isinstance(objects.points, tuple)
     assert isinstance(objects.capacities, tuple)
-
-
-def test_process_peak_concurrency_folds_under_the_guard():
-    """Regression: the process-executor paths fold the child pool's
-    ``peak_concurrency`` into the solver's counter *while holding*
-    ``_concurrency_guard`` — an unguarded read-modify-write there could
-    lose an update racing the thread path's ``_run_job``."""
-    solver = BatchSolver(executor="process")
-
-    class StubProcess:
-        @property
-        def peak_concurrency(self):
-            # read happens inside the max() fold; the guard must be held
-            assert solver._concurrency_guard.locked()
-            return 7
-
-        def solve_many(self, jobs):
-            return list(jobs)
-
-        def solve_one(self, job):
-            return job
-
-    solver._ensure_process = lambda: StubProcess()
-    assert solver.solve_many(["j1", "j2"]) == ["j1", "j2"]
-    assert solver.peak_concurrency == 7
-    assert solver.solve_one("j3") == "j3"
-    assert solver.peak_concurrency == 7

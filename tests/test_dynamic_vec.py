@@ -246,7 +246,7 @@ def test_mutable_columns_recycle_and_grow():
 
 
 # ---------------------------------------------------------------------------
-# Session integration: backend routing, batches, counters, executors
+# Session integration: backend routing, batches, counters
 # ---------------------------------------------------------------------------
 
 
@@ -255,8 +255,7 @@ def _problem(nf=5, no=20, dims=3, seed=13):
     return Problem.from_sets(os_, fs, method="sb")
 
 
-@pytest.mark.parametrize("executor", ["thread", "process"])
-def test_session_backends_bit_identical(executor):
+def test_session_backends_bit_identical():
     problem = _problem()
     events = list(
         churn_stream(
@@ -269,7 +268,7 @@ def test_session_backends_bit_identical(executor):
         )
     )
     with AssignmentSession(
-        problem, churn_backend="interp", executor=executor, max_workers=2
+        problem, churn_backend="interp", max_workers=2
     ) as a, AssignmentSession(problem, churn_backend="vec") as b:
         for event in events:
             sa = a.apply(event)

@@ -13,8 +13,7 @@ Three layers of coverage:
   reproduce ``sb`` (and ``sb-deltasky-vec`` must reproduce
   ``sb-deltasky``) pair for pair: same (fid, oid, score, units)
   sequence, same loop count, on plain / tie-heavy / capacitated /
-  prioritized instances and through the batch solver on both
-  executors;
+  prioritized instances and through the batch solver;
 - **stability certificates** — the vectorized solvers' matchings pass
   :meth:`repro.api.Solution.verify` (no blocking pair).
 """
@@ -212,23 +211,22 @@ def test_vectorized_twin_identity_sweep(scalar, vectorized):
         ), f"{vectorized} diverged from {scalar} at seed {100 + seed}"
 
 
-@pytest.mark.parametrize("executor", ["thread", "process"])
-def test_vectorized_twins_identical_through_batch_solver(executor):
+def test_vectorized_twins_identical_through_batch_solver():
     functions, objects = random_instance(9, 35, 3, seed=55, capacities=True)
-    with BatchSolver(executor=executor, max_workers=2) as solver:
-        for scalar, vectorized in TWINS:
-            jobs = [
-                SolveJob(functions=functions, objects=objects, method=m)
-                for m in (scalar, vectorized)
-            ]
-            got_scalar, got_vec = solver.solve_many(jobs)
-            assert [
-                (p.fid, p.oid, p.score, p.count)
-                for p in got_scalar.result.matching.pairs
-            ] == [
-                (p.fid, p.oid, p.score, p.count)
-                for p in got_vec.result.matching.pairs
-            ], (executor, vectorized)
+    solver = BatchSolver(max_workers=2)
+    for scalar, vectorized in TWINS:
+        jobs = [
+            SolveJob(functions=functions, objects=objects, method=m)
+            for m in (scalar, vectorized)
+        ]
+        got_scalar, got_vec = solver.solve_many(jobs)
+        assert [
+            (p.fid, p.oid, p.score, p.count)
+            for p in got_scalar.result.matching.pairs
+        ] == [
+            (p.fid, p.oid, p.score, p.count)
+            for p in got_vec.result.matching.pairs
+        ], vectorized
 
 
 # ---------------------------------------------------------------------------
@@ -288,21 +286,20 @@ def fresh_index_record(problem):
 
 
 @pytest.mark.parametrize("index_cache_size", [32, 1])
-@pytest.mark.parametrize("executor", ["thread", "process"])
-def test_cached_catalogue_state_solves_like_a_fresh_index(executor, index_cache_size):
+def test_cached_catalogue_state_solves_like_a_fresh_index(index_cache_size):
     functions, objects_a = random_instance(2, 180, 3, seed=71, capacities=True)
     _, objects_b = random_instance(1, 150, 3, seed=72, tie_heavy=True)
     base_a = Problem.from_sets(objects_a, functions)
     base_b = base_a.with_objects(objects_b.points)
     problems = interleaved_cohorts(base_a, base_b)
     with AssignmentSession(
-        base_a, executor=executor, max_workers=1, index_cache_size=index_cache_size
+        base_a, max_workers=1, index_cache_size=index_cache_size
     ) as session:
         for problem in problems:
             solution = session.solve(problem)
             assert solve_record(solution.pairs, solution.stats) == fresh_index_record(
                 problem
-            ), (executor, index_cache_size, problem.method)
+            ), (index_cache_size, problem.method)
         # Two catalogues: built once each, or (one cache slot,
         # alternating catalogues) evicted and rebuilt on every solve.
         builds = 2 if index_cache_size > 1 else len(problems)

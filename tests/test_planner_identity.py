@@ -2,7 +2,7 @@
 can emit, ``method="auto"`` produces *exactly* what directly invoking
 the chosen config produces — pairs bit for bit plus the measured-work
 counters (I/O, loops, peak memory, solver counters) — at batch,
-session and embedded-server level, on both executors.
+session and embedded-server level.
 
 Two layers of coverage:
 
@@ -76,12 +76,6 @@ def favor(monkeypatch, method):
     monkeypatch.setattr("repro.planner.plan.cost_model_for", fake_cost_model)
 
 
-@pytest.fixture(scope="module")
-def process_solver():
-    with BatchSolver(executor="process", max_workers=2) as solver:
-        yield solver
-
-
 # ---------------------------------------------------------------------------
 # Batch level
 # ---------------------------------------------------------------------------
@@ -110,21 +104,6 @@ def test_auto_matches_every_forced_pick_on_thread_batch(monkeypatch, method):
     assert signature(auto_result.result) == signature(direct.result)
 
 
-@pytest.mark.parametrize("method", PLANNABLE)
-def test_auto_matches_every_forced_pick_on_process_batch(
-    monkeypatch, method, process_solver
-):
-    # Planner resolution happens parent-side (the wire carries the
-    # concrete method), so the monkeypatched cost model applies to the
-    # process backend too — workers never plan.
-    favor(monkeypatch, method)
-    problem = make_problem(seed=29)
-    auto_result = process_solver.solve_one(job_for(problem, "auto"))
-    assert auto_result.method == method
-    direct = process_solver.solve_one(job_for(problem, method))
-    assert signature(auto_result.result) == signature(direct.result)
-
-
 def test_auto_plan_resolved_once_per_job(monkeypatch):
     calls = []
     from repro.planner.plan import plan_instance as real_plan
@@ -148,10 +127,9 @@ def test_auto_plan_resolved_once_per_job(monkeypatch):
 # Session level
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("executor", ["thread", "process"])
-def test_auto_matches_direct_at_session_level(executor):
+def test_auto_matches_direct_at_session_level():
     problem = make_problem(seed=37)
-    with AssignmentSession(problem, executor=executor, max_workers=2) as session:
+    with AssignmentSession(problem, max_workers=2) as session:
         auto_solution = session.solve()
         assert auto_solution.plan is not None
         chosen = auto_solution.method
@@ -184,12 +162,11 @@ def test_session_solve_many_mixed_auto_and_direct(monkeypatch, method):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("executor", ["thread", "process"])
-def test_auto_matches_direct_through_embedded_server(executor):
+def test_auto_matches_direct_through_embedded_server():
     from repro.server import Client, ServerConfig, running_server
 
     problem = make_problem(seed=43)
-    config = ServerConfig(port=0, executor=executor, workers=2)
+    config = ServerConfig(port=0, workers=2)
     with running_server(config) as handle:
         with Client(f"http://127.0.0.1:{handle.port}") as client:
             auto_solution = client.solve(problem)

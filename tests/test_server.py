@@ -241,7 +241,6 @@ def test_bad_server_config_fails_at_startup(target):
     for bad in shared + (
         dict(pump_tasks=0),
         dict(workers=0),
-        dict(executor="fibers"),
         dict(queue_limit=0),
         dict(job_history=0),
     ):
@@ -467,35 +466,6 @@ def test_sixteen_concurrent_clients_share_one_index_build(server):
     assert metrics["queue"]["rejected_total"] == 0
 
 
-def test_process_executor_server_bit_identical_for_all_configs():
-    """Acceptance: a server on the process backend returns, for every
-    engine config, the same wire solution bit for bit as a direct
-    thread-backend AssignmentSession."""
-    base = make_problem(nf=7, no=30, dims=3, seed=11)
-    with running_server(
-        ServerConfig(
-            port=0, executor="process", workers=2, solution_cache_size=0
-        )
-    ) as handle:
-        with Client(handle.base_url) as client:
-            assert client.health()["executor"] == "process"
-            for method in ENGINE_CONFIGS:
-                problem = base.with_method(method)
-                with AssignmentSession(problem) as session:
-                    direct = session.solve()
-                remote = client.solve(problem)
-                assert remote.to_dict()["pairs"] == (
-                    direct.to_dict()["pairs"]
-                ), method
-                remote.verify()
-            index_cache = client.metrics()["index_cache"]
-            # per-worker replicas: at most one build per worker per
-            # (catalogue, memory-mode) — sb-alt uses a memory index,
-            # so two key variants exist for the shared catalogue
-            assert index_cache["misses"] <= 2 * index_cache["workers"]
-            assert index_cache["hits"] >= 1
-
-
 def test_job_finish_is_never_observed_without_its_solution():
     """Regression for the finish race: threads polling job records
     while the pump completes them must never observe ``done`` with a
@@ -571,7 +541,6 @@ def test_healthz_reports_load_and_version(client):
     health = client.health()
     assert health["status"] == "ok"
     assert health["problems"] == 0            # legacy key, still present
-    assert health["executor"] == "thread"     # legacy key, still present
     assert health["version"] == repro.__version__
     assert health["uptime_seconds"] >= 0
     assert health["queue_depth"] == 0

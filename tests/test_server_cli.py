@@ -18,13 +18,13 @@ from repro.server import Client
 SRC_DIR = str(Path(repro.__file__).resolve().parent.parent)
 
 
-def _spawn_server(*extra_args):
+def _spawn_server():
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC_DIR + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
     return subprocess.Popen(
-        [sys.executable, "-m", "repro.server", "--port", "0", *extra_args],
+        [sys.executable, "-m", "repro.server", "--port", "0"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
@@ -81,35 +81,3 @@ def test_console_entry_point_serves_solves(server_process):
         assert client.result(job_id).as_dict() == solution.as_dict()
         assert client.metrics()["solves"]["total"] >= 2
 
-
-def test_console_entry_point_process_executor():
-    """The CI server-smoke job runs this with ``--executor process``:
-    the console path must boot worker processes and serve solutions
-    identical to the thread backend."""
-    process = _spawn_server("--executor", "process", "--workers", "2")
-    try:
-        port = _read_port(process)
-        problem = (
-            Problem.builder()
-            .add_objects([(0.5, 0.6), (0.2, 0.7), (0.8, 0.2), (0.4, 0.4)])
-            .add_functions([(0.8, 0.2), (0.2, 0.8), (0.5, 0.5)])
-            .solver("sb")
-            .build()
-        )
-        with Client(host="127.0.0.1", port=port) as client:
-            assert client.health()["executor"] == "process"
-            remote = client.solve(client.register(problem))
-            remote.verify()
-            from repro.api import AssignmentSession
-
-            with AssignmentSession(problem) as session:
-                direct = session.solve()
-            assert remote.to_dict()["pairs"] == direct.to_dict()["pairs"]
-            assert client.metrics()["index_cache"]["workers"] == 2
-    finally:
-        process.terminate()
-        try:
-            process.wait(timeout=10)
-        except subprocess.TimeoutExpired:
-            process.kill()
-            process.wait(timeout=10)
