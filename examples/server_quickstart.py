@@ -9,7 +9,7 @@ metrics.  Run with::
 """
 
 from repro.api import Problem
-from repro.server import Client, ServerConfig, running_server
+from repro.server import Client, ServerConfig, serve_in_thread
 
 
 def main() -> None:
@@ -21,7 +21,7 @@ def main() -> None:
         .build()
     )
 
-    with running_server(ServerConfig(port=0)) as handle:
+    with serve_in_thread(ServerConfig(port=0)) as handle:
         print(f"serving on {handle.base_url}")
         with Client(handle.base_url) as client:
             problem_id = client.register(problem)

@@ -22,16 +22,12 @@ The stable, documented entry surface is :mod:`repro.api`::
 
 See README.md for the full architecture (engine strategy seams,
 service layer, benchmarks reproducing the paper's figures); the
-lower-level entry points (``repro.core.solve``, ``repro.engine``,
+lower-level entry points (``repro.core.solve``,
+``repro.core.build_object_index``, ``repro.engine``,
 ``repro.service.BatchSolver``) remain available for algorithm work.
-
-The historical top-level helpers ``repro.solve`` and
-``repro.build_object_index`` still work but emit a single
-``DeprecationWarning`` each — new code should go through
-``repro.api``.
+Version 2.0.0 removed the deprecated top-level ``repro.solve`` and
+``repro.build_object_index``.
 """
-
-import warnings as _warnings
 
 from repro.api import (
     AssignmentSession,
@@ -48,51 +44,11 @@ from repro.core import (
     ObjectIndex,
     RunStats,
 )
-from repro.core import build_object_index as _build_object_index
-from repro.core import solve as _solve
 from repro.data.instances import FunctionSet, ObjectSet
 from repro.engine import AssignmentEngine, EngineConfig, engine_config
 from repro.service import BatchSolver, JobResult, SolveJob
 
 __version__ = "2.0.0"
-
-#: Deprecated top-level names that have already warned (each shim
-#: warns exactly once per process).
-_DEPRECATION_EMITTED: set[str] = set()
-
-
-def _warn_deprecated(name: str, replacement: str) -> None:
-    if name in _DEPRECATION_EMITTED:
-        return
-    _DEPRECATION_EMITTED.add(name)
-    _warnings.warn(
-        f"repro.{name} is deprecated; use {replacement} (see repro.api)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def solve(*args, **kwargs):
-    """Deprecated alias of :func:`repro.core.solve`.
-
-    Prefer :class:`repro.api.AssignmentSession` (or ``repro.core.solve``
-    for low-level algorithm work).
-    """
-    _warn_deprecated("solve", "repro.api.AssignmentSession.solve")
-    return _solve(*args, **kwargs)
-
-
-def build_object_index(*args, **kwargs):
-    """Deprecated alias of :func:`repro.core.index.build_object_index`.
-
-    Prefer :class:`repro.api.AssignmentSession`, which builds and
-    caches the object index itself.
-    """
-    _warn_deprecated(
-        "build_object_index", "repro.api.AssignmentSession (index is managed)"
-    )
-    return _build_object_index(*args, **kwargs)
-
 
 __all__ = [
     "AssignedPair",
@@ -113,8 +69,6 @@ __all__ = [
     "Solution",
     "SolutionDiff",
     "SolveJob",
-    "build_object_index",
     "engine_config",
-    "solve",
     "__version__",
 ]

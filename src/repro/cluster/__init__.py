@@ -28,10 +28,10 @@ Run it standalone::
 
 or embed it (tests, benchmarks)::
 
-    from repro.cluster import GatewayConfig, running_gateway
+    from repro.cluster import GatewayConfig, serve_gateway_in_thread
     from repro.server import Client
 
-    with running_gateway(
+    with serve_gateway_in_thread(
         GatewayConfig(backends=(addr_a, addr_b), port=0)
     ) as handle:
         with Client(handle.base_url) as client:  # same protocol
@@ -40,10 +40,8 @@ or embed it (tests, benchmarks)::
 
 from repro.cluster.app import (
     GatewayConfig,
-    GatewayHandle,
     GatewayMetrics,
     ReproGateway,
-    running_gateway,
     serve_gateway_in_thread,
 )
 from repro.cluster.forwarder import Fleet
@@ -54,13 +52,11 @@ __all__ = [
     "Backend",
     "Fleet",
     "GatewayConfig",
-    "GatewayHandle",
     "GatewayMetrics",
     "HashRing",
     "HealthProber",
     "ReproGateway",
     "node_id_for",
     "ring_hash",
-    "running_gateway",
     "serve_gateway_in_thread",
 ]

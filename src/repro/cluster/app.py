@@ -577,25 +577,17 @@ class ReproGateway(HttpService):
         await asyncio.to_thread(self._fleet.close)
 
 
-GatewayHandle = ServiceHandle
-
-
 def serve_gateway_in_thread(config: GatewayConfig) -> ServiceHandle:
     """Start a :class:`ReproGateway` on a daemon thread; returns once
-    the socket is bound (so :attr:`GatewayHandle.port` is valid)."""
+    the socket is bound (so :attr:`ServiceHandle.port` is valid).
+    ``with serve_gateway_in_thread(cfg) as handle:`` stops it when the
+    block exits."""
     return start_in_thread(ReproGateway(config))
-
-
-#: ``with running_gateway(cfg) as handle:`` — a thread-hosted gateway
-#: that stops when the block exits.
-running_gateway = serve_gateway_in_thread
 
 
 __all__ = [
     "GatewayConfig",
-    "GatewayHandle",
     "GatewayMetrics",
     "ReproGateway",
-    "running_gateway",
     "serve_gateway_in_thread",
 ]

@@ -13,9 +13,9 @@ Run it standalone::
 
 or embed it (tests, examples, benchmarks)::
 
-    from repro.server import Client, ServerConfig, running_server
+    from repro.server import Client, ServerConfig, serve_in_thread
 
-    with running_server(ServerConfig(port=0)) as handle:
+    with serve_in_thread(ServerConfig(port=0)) as handle:
         with Client(handle.base_url) as client:
             problem_id = client.register(problem)
             solution = client.solve(problem_id)
@@ -32,8 +32,6 @@ HTTP 429 with ``Retry-After`` (see
 from repro.server.app import (
     ReproServer,
     ServerConfig,
-    ServerHandle,
-    running_server,
     serve_in_thread,
 )
 from repro.server.cache import SolutionCache
@@ -49,9 +47,7 @@ __all__ = [
     "LatencyHistogram",
     "ReproServer",
     "ServerConfig",
-    "ServerHandle",
     "ServerMetrics",
     "SolutionCache",
-    "running_server",
     "serve_in_thread",
 ]

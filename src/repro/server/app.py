@@ -20,7 +20,7 @@ dispatch, tracing, connections, the catalogue store and the lifecycle
 come from the shared :class:`~repro.server.base.HttpService` shell; a
 ``repro.problem/v3`` problem is built on the stored catalogue, so every
 cohort over one catalogue shares its ``ObjectSet``.  The server can be
-embedded (:func:`running_server` hosts it on a background thread for
+embedded (:func:`serve_in_thread` hosts it on a background thread for
 tests/examples) or run standalone via ``python -m repro.server``.
 """
 
@@ -507,24 +507,16 @@ class ReproServer(HttpService):
             self._session = None
 
 
-ServerHandle = ServiceHandle
-
-
 def serve_in_thread(config: ServerConfig | None = None) -> ServiceHandle:
     """Start a :class:`ReproServer` on a daemon thread; returns once
-    the socket is bound (so :attr:`ServerHandle.port` is valid)."""
+    the socket is bound (so :attr:`ServiceHandle.port` is valid).
+    ``with serve_in_thread() as handle:`` stops it when the block
+    exits."""
     return start_in_thread(ReproServer(config or ServerConfig(port=0)))
-
-
-#: ``with running_server() as handle:`` — a thread-hosted server that
-#: stops when the block exits.
-running_server = serve_in_thread
 
 
 __all__ = [
     "ReproServer",
     "ServerConfig",
-    "ServerHandle",
-    "running_server",
     "serve_in_thread",
 ]

@@ -247,10 +247,6 @@ class Client:
             )
         return response.status, decoded
 
-    # Historical private name; the protocol methods below and a few
-    # tests go through it.
-    _request = request
-
     # -- protocol ------------------------------------------------------
 
     def health(self) -> dict:

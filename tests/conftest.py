@@ -8,9 +8,9 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from repro.cluster import GatewayConfig, running_gateway
+from repro.cluster import GatewayConfig, serve_gateway_in_thread
 from repro.data.instances import FunctionSet, ObjectSet
-from repro.server import ServerConfig, running_server
+from repro.server import ServerConfig, serve_in_thread
 
 # ---------------------------------------------------------------------------
 # Random instance builders (plain `random`, used by seeded loop tests)
@@ -104,12 +104,12 @@ def serving(target: str, **settings):
     ``settings``: the server itself, or a gateway in front of one
     embedded backend (which keeps its defaults)."""
     if target == "server":
-        with running_server(ServerConfig(port=0, **settings)) as handle:
+        with serve_in_thread(ServerConfig(port=0, **settings)) as handle:
             yield handle
         return
-    with running_server(ServerConfig(port=0)) as backend:
+    with serve_in_thread(ServerConfig(port=0)) as backend:
         config = GatewayConfig(
             backends=(f"127.0.0.1:{backend.port}",), port=0, **settings
         )
-        with running_gateway(config) as handle:
+        with serve_gateway_in_thread(config) as handle:
             yield handle

@@ -1,19 +1,17 @@
-"""Serde round trips (property-based) and deprecation shims.
+"""Serde round trips (property-based).
 
 ``Problem`` and ``Solution`` must survive ``to_dict → from_dict`` and
 ``to_json → from_json`` bit-identically — capacities, priorities and
-solver options included — since the dict form is the process-boundary
-contract for a future service layer.
+solver options included — since the dict form is the wire contract of
+the serving layers.
 """
 
 import json
-import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro
 from repro.api import Problem, SerdeError, Solution
 from repro.core import SOLVER_OPTIONS
 
@@ -222,38 +220,3 @@ def test_every_named_solver_options_are_serializable():
     """Every documented option name fits the JSON-scalar constraint."""
     for method, accepted in SOLVER_OPTIONS.items():
         assert all(isinstance(name, str) for name in accepted), method
-
-
-# ---------------------------------------------------------------------------
-# Deprecation shims
-# ---------------------------------------------------------------------------
-
-
-def test_deprecated_entry_points_warn_exactly_once():
-    repro._DEPRECATION_EMITTED.clear()
-    objects = repro.ObjectSet([(0.5, 0.5), (0.2, 0.8)])
-    functions = repro.FunctionSet([(1.0, 0.0)])
-    with warnings.catch_warnings(record=True) as record:
-        warnings.simplefilter("always")
-        index = repro.build_object_index(objects)
-        repro.build_object_index(objects)
-        repro.solve(functions, index)
-        repro.solve(functions, index)
-    messages = [
-        str(w.message)
-        for w in record
-        if issubclass(w.category, DeprecationWarning)
-    ]
-    assert len([m for m in messages if "repro.solve" in m]) == 1
-    assert len([m for m in messages if "repro.build_object_index" in m]) == 1
-
-
-def test_deprecated_entry_points_still_functional():
-    repro._DEPRECATION_EMITTED.clear()
-    objects = repro.ObjectSet([(0.5, 0.6), (0.2, 0.7), (0.8, 0.2), (0.4, 0.4)])
-    functions = repro.FunctionSet([(0.8, 0.2), (0.2, 0.8), (0.5, 0.5)])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        index = repro.build_object_index(objects)
-        matching, stats = repro.solve(functions, index, method="sb")
-    assert {(p.fid, p.oid) for p in matching.pairs} == {(0, 2), (1, 1), (2, 0)}

@@ -3,7 +3,8 @@ reuse, and per-job result fidelity."""
 
 import pytest
 
-from repro import BatchSolver, SolveJob, build_object_index, solve
+from repro import BatchSolver, SolveJob
+from repro.core import build_object_index, solve
 from repro.core.reference import greedy_assign
 from repro.data.instances import ObjectSet
 from repro.service import ObjectIndexCache, object_set_fingerprint

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import build_object_index, solve
+from repro.core import build_object_index, solve
 from repro.core.capacity import CapacityTracker
 from repro.core.reference import greedy_assign
 from repro.data.instances import FunctionSet, ObjectSet

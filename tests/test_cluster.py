@@ -16,7 +16,7 @@ import time
 import pytest
 
 from repro.api import AssignmentSession, Problem
-from repro.cluster import GatewayConfig, running_gateway, serve_gateway_in_thread
+from repro.cluster import GatewayConfig, serve_gateway_in_thread
 from repro.errors import ServerError, ServerUnavailableError
 from repro.server import Client, ServerConfig, serve_in_thread
 
@@ -502,7 +502,7 @@ def test_gateway_boots_with_backends_already_down():
     live = serve_in_thread(ServerConfig(port=0))
     dead_address = "127.0.0.1:1"  # nothing listens on port 1
     try:
-        with running_gateway(
+        with serve_gateway_in_thread(
             gateway_config([f"127.0.0.1:{live.port}", dead_address])
         ) as gw:
             with Client(gw.base_url) as client:
@@ -606,7 +606,7 @@ def test_stalled_backend_fails_over_within_the_forward_timeout():
     stalled_address = f"127.0.0.1:{doomed.port}"
     config = _stall_config([f"127.0.0.1:{live.port}", stalled_address])
     try:
-        with running_gateway(config) as gw, Client(gw.base_url) as client:
+        with serve_gateway_in_thread(config) as gw, Client(gw.base_url) as client:
             problem = _owned_by(gw, stalled_address)
             with AssignmentSession(problem) as session:
                 expected = _pairs_and_score_bits(session.solve())
@@ -626,7 +626,7 @@ def test_stalled_backend_fails_over_within_the_forward_timeout():
 def test_only_a_stalled_backend_is_a_typed_503_not_a_hang():
     doomed = serve_in_thread(ServerConfig(port=0))
     stalled_address = f"127.0.0.1:{doomed.port}"
-    with running_gateway(_stall_config([stalled_address])) as gw:
+    with serve_gateway_in_thread(_stall_config([stalled_address])) as gw:
         with Client(gw.base_url) as client, _Stalled(doomed):
             started = time.monotonic()
             with pytest.raises(ServerUnavailableError) as excinfo:

@@ -3,7 +3,7 @@ Chain, scan charging in Brute Force — correctness and accounting."""
 
 import pytest
 
-from repro import build_object_index
+from repro.core import build_object_index
 from repro.core.brute_force import brute_force_assign
 from repro.core.chain import chain_assign
 from repro.core.reference import greedy_assign

@@ -3,7 +3,7 @@ equivalence of engine-driven runs with the solver entry points."""
 
 import pytest
 
-from repro import build_object_index, solve
+from repro.core import build_object_index, solve
 from repro.core.reference import greedy_assign
 from repro.engine import (
     ENGINE_CONFIGS,

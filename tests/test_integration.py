@@ -3,8 +3,7 @@ scale, plus determinism and the priority/two-skyline relationships."""
 
 import pytest
 
-from repro import build_object_index, solve
-from repro.core import assert_valid_matching
+from repro.core import assert_valid_matching, build_object_index, solve
 from repro.data.generators import make_functions, make_objects, random_priorities
 
 

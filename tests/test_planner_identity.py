@@ -163,11 +163,11 @@ def test_session_solve_many_mixed_auto_and_direct(monkeypatch, method):
 
 
 def test_auto_matches_direct_through_embedded_server():
-    from repro.server import Client, ServerConfig, running_server
+    from repro.server import Client, ServerConfig, serve_in_thread
 
     problem = make_problem(seed=43)
     config = ServerConfig(port=0, workers=2)
-    with running_server(config) as handle:
+    with serve_in_thread(config) as handle:
         with Client(f"http://127.0.0.1:{handle.port}") as client:
             auto_solution = client.solve(problem)
             assert auto_solution.plan is not None
@@ -183,10 +183,10 @@ def test_server_auto_shares_cache_with_explicit_pick():
     """method="auto" and an explicit pick of the resolved config key
     the solution cache identically (the solve key carries the
     *resolved* method), so the second request is a cache hit."""
-    from repro.server import Client, ServerConfig, running_server
+    from repro.server import Client, ServerConfig, serve_in_thread
 
     problem = make_problem(seed=47)
-    with running_server(ServerConfig(port=0)) as handle:
+    with serve_in_thread(ServerConfig(port=0)) as handle:
         with Client(f"http://127.0.0.1:{handle.port}") as client:
             auto_solution = client.solve(problem)
             metrics = client.metrics()
@@ -208,11 +208,11 @@ def test_server_auto_from_explicit_populated_cache_still_reports_plan():
     request served from an entry an *explicit* pick populated must
     still carry its plan and count a planner pick (the decision is
     deterministic — same solve key, same plan)."""
-    from repro.server import Client, ServerConfig, running_server
+    from repro.server import Client, ServerConfig, serve_in_thread
 
     problem = make_problem(seed=61)
     resolved = problem.resolved_method
-    with running_server(ServerConfig(port=0)) as handle:
+    with serve_in_thread(ServerConfig(port=0)) as handle:
         with Client(f"http://127.0.0.1:{handle.port}") as client:
             explicit_solution = client.solve(problem.with_method(resolved))
             assert explicit_solution.plan is None
@@ -228,10 +228,10 @@ def test_server_auto_from_explicit_populated_cache_still_reports_plan():
 def test_server_explicit_from_auto_populated_cache_carries_no_plan():
     """...and the symmetric case: an explicit request replaying an
     auto-populated entry gets a plan-free solution over the wire."""
-    from repro.server import Client, ServerConfig, running_server
+    from repro.server import Client, ServerConfig, serve_in_thread
 
     problem = make_problem(seed=67)
-    with running_server(ServerConfig(port=0)) as handle:
+    with serve_in_thread(ServerConfig(port=0)) as handle:
         with Client(f"http://127.0.0.1:{handle.port}") as client:
             auto_solution = client.solve(problem)
             assert auto_solution.plan is not None
@@ -245,10 +245,10 @@ def test_server_explicit_from_auto_populated_cache_carries_no_plan():
 
 
 def test_server_metrics_expose_planner_picks_and_estimate_error():
-    from repro.server import Client, ServerConfig, running_server
+    from repro.server import Client, ServerConfig, serve_in_thread
 
     problem = make_problem(seed=53)
-    with running_server(ServerConfig(port=0)) as handle:
+    with serve_in_thread(ServerConfig(port=0)) as handle:
         with Client(f"http://127.0.0.1:{handle.port}") as client:
             first = client.solve(problem)
             client.solve(problem)  # cache hit still counts a pick
@@ -269,10 +269,10 @@ def test_server_envelope_carries_plan_and_resolved_method():
     import json
     from urllib.request import Request, urlopen
 
-    from repro.server import ServerConfig, running_server
+    from repro.server import ServerConfig, serve_in_thread
 
     problem = make_problem(seed=59)
-    with running_server(ServerConfig(port=0)) as handle:
+    with serve_in_thread(ServerConfig(port=0)) as handle:
         body = json.dumps({"problem": problem.to_dict()}).encode()
         request = Request(
             f"http://127.0.0.1:{handle.port}/v1/solve",

@@ -5,7 +5,7 @@ import importlib
 import pytest
 
 import repro
-from repro.core import SOLVERS
+from repro.core import SOLVERS, build_object_index, solve
 
 
 def test_version():
@@ -34,8 +34,8 @@ def test_readme_quickstart_runs():
         [(0.5, 0.6), (0.2, 0.7), (0.8, 0.2), (0.4, 0.4)]
     )
     functions = repro.FunctionSet([(0.8, 0.2), (0.2, 0.8), (0.5, 0.5)])
-    index = repro.build_object_index(objects)
-    matching, stats = repro.solve(functions, index, method="sb")
+    index = build_object_index(objects)
+    matching, stats = solve(functions, index, method="sb")
     assert {(p.fid, p.oid) for p in matching.pairs} == {(0, 2), (1, 1), (2, 0)}
     assert stats.io_accesses >= 0
 
@@ -43,8 +43,8 @@ def test_readme_quickstart_runs():
 def test_result_unpacking_and_fields():
     objects = repro.ObjectSet([(0.5, 0.5)])
     functions = repro.FunctionSet([(1.0, 0.0)])
-    index = repro.build_object_index(objects)
-    result = repro.solve(functions, index)
+    index = build_object_index(objects)
+    result = solve(functions, index)
     matching, stats = result  # tuple-style unpacking
     assert result.matching is matching and result.stats is stats
     pair = matching.pairs[0]
@@ -55,10 +55,10 @@ def test_every_solver_name_is_callable():
     objects = repro.ObjectSet([(0.3, 0.7), (0.6, 0.4)])
     functions = repro.FunctionSet([(0.5, 0.5)])
     for name in SOLVERS:
-        index = repro.build_object_index(
+        index = build_object_index(
             objects, memory=(name == "sb-alt")
         )
-        matching, _ = repro.solve(functions, index, method=name)
+        matching, _ = solve(functions, index, method=name)
         assert matching.num_units == 1, name
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import build_object_index
+from repro.core import build_object_index
 from repro.core.reference import greedy_assign
 from repro.core.sb_alt import sb_alt_assign
 from repro.data.generators import make_functions, make_objects

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import build_object_index, solve
+from repro.core import build_object_index, solve
 from repro.core.sb import sb_assign
 from repro.data.generators import make_functions, make_objects
 

@@ -13,10 +13,10 @@ import threading
 import pytest
 
 from repro.api import AssignmentSession, Problem, catalogue_to_dict
-from repro.cluster import GatewayConfig, ReproGateway, running_gateway
+from repro.cluster import GatewayConfig, ReproGateway, serve_gateway_in_thread
 from repro.data import object_set_fingerprint
 from repro.errors import ServerBusyError, ServerError
-from repro.server import Client, ReproServer, ServerConfig, running_server
+from repro.server import Client, ReproServer, ServerConfig, serve_in_thread
 from repro.server import base
 
 from .conftest import SHELL_TARGETS, random_instance, serving
@@ -31,7 +31,7 @@ def make_problem(nf=6, no=24, dims=3, seed=5, method="sb", **options):
 
 @pytest.fixture()
 def server():
-    with running_server(
+    with serve_in_thread(
         ServerConfig(port=0, queue_limit=32, solution_cache_size=64)
     ) as handle:
         yield handle
@@ -153,19 +153,19 @@ def test_error_mapping(client):
         client.solve(pid, options={"bogus_option": 1})
     assert bad_option.value.status == 400
     with pytest.raises(ServerError) as bad_payload:
-        client._request("POST", "/v1/problems", {"schema": "wrong/v9"})
+        client.request("POST", "/v1/problems", {"schema": "wrong/v9"})
     assert bad_payload.value.status == 400
     non_finite = problem.to_dict()
     non_finite["objects"]["points"][0][0] = float("nan")
     with pytest.raises(ServerError) as nan_payload:
-        client._request("POST", "/v1/problems", non_finite)
+        client.request("POST", "/v1/problems", non_finite)
     assert nan_payload.value.status == 400
     assert "non-finite" in str(nan_payload.value)
     with pytest.raises(ServerError) as missing_job:
         client.job("job-99999999")
     assert missing_job.value.status == 404
     with pytest.raises(ServerError) as wrong_verb:
-        client._request("GET", "/v1/solve")
+        client.request("GET", "/v1/solve")
     assert wrong_verb.value.status == 405
     with pytest.raises(ServerError) as unfinished_diff:
         client.diff("job-99999999", "job-99999999")
@@ -174,7 +174,7 @@ def test_error_mapping(client):
 
 def test_inline_one_shot_solve_registers_as_side_effect(client):
     problem = make_problem(seed=41)
-    _, body = client._request(
+    _, body = client.request(
         "POST", "/v1/solve", {"problem": problem.to_dict()}
     )
     assert body["problem_id"] == problem.digest()
@@ -197,7 +197,7 @@ def test_backpressure_returns_429_with_retry_after():
     next submission to be turned away with 429 + Retry-After."""
     slow = make_problem(nf=40, no=2500, dims=4, seed=47)
     quick = make_problem(seed=48)
-    with running_server(
+    with serve_in_thread(
         ServerConfig(port=0, queue_limit=1, solution_cache_size=8)
     ) as handle:
         with Client(handle.base_url) as client:
@@ -471,7 +471,7 @@ def test_job_finish_is_never_observed_without_its_solution():
     while the pump completes them must never observe ``done`` with a
     missing solution / wall_seconds / finished_at."""
     base = make_problem(nf=16, no=400, dims=3, seed=71)
-    with running_server(
+    with serve_in_thread(
         ServerConfig(port=0, queue_limit=32, solution_cache_size=0)
     ) as handle:
         with Client(handle.base_url) as client:
@@ -698,15 +698,15 @@ def test_a_second_cohort_over_a_held_catalogue_is_one_request(target):
 
 def _start(target: str, backends: list, port: int = 0):
     if target == "server":
-        return running_server(ServerConfig(port=port))
-    return running_gateway(GatewayConfig(backends=tuple(backends), port=port))
+        return serve_in_thread(ServerConfig(port=port))
+    return serve_gateway_in_thread(GatewayConfig(backends=tuple(backends), port=port))
 
 
 @pytest.mark.parametrize("target", SHELL_TARGETS)
 def test_restarted_service_makes_the_client_resend_the_catalogue_once(target):
     problem = make_problem(seed=43)
     cohort = problem.with_functions([(0.1, 0.1, 0.8)])
-    with running_server(ServerConfig(port=0)) as backend:
+    with serve_in_thread(ServerConfig(port=0)) as backend:
         backends = [f"127.0.0.1:{backend.port}"]
         with _start(target, backends) as first, Client(first.base_url) as client:
             paths = _recording(client)

@@ -3,8 +3,7 @@ forwarding, and a stable-matching check for every registered solver."""
 
 import pytest
 
-from repro import build_object_index, solve
-from repro.core import SOLVERS, assert_stable
+from repro.core import SOLVERS, assert_stable, build_object_index, solve
 from repro.core.reference import gale_shapley_assign, greedy_assign
 
 from .conftest import random_instance

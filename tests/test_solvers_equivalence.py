@@ -10,11 +10,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import build_object_index, solve
 from repro.core import (
     assert_valid_matching,
+    build_object_index,
     gale_shapley_assign,
     greedy_assign,
+    solve,
 )
 from repro.data.instances import FunctionSet, ObjectSet
 
