@@ -14,7 +14,9 @@ Correctness of restricting to Fsky: if f' dominates f coefficient-wise
 then ``f'(o) >= f(o)`` for every non-negative object, and the canonical
 function order of :mod:`repro.ordering` breaks score ties toward the
 dominator, so the canonical best function for any object is always on
-the function skyline.
+the function skyline.  A negative coordinate reverses that order, so a
+catalogue with any negative coordinate scans every alive function
+instead.
 
 Since the engine refactor the Fsky scan lives in
 :class:`repro.engine.search.FskySearch`; this module is the thin

@@ -246,29 +246,45 @@ class FskySearch:
     each skyline object is found by one vectorized scan of Fsky
     instead of TA (Fsky is small and sees frequent updates that would
     invalidate TA states).
+
+    That restriction holds only for non-negative objects: on a
+    negative coordinate a dominating coefficient vector scores
+    *lower*.  A catalogue with any negative coordinate therefore scans
+    every alive function instead.
     """
 
     def __init__(self, ctx: EngineContext):
         self.objects = ctx.objects
         self.mem = ctx.mem
-        self.manager = InMemorySkylineManager([
+        weights = [
             (fid, ctx.functions.effective_weights(fid))
             for fid in range(len(ctx.functions))
-        ])
+        ]
+        #: ``None`` when the catalogue has a negative coordinate; the
+        #: scan then covers every alive function in ``_alive``.
+        self.manager: InMemorySkylineManager | None = None
+        self._alive: dict[int, tuple[float, ...]] = {}
+        if any(c < 0 for point in ctx.objects.points for c in point):
+            self._alive = dict(weights)
+        else:
+            self.manager = InMemorySkylineManager(weights)
         self._fsky_view: MatrixView | None = None
 
+    def _candidates(self) -> dict[int, tuple[float, ...]]:
+        return self._alive if self.manager is None else self.manager.skyline
+
     def best_functions(self, skyline: SkylineState):
-        fsky = self.manager.skyline
-        self.mem.set_gauge(
-            "fsky", (len(fsky) + self.manager.memory_entries())
-            * BYTES_PER_PLIST_ENTRY,
-        )
-        if not fsky:
+        candidates = self._candidates()
+        entries = len(candidates)
+        if self.manager is not None:
+            entries += self.manager.memory_entries()
+        self.mem.set_gauge("fsky", entries * BYTES_PER_PLIST_ENTRY)
+        if not candidates:
             return None
         if self._fsky_view is None:
-            self._fsky_view = MatrixView.from_dict(fsky)
+            self._fsky_view = MatrixView.from_dict(candidates)
         else:
-            self._fsky_view.sync(fsky)
+            self._fsky_view.sync(candidates)
         fsky_view = self._fsky_view
         return {
             oid: fsky_view.best_for(self.objects.points[oid])
@@ -282,8 +298,13 @@ class FskySearch:
         pass
 
     def on_round_end(self, dead_fids: list[int]) -> None:
-        if dead_fids:
+        if not dead_fids:
+            return
+        if self.manager is None:
+            for fid in dead_fids:
+                del self._alive[fid]
+        else:
             self.manager.remove(dead_fids)
 
     def finalize(self, stats, skyline) -> None:
-        stats.counters["fsky_final_size"] = len(self.manager.skyline)
+        stats.counters["fsky_final_size"] = len(self._candidates())

@@ -129,6 +129,15 @@ class TestEdgeCases:
         m = run_all(fs, os_)
         assert m.num_units == 2
 
+    def test_priority_dominance_on_a_negative_coordinate(self):
+        # f1's effective weights (1.899, 1.101) dominate f0's (1, 0), so
+        # f0 is off the function skyline, yet f0 scores the negative
+        # object higher (-0.36 against -0.68364).
+        fs = FunctionSet([(1.0, 0.0), (0.633, 0.367)], gammas=[1.0, 3.0])
+        os_ = ObjectSet([(-0.36, 0.0)])
+        m = run_all(fs, os_)
+        assert m.as_dict() == {(0, 0): 1}
+
 
 @pytest.mark.parametrize("dims", [2, 3])
 def test_engine_configs_match_pre_refactor_oracles(dims):
