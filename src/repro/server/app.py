@@ -301,8 +301,7 @@ class ReproServer(HttpService):
         # Load-bearing beyond liveness: the cluster gateway's probes
         # read queue_depth / jobs_inflight off this payload to make
         # load-aware decisions, so it stays cheap (no solves, no
-        # backend round trips).  Keys change only with a major version
-        # (2.0.0 dropped ``executor``).
+        # backend round trips).  Keys change only with a major version.
         import repro
 
         return Response.json(

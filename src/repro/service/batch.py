@@ -19,10 +19,9 @@ solved side by side.  Two observations make this batchable:
   measured, mutable storage model.
 
 For many-cohorts-over-one-catalogue traffic that per-index lock (plus
-the GIL) bounds the pool to one solve at a time per catalogue.  On the
-served mix the vectorized kernels do most of a solve's work, and a
-process pool with per-worker index replicas measured no faster (see
-README, "Solve pool"), so the thread pool is the only solve path.
+the GIL) admits one solve at a time per catalogue.  A process pool
+with per-worker index replicas measured no faster on the served mix
+(see README, "Solve pool"), so the thread pool is the only solve path.
 """
 
 from __future__ import annotations
