@@ -25,8 +25,6 @@ service layer, benchmarks reproducing the paper's figures); the
 lower-level entry points (``repro.core.solve``,
 ``repro.core.build_object_index``, ``repro.engine``,
 ``repro.service.BatchSolver``) remain available for algorithm work.
-Version 2.0.0 removed the deprecated top-level ``repro.solve`` and
-``repro.build_object_index``.
 """
 
 from repro.api import (

@@ -6,9 +6,9 @@ currently marked down, and runs its blocking client call on the first
 live candidate.  A transport failure (connection refused/reset/timed
 out, stale keep-alive the client could not revive) marks that backend
 down *immediately* and re-shards to the next successor rather than
-wedging every later request on a dead node.  HTTP-level errors from a live
-backend (400/404/409/429/…) are *not* failover events: the backend
-answered; its answer propagates.
+wedging every later request on a dead node.  HTTP-level errors from a
+live backend (400/404/409/429/…) are *not* failover events: the
+backend answered; its answer propagates.
 
 When the successor list is exhausted — every replica of the shard is
 down — the request fails with the typed
