@@ -1,6 +1,8 @@
 """The batched solve service: worker-pool execution, index-cache
 reuse, and per-job result fidelity."""
 
+import threading
+
 import pytest
 
 from repro import BatchSolver, SolveJob
@@ -49,8 +51,18 @@ def test_batch_of_eight_jobs_with_cache_hits():
     assert info["entries"] == 4
 
 
-def test_jobs_run_concurrently():
-    """The pool genuinely overlaps jobs on distinct catalogues."""
+def test_jobs_run_concurrently(monkeypatch):
+    """The pool genuinely overlaps jobs on distinct catalogues.  Each
+    solve waits for a second one to start beside it, so the check does
+    not depend on thread start-up racing the first job's solve; a pool
+    that ran one job at a time breaks the barrier instead of hanging."""
+    barrier = threading.Barrier(2, timeout=30)
+
+    def paired_solve(*args, **kwargs):
+        barrier.wait()
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr("repro.service.batch.solve", paired_solve)
     jobs = make_jobs(n_catalogues=8, cohorts_per_catalogue=1)
     solver = BatchSolver(max_workers=8)
     solver.solve_many(jobs)
