@@ -9,12 +9,12 @@ skyline members.  The scalar oracle is
 checks these kernels against it on mixed-sign coordinates, exact
 float ties and duplicate points.
 
-The pairwise tests accumulate per-dimension comparison counts over
+The pairwise tests fold per-dimension comparisons into two boolean
 2-d ``candidates × dominators`` planes (one pass per dimension)
 rather than materializing a 3-d boolean tensor: ``p`` is dominated by
-``w`` iff ``w >= p`` in all ``D`` dimensions and ``w > p`` in at
-least one — for ``>=``-everywhere vectors, "differs somewhere" and
-"strictly greater somewhere" coincide.  The planes are uint8 and
+``w`` iff ``w >= p`` in all ``D`` dimensions (``&=``) and ``w > p``
+in at least one (``|=``) — for ``>=``-everywhere vectors, "differs
+somewhere" and "strictly greater somewhere" coincide.  The planes are
 blocked by :data:`CELL_BUDGET`, so the transient stays around a
 megabyte while typical calls run in one shot.
 """
@@ -25,26 +25,23 @@ import numpy as np
 
 #: Transient-plane budget of one vectorized dominance pass, in cells
 #: (``block × |dominators|``); a block of candidate rows is processed
-#: per pass so the uint8 count planes stay around a megabyte.
+#: per pass so the boolean planes stay around a megabyte.
 CELL_BUDGET = 1 << 20
 
-#: Skyline rows accepted per :func:`pareto_mask` pass before the
-#: in-block sequential check takes over.
+#: Rows of the sky order filtered per :func:`pareto_mask` block.
 BLOCK = 256
 
 
 def _dominance_planes(block: np.ndarray, dominators: np.ndarray) -> np.ndarray:
     """``plane[i, j]`` — does ``dominators[j]`` dominate ``block[i]``?"""
-    n, dims = block.shape
-    m = dominators.shape[0]
-    ge = np.zeros((n, m), dtype=np.uint8)
-    gt = np.zeros((n, m), dtype=np.uint8)
-    for d in range(dims):
+    ge = np.ones((block.shape[0], dominators.shape[0]), dtype=bool)
+    gt = np.zeros_like(ge)
+    for d in range(block.shape[1]):
         dom_col = dominators[:, d]
         cand_col = block[:, d, None]
-        ge += dom_col >= cand_col
-        gt += dom_col > cand_col
-    return (ge == dims) & (gt > 0)
+        ge &= dom_col >= cand_col
+        gt |= dom_col > cand_col
+    return ge & gt
 
 
 def _block_rows(num_dominators: int) -> int:
@@ -69,9 +66,9 @@ def dominator_index(points: np.ndarray, dominators: np.ndarray) -> np.ndarray:
 
     The witness (the first dominator in row order) backs the
     reference-dominator bookkeeping of
-    :class:`~repro.kernels.skyline.VectorizedSkylineMaintenance`:
-    which dominator is reported does not matter, only that it
-    currently dominates the point.
+    :class:`~repro.kernels.skyline.MaskSkyline`: which dominator is
+    reported does not matter, only that it currently dominates the
+    point.
     """
     n = points.shape[0]
     out = np.full(n, -1, dtype=np.intp)
@@ -107,34 +104,22 @@ def sky_order(points: np.ndarray) -> np.ndarray:
 def pareto_mask(points: np.ndarray) -> np.ndarray:
     """Skyline membership mask of an ``n × D`` coordinate matrix.
 
-    Sorted-pass batch filter: points are visited in
-    :func:`sky_order`, each block is tested against the accepted
-    skyline with one vectorized dominance pass, and only the block's
-    survivors are cross-checked against the members accepted earlier
-    *within the same block* (dominators sort first, so no later point
-    can invalidate an accepted one).
+    Sorted-pass batch filter: points are visited in :func:`sky_order`
+    in blocks of :data:`BLOCK`.  A block's survivors are the rows no
+    member accepted from earlier blocks dominates; a survivor is
+    accepted when no other survivor of its block dominates it.  Both
+    are single dominance passes.  The second test is exact because
+    dominators sort strictly first and dominance is transitive: by
+    induction along the order, a survivor dominated by a rejected
+    survivor is also dominated by an accepted one, so "dominated by an
+    in-block survivor" is the same test as "dominated by an accepted
+    in-block row", and no later point can invalidate an accepted one.
     """
-    n = points.shape[0]
-    mask = np.zeros(n, dtype=bool)
-    if n == 0:
-        return mask
+    mask = np.zeros(points.shape[0], dtype=bool)
     order = sky_order(points)
-    sky_rows = np.empty_like(points)
-    count = 0
-    for start in range(0, n, BLOCK):
+    for start in range(0, points.shape[0], BLOCK):
         idx = order[start : start + BLOCK]
-        block = points[idx]
-        dominated = dominated_mask(block, sky_rows[:count])
-        block_start = count
-        for j in np.nonzero(~dominated)[0]:
-            p = block[j]
-            fresh = sky_rows[block_start:count]
-            if fresh.size:
-                ge = (fresh >= p).all(axis=1)
-                ne = (fresh != p).any(axis=1)
-                if (ge & ne).any():
-                    continue
-            sky_rows[count] = p
-            mask[idx[j]] = True
-            count += 1
+        idx = idx[~dominated_mask(points[idx], points[mask])]
+        survivors = points[idx]
+        mask[idx[~dominated_mask(survivors, survivors)]] = True
     return mask

@@ -10,7 +10,7 @@ dominating it (``ref``).  When members are removed, only the objects
 whose reference died can possibly surface — everything referencing a
 survivor is still dominated — so a round repairs the mask by
 
-1. collecting the orphans (``ref`` ∈ removed);
+1. collecting the orphans (``ref`` ∈ removed, one mask lookup);
 2. re-homing the orphans a *surviving* member still dominates
    (one small ``orphans × survivors`` dominance pass);
 3. Pareto-filtering the remainder: the winners are promoted into the
@@ -104,6 +104,10 @@ class MaskSkyline:
     def remove(self, removed_idx: np.ndarray) -> np.ndarray:
         """Retire member rows; returns the rows promoted to replace
         them (the reference-dominator repair of the module docstring).
+
+        Every removed row must be a current skyline member.  Members
+        and dead rows carry ``ref == -1``, so a row whose reference
+        died is always alive and the orphan lookup needs no alive mask.
         """
         if not self.computed:
             raise RuntimeError("call compute_initial() first")
@@ -111,8 +115,11 @@ class MaskSkyline:
         self.sky_mask[removed_idx] = False
 
         points = self.points
-        # (1) orphans: alive rows whose reference dominator died.
-        orphan_idx = np.nonzero(self.alive & np.isin(self.ref, removed_idx))[0]
+        # (1) orphans: rows whose reference dominator died.  The extra
+        #     slot stays False, so ``ref == -1`` never reads as died.
+        died = np.zeros(self.ref.size + 1, dtype=bool)
+        died[removed_idx] = True
+        orphan_idx = np.nonzero(died[self.ref])[0]
         if not orphan_idx.size:
             return orphan_idx
         # (2) re-home orphans a surviving member still dominates.
