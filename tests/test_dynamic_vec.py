@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from repro.api import (
     AssignmentSession,
     FunctionArrived,
-    FunctionDeparted,
     ObjectArrived,
     ObjectDeparted,
     Problem,

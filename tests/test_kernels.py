@@ -20,6 +20,8 @@ Three layers of coverage:
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,11 +29,14 @@ from hypothesis import strategies as st
 
 from repro.api import AssignmentSession, Problem
 from repro.core import build_object_index, solve
+from repro.data.instances import FunctionSet, ObjectSet
 from repro.kernels import (
     CatalogueColumns,
     ColumnarInstance,
+    MaskSkyline,
     VectorizedSkylineMaintenance,
     dominated_mask,
+    pareto,
     pareto_mask,
 )
 from repro.kernels.pareto import dominator_index
@@ -45,12 +50,28 @@ from .conftest import random_instance
 # Batch Pareto kernels vs the scalar oracle
 # ---------------------------------------------------------------------------
 
-# Mixed signs, exact-tie magnets (including negative ones) and full
-# floats: maximizes duplicate rows, tied sums and tied coordinates.
+# Mixed signs, exact-tie magnets (including negative ones and a
+# signed zero) and full floats: maximizes duplicate rows, tied sums and
+# tied coordinates.
 mixed_coord = st.one_of(
-    st.sampled_from([-1.0, -0.5, 0.0, 0.25, 0.5, 1.0]),
+    st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0]),
     st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, width=32),
 )
+
+# The shipped kernel blocking, or tiny blocks and cell budgets, so that
+# a few dozen points cross many Pareto blocks and dominance row blocks.
+kernel_blocking = st.tuples(
+    st.one_of(st.just(pareto.BLOCK), st.integers(1, 9)),
+    st.one_of(st.just(pareto.CELL_BUDGET), st.integers(1, 40)),
+)
+
+
+@contextlib.contextmanager
+def blocking(sizes: tuple[int, int]):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pareto, "BLOCK", sizes[0])
+        patch.setattr(pareto, "CELL_BUDGET", sizes[1])
+        yield
 
 
 def mixed_points(dims: int, max_size: int = 60):
@@ -63,25 +84,27 @@ def as_matrix(dims: int, points: list) -> np.ndarray:
     return np.asarray(points, dtype=np.float64).reshape(len(points), dims)
 
 
-@given(st.integers(2, 5).flatmap(mixed_points))
+@given(st.integers(2, 5).flatmap(mixed_points), kernel_blocking)
 @settings(max_examples=120, deadline=None)
-def test_pareto_mask_matches_naive_skyline(case):
+def test_pareto_mask_matches_naive_skyline(case, sizes):
     dims, points = case
-    mask = pareto_mask(as_matrix(dims, points))
+    with blocking(sizes):
+        mask = pareto_mask(as_matrix(dims, points))
     expected = naive_skyline(list(enumerate(points)))
     assert set(np.nonzero(mask)[0]) == set(expected)
 
 
 @given(st.integers(2, 4).flatmap(lambda d: st.tuples(
     mixed_points(d, max_size=25), mixed_points(d, max_size=25),
-)))
+)), kernel_blocking)
 @settings(max_examples=100, deadline=None)
-def test_dominated_mask_matches_scalar_dominates(pair):
+def test_dominated_mask_matches_scalar_dominates(pair, sizes):
     (dims, points), (_, dominators) = pair
     p = as_matrix(dims, points)
     w = as_matrix(dims, dominators)
-    mask = dominated_mask(p, w)
-    witness = dominator_index(p, w)
+    with blocking(sizes):
+        mask = dominated_mask(p, w)
+        witness = dominator_index(p, w)
     for i, point in enumerate(points):
         expected = any(dominates(d, point) for d in dominators)
         assert mask[i] == expected
@@ -130,24 +153,71 @@ class _Ctx:
         self.mem = MemoryTracker()
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_incremental_removal_matches_recompute(seed):
-    functions, objects = random_instance(4, 120, 3, seed=seed, tie_heavy=seed % 2 == 0)
-    maintenance = VectorizedSkylineMaintenance(
-        _Ctx(objects), ColumnarInstance(functions, CatalogueColumns(objects))
-    )
-    skyline = maintenance.compute_initial()
-    alive = dict(enumerate(objects.points))
-    assert skyline == naive_skyline(list(alive.items()))
+def removal_catalogue(seed: int) -> ObjectSet:
+    if seed < 5:
+        return random_instance(4, 120, 3, seed=seed, tie_heavy=seed % 2 == 0)[1]
+    # 600 rows, more than one Pareto block: mixed signs, tied
+    # coordinates, and a quarter of the rows duplicate others.
     rng = np.random.default_rng(seed)
-    while len(skyline) > 1:
-        members = sorted(skyline)
-        take = int(rng.integers(1, min(3, len(members)) + 1))
-        removed = list(rng.choice(members, size=take, replace=False))
-        skyline = maintenance.remove([int(o) for o in removed])
+    rows = rng.uniform(-1.0, 1.0, (450, 3)).round(2)
+    rows = np.concatenate([rows, rows[rng.integers(0, 450, 150)]])
+    rng.shuffle(rows)
+    return ObjectSet([tuple(row) for row in rows.tolist()])
+
+
+def assert_references_hold(core: MaskSkyline) -> None:
+    """Each alive non-member's ``ref`` is a member (hence alive) that
+    dominates it; members and dead rows carry ``-1``, which the orphan
+    lookup of :meth:`MaskSkyline.remove` relies on."""
+    assert (core.ref[core.sky_mask | ~core.alive] == -1).all()
+    rows = np.nonzero(core.alive & ~core.sky_mask)[0]
+    refs = core.ref[rows]
+    assert (refs >= 0).all() and core.sky_mask[refs].all()
+    for row, ref in zip(rows, refs):
+        assert dominates(core.points[ref], core.points[row])
+
+
+@pytest.mark.parametrize(
+    "seed,path",
+    [pytest.param(seed, "engine", id=str(seed)) for seed in range(6)]
+    + [pytest.param(seed, "churn", id=f"churn-{seed}") for seed in range(6)],
+)
+def test_incremental_removal_matches_recompute(seed, path):
+    objects = removal_catalogue(seed)
+    if path == "engine":
+        # The static solves' adapter over the catalogue's initial pass.
+        maintenance = VectorizedSkylineMaintenance(
+            _Ctx(objects),
+            ColumnarInstance(FunctionSet([(0.5, 0.5, 0.0)]), CatalogueColumns(objects)),
+        )
+        maintenance.compute_initial()
+        core = maintenance._computed()
+        remove = maintenance.remove
+    else:
+        # The churn kernel's own use: a fresh pass, then bare removals.
+        core = MaskSkyline(np.asarray(objects.points, dtype=np.float64))
+        core.compute_initial()
+
+        def remove(rows):
+            core.remove(np.asarray(rows, dtype=np.intp))
+
+    alive = dict(enumerate(objects.points))
+    rng = np.random.default_rng(seed)
+    while True:
+        expected = naive_skyline(list(alive.items()))
+        members = core.sky_indices()
+        assert set(members.tolist()) == set(expected)
+        if path == "engine":
+            assert maintenance.skyline == expected
+        assert_references_hold(core)
+        if members.size <= 1:
+            break
+        most = min(members.size, max(3, members.size // 4))
+        take = int(rng.integers(1, most + 1))
+        removed = [int(o) for o in rng.choice(members, size=take, replace=False)]
+        remove(removed)
         for oid in removed:
-            del alive[int(oid)]
-        assert skyline == naive_skyline(list(alive.items()))
+            del alive[oid]
 
 
 def test_remove_nonmember_raises():
@@ -188,11 +258,18 @@ def run_signature(functions, objects, method):
     )
 
 
+#: (|F|, |O|, family) per twin case.  The last one's catalogue spans
+#: several Pareto blocks, so the interpreted maintenance algorithms
+#: check the block-vectorized passes.
+TWIN_CASES = [(11, 40, family) for family in range(len(FAMILIES))] + [(24, 600, 4)]
+
+
 @pytest.mark.parametrize("scalar,vectorized", TWINS)
-@pytest.mark.parametrize("family", range(len(FAMILIES)))
-def test_vectorized_twin_is_pair_identical(scalar, vectorized, family):
+@pytest.mark.parametrize("case", range(len(TWIN_CASES)))
+def test_vectorized_twin_is_pair_identical(scalar, vectorized, case):
+    nf, no, family = TWIN_CASES[case]
     functions, objects = random_instance(
-        11, 40, 3, seed=family * 7 + 1, **FAMILIES[family]
+        nf, no, 3, seed=case * 7 + 1, **FAMILIES[family]
     )
     assert run_signature(functions, objects, scalar) == run_signature(
         functions, objects, vectorized
