@@ -8,7 +8,8 @@ Three layers of coverage:
   :func:`~repro.kernels.pareto.dominator_index` against
   :func:`repro.skyline.reference.naive_skyline` /
   :func:`repro.rtree.geometry.dominates` on mixed-sign coordinates,
-  exact float ties and duplicate points;
+  exact float ties and duplicate points, at the shipped block sizes and
+  at tiny ones that cross many blocks;
 - **bit-identity against the interpreted twins** — ``sb-vec`` must
   reproduce ``sb`` (and ``sb-deltasky-vec`` must reproduce
   ``sb-deltasky``) pair for pair: same (fid, oid, score, units)
