@@ -21,7 +21,7 @@ Three layers of coverage:
 
 from __future__ import annotations
 
-import contextlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -61,18 +61,10 @@ mixed_coord = st.one_of(
 
 # The shipped kernel blocking, or tiny blocks and cell budgets, so that
 # a few dozen points cross many Pareto blocks and dominance row blocks.
-kernel_blocking = st.tuples(
-    st.one_of(st.just(pareto.BLOCK), st.integers(1, 9)),
-    st.one_of(st.just(pareto.CELL_BUDGET), st.integers(1, 40)),
-)
-
-
-@contextlib.contextmanager
-def blocking(sizes: tuple[int, int]):
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(pareto, "BLOCK", sizes[0])
-        patch.setattr(pareto, "CELL_BUDGET", sizes[1])
-        yield
+kernel_blocking = st.fixed_dictionaries({
+    "BLOCK": st.one_of(st.just(pareto.BLOCK), st.integers(1, 9)),
+    "CELL_BUDGET": st.one_of(st.just(pareto.CELL_BUDGET), st.integers(1, 40)),
+})
 
 
 def mixed_points(dims: int, max_size: int = 60):
@@ -87,9 +79,9 @@ def as_matrix(dims: int, points: list) -> np.ndarray:
 
 @given(st.integers(2, 5).flatmap(mixed_points), kernel_blocking)
 @settings(max_examples=120, deadline=None)
-def test_pareto_mask_matches_naive_skyline(case, sizes):
+def test_pareto_mask_matches_naive_skyline(case, blocking):
     dims, points = case
-    with blocking(sizes):
+    with mock.patch.multiple(pareto, **blocking):
         mask = pareto_mask(as_matrix(dims, points))
     expected = naive_skyline(list(enumerate(points)))
     assert set(np.nonzero(mask)[0]) == set(expected)
@@ -99,11 +91,11 @@ def test_pareto_mask_matches_naive_skyline(case, sizes):
     mixed_points(d, max_size=25), mixed_points(d, max_size=25),
 )), kernel_blocking)
 @settings(max_examples=100, deadline=None)
-def test_dominated_mask_matches_scalar_dominates(pair, sizes):
+def test_dominated_mask_matches_scalar_dominates(pair, blocking):
     (dims, points), (_, dominators) = pair
     p = as_matrix(dims, points)
     w = as_matrix(dims, dominators)
-    with blocking(sizes):
+    with mock.patch.multiple(pareto, **blocking):
         mask = dominated_mask(p, w)
         witness = dominator_index(p, w)
     for i, point in enumerate(points):
