@@ -19,16 +19,10 @@ identical.  Results land in the ``BENCH_engine.json`` perf trajectory
 (row ``pr10_churn``; the vectorized/naive events-per-second ratio is
 the headline).
 
-``--calibrate`` instead measures per-event seconds for both
-incremental backends over a shape grid and prints fitted
-``dynamic-interp`` / ``dynamic-vec`` power-law rows for
-``repro.planner.calibration`` (the ``plan_churn`` cost models).
-
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_churn.py
     PYTHONPATH=src python benchmarks/bench_churn.py --smoke
-    PYTHONPATH=src python benchmarks/bench_churn.py --calibrate
 """
 
 from __future__ import annotations
@@ -48,7 +42,6 @@ from repro.api.events import (
 )
 from repro.core.dynamic import DynamicStableMatching
 from repro.data.generators import churn_stream, make_functions, make_objects
-from repro.planner import fit_power_law, profile_instance
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 
@@ -165,40 +158,6 @@ def run(args) -> dict:
     }
 
 
-#: Calibration grid: (nf, no, dims) shapes straddling the crossover
-#: between the interpreted and columnar backends.
-CALIBRATION_GRID = [
-    (5, 40, 2),
-    (5, 40, 4),
-    (10, 100, 3),
-    (20, 150, 2),
-    (20, 400, 4),
-    (40, 300, 3),
-    (60, 600, 2),
-    (60, 600, 4),
-    (100, 1000, 3),
-    (150, 1500, 3),
-]
-
-
-def calibrate(events_per_cell: int) -> None:
-    samples: dict[str, list] = {"dynamic-interp": [], "dynamic-vec": []}
-    for nf, no, dims in CALIBRATION_GRID:
-        functions = make_functions(nf, dims, seed=2)
-        objects = make_objects(no, dims, "anti-correlated", seed=3)
-        profile = profile_instance(functions, objects)
-        events = list(churn_stream(events_per_cell, functions, objects, seed=4))
-        for key, backend in (("dynamic-interp", "interp"), ("dynamic-vec", "vec")):
-            elapsed = time_incremental(functions, objects, events, backend)
-            per_event = elapsed / len(events)
-            samples[key].append((profile, per_event))
-            print(f"{nf}x{no} d={dims} {backend}: {per_event * 1e6:.1f} us/event")
-    for key, rows in samples.items():
-        coeffs = fit_power_law(rows)
-        body = ",\n        ".join(f"{c:.6f}" for c in coeffs)
-        print(f'    "{key}": (\n        {body},\n    ),')
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--label", default=None, help="BENCH_engine.json row name")
@@ -213,15 +172,7 @@ def main() -> None:
         "--smoke", action="store_true",
         help="tiny CI shape; labeled pr10_churn_smoke, result not persisted",
     )
-    parser.add_argument(
-        "--calibrate", action="store_true",
-        help="fit dynamic-interp/dynamic-vec planner cost rows instead",
-    )
     args = parser.parse_args()
-
-    if args.calibrate:
-        calibrate(max(20, args.events // 4))
-        return
 
     if args.smoke:
         args.nf, args.no_, args.events = 20, 150, 40

@@ -1,42 +1,56 @@
-"""Planner quality benchmark: pick accuracy, regret, overhead.
+"""Regret of the ``method="auto"`` rule against the fastest candidate.
 
-Sweeps a grid of generated instance *shapes* (cardinality ratio,
-dimensionality, distribution, capacity skew, priorities), measures
-every plannable config on every cell, and scores the planner's
-``method="auto"`` pick against the exhaustive per-cell best:
+``auto`` always runs ``sb-vec``.  For every grid cell this script
+times ``auto`` and each candidate config on a warm index (the tree
+loaded and the catalogue's columnar state built before any timed run),
+keeps the best of ``--repeats`` runs per method, and reports
 
-- **regret** — ``(t_pick - t_best) / t_best`` per cell (0 when the
-  planner picks the measured winner);
-- **pick accuracy** — fraction of cells where it does;
-- **planning overhead** — planner wall time as a fraction of the
-  picked config's solve time (must stay well under 1%).
+- **regret** — ``(t_auto - t_best) / t_best``, where ``t_best`` is the
+  fastest candidate's time (``sb-vec`` is a candidate, so the regret
+  of a cell it wins is the run-to-run noise between two timings of
+  the same code);
+- **summed regret** — total ``auto`` time over total per-cell-best
+  time, minus one, per grid.
 
-Results append to ``BENCH_planner.json`` next to this script under
-``--label``.  Two extra modes:
+Two grids:
 
-- ``--calibrate`` fits the per-config power-law coefficients from the
-  measured grid and prints a ready-to-paste
-  ``repro/planner/calibration.py`` table (it does not edit the file);
-- ``--smoke`` shrinks the grid to a two-cell sanity sweep for CI.
+- ``BASE_GRID`` — the paper's axes (|F|/|O| ratio, dimensionality,
+  distribution, clustering, capacities, priorities) at the
+  ``REPRO_BENCH_SCALE`` size; the candidates are every registry
+  method except ``brute-force`` (quadratic) and ``sb-alt`` (a
+  different storage model);
+- ``SERVED_GRID`` — the shapes the service solves: |F| 1, 4, 16, 64
+  and 256 over one catalogue of 2048 and one of 8192 anti-correlated
+  3-d objects, each cohort plain and with priorities and capacities
+  1–3; the candidates are ``chain``, ``sb-vec`` and
+  ``sb-deltasky-vec``.  The interpreted SB variants were never the
+  fastest on the base grid and take seconds per cell here.
+
+Results append to ``BENCH_planner.json`` under ``--label``;
+``--smoke`` runs one cell of each grid at a tiny size and persists
+nothing.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_planner.py --label pr5_planner
-    PYTHONPATH=src python benchmarks/bench_planner.py --calibrate
+    PYTHONPATH=src python benchmarks/bench_planner.py --label pr22_rule
+    PYTHONPATH=src python benchmarks/bench_planner.py --smoke
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import statistics
-import time
 from pathlib import Path
+
+import numpy as np
 
 from repro.bench.config import _SCALES, current_scale
 from repro.bench.harness import clear_caches, make_instance, run_cell
-from repro.planner import REGISTRY, fit_power_law, plan_instance, profile_instance
+from repro.data.generators import make_functions, make_objects
+from repro.planner import AUTO_METHOD, AUTO_PLAN, REGISTRY
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_planner.json"
 
@@ -66,110 +80,107 @@ BASE_GRID: tuple[dict, ...] = (
     ),
 )
 
-SMOKE_GRID: tuple[dict, ...] = (
-    dict(nf=10, no=120, dims=3, distribution="anti-correlated"),
-    dict(nf=20, no=80, dims=2, distribution="independent"),
+SERVED_GRID: tuple[dict, ...] = tuple(
+    dict(nf=nf, no=no, weighted=weighted)
+    for no in (2048, 8192)
+    for nf in (1, 4, 16, 64, 256)
+    for weighted in (False, True)
 )
 
+SMOKE_BASE: tuple[dict, ...] = (
+    dict(nf=10, no=120, dims=3, distribution="anti-correlated"),
+)
+SMOKE_SERVED: tuple[dict, ...] = (dict(nf=4, no=256, weighted=True),)
 
-def scaled_grid(smoke: bool) -> list[dict]:
-    if smoke:
-        return [dict(shape) for shape in SMOKE_GRID]
-    factor = _SCALES["small"] // _SCALES[current_scale()]
-    out = []
-    for shape in BASE_GRID:
-        scaled = dict(shape)
-        scaled["nf"] *= factor
-        scaled["no"] *= factor
-        out.append(scaled)
-    return out
+#: Candidates on the paper's axes, and on the served shapes.
+BASE_CANDIDATES = tuple(
+    name for name in REGISTRY.names() if name not in ("brute-force", "sb-alt")
+)
+SERVED_CANDIDATES = ("chain", "sb-vec", "sb-deltasky-vec")
 
 
-def measure_grid(grid: list[dict], repeats: int) -> list[dict]:
-    """Measure every plannable config on every grid cell."""
-    methods = [spec.name for spec in REGISTRY.plannable()]
+def base_instance(shape: dict):
+    return make_instance(seed=17, **shape)
+
+
+_catalogues: dict = {}
+
+
+def served_instance(shape: dict):
+    """One shared catalogue per size (as the service reuses its
+    catalogues); a cohort of ``nf`` functions over it, with priorities
+    and capacities drawn from 1–3 when ``weighted``."""
+    no, nf = shape["no"], shape["nf"]
+    objects = _catalogues.get(no)
+    if objects is None:
+        objects = _catalogues[no] = make_objects(no, 3, "anti-correlated", seed=17)
+    gammas = capacities = None
+    if shape["weighted"]:
+        rng = np.random.default_rng([17, nf])
+        gammas = [float(g) for g in rng.integers(1, 4, nf)]
+        capacities = [int(c) for c in rng.integers(1, 4, nf)]
+    functions = make_functions(
+        nf, 3, seed=19 + nf, gammas=gammas, capacities=capacities
+    )
+    return functions, objects
+
+
+def measure(grid: str, shapes, candidates, instance, repeats: int) -> list[dict]:
     rows = []
-    # One throwaway plan call warms the planner's one-time costs
-    # (model memoization, first-touch numpy kernels) so per-cell
-    # overhead reflects the steady state a live server runs in.
-    warm_functions, warm_objects = make_instance(seed=17, **grid[0])
-    plan_instance(warm_functions, warm_objects)
-    for shape in grid:
-        functions, objects = make_instance(seed=17, **shape)
-        profile = profile_instance(functions, objects)
+    for shape in shapes:
+        functions, objects = instance(shape)
+        # Warm the index: the harness loads the tree when it first
+        # indexes a catalogue; one untimed columnar solve builds the
+        # catalogue's columnar state.
+        run_cell(AUTO_PLAN.method, functions, objects)
         timings: dict[str, float] = {}
-        for method in methods:
-            cells = [
-                run_cell(method, functions, objects, params=shape)
+        for method in (*candidates, AUTO_METHOD):
+            timings[method] = min(
+                run_cell(method, functions, objects).cpu_seconds
                 for _ in range(repeats)
-            ]
-            timings[method] = min(c.cpu_seconds for c in cells)
-        # Steady-state planning cost: nothing is memoized across these
-        # calls (each one runs a full profile + scoring pass); the min
-        # of three mirrors how a warm server plans.
-        planning_seconds = float("inf")
-        for _ in range(3):
-            plan_start = time.perf_counter()
-            plan = plan_instance(functions, objects)
-            planning_seconds = min(
-                planning_seconds, time.perf_counter() - plan_start
             )
-        best = min(timings, key=lambda m: (timings[m], m))
-        picked_seconds = timings[plan.method]
+        best = min(candidates, key=lambda m: (timings[m], m))
+        regret = (timings[AUTO_METHOD] - timings[best]) / timings[best]
         rows.append(
             {
+                "grid": grid,
                 "shape": shape,
-                "profile": profile.to_dict(),
                 "timings": timings,
                 "best_method": best,
-                "picked_method": plan.method,
-                "picked_correctly": plan.method == best,
-                "regret": (picked_seconds - timings[best]) / timings[best],
-                "planning_seconds": planning_seconds,
-                "planning_overhead_fraction": planning_seconds / picked_seconds,
-                "estimated_seconds": plan.estimated_seconds,
+                "regret": regret,
             }
         )
+        label = " ".join(f"{k}={v}" for k, v in shape.items())
         print(
-            f"  {shape.get('distribution', '?'):<16} |F|={shape['nf']:<5} "
-            f"|O|={shape['no']:<6} dims={shape['dims']} -> "
-            f"pick {plan.method:<16} best {best:<16} "
-            f"regret {rows[-1]['regret']:6.1%} "
-            f"overhead {rows[-1]['planning_overhead_fraction']:.3%}"
+            f"  {grid:<6} {label:<58} best {best:<16} "
+            f"{timings[best] * 1e3:9.2f} ms  auto "
+            f"{timings[AUTO_METHOD] * 1e3:9.2f} ms  regret {regret:+7.1%}"
         )
     return rows
 
 
 def summarize(rows: list[dict]) -> dict:
     regrets = [r["regret"] for r in rows]
-    overheads = [r["planning_overhead_fraction"] for r in rows]
+    auto = sum(r["timings"][AUTO_METHOD] for r in rows)
+    best = sum(r["timings"][r["best_method"]] for r in rows)
+    wins: dict[str, int] = {}
+    for r in rows:
+        wins[r["best_method"]] = wins.get(r["best_method"], 0) + 1
     return {
         "cells": len(rows),
-        "pick_accuracy": sum(r["picked_correctly"] for r in rows) / len(rows),
         "median_regret": statistics.median(regrets),
         "max_regret": max(regrets),
-        "median_planning_overhead_fraction": statistics.median(overheads),
-        "max_planning_overhead_fraction": max(overheads),
+        "summed_regret": auto / best - 1.0,
+        "best_method_counts": dict(sorted(wins.items())),
     }
 
 
-def print_calibration(rows: list[dict]) -> None:
-    """Fit per-method coefficients and print a calibration table."""
-    from repro.planner import InstanceProfile
-
-    stamp = time.strftime("%Y-%m-%d")
-    print("\n# Paste into src/repro/planner/calibration.py:")
-    print(f'CALIBRATION_VERSION = "{stamp}"')
-    print("CALIBRATION: dict[str, tuple[float, ...]] = {")
-    for spec in REGISTRY.plannable():
-        samples = [
-            (InstanceProfile.from_dict(r["profile"]), r["timings"][spec.name])
-            for r in rows
-        ]
-        coeffs = fit_power_law(samples)
-        rendered = ", ".join(f"{c:.6f}" for c in coeffs)
-        print(f'    "{spec.name}": ({rendered}),')
-    print("}")
+def scaled_base_grid() -> list[dict]:
+    factor = _SCALES["small"] // _SCALES[current_scale()]
+    return [
+        {**shape, "nf": shape["nf"] * factor, "no": shape["no"] * factor}
+        for shape in BASE_GRID
+    ]
 
 
 def main() -> None:
@@ -178,45 +189,51 @@ def main() -> None:
     parser.add_argument("--repeats", type=int, default=2)
     parser.add_argument(
         "--smoke", action="store_true",
-        help="two-cell sanity grid (CI)",
-    )
-    parser.add_argument(
-        "--calibrate", action="store_true",
-        help="fit and print the cost-model calibration table",
+        help="one tiny cell of each grid (CI)",
     )
     args = parser.parse_args()
-    if args.label is None and not args.calibrate:
-        parser.error("--label is required unless --calibrate is given")
+    if args.label is None and not args.smoke:
+        parser.error("--label is required unless --smoke is given")
 
     clear_caches()
-    grid = scaled_grid(args.smoke)
-    print(f"measuring {len(grid)} cells x "
-          f"{len(REGISTRY.plannable())} plannable configs ...")
-    rows = measure_grid(grid, args.repeats)
+    base = list(SMOKE_BASE) if args.smoke else scaled_base_grid()
+    served = list(SMOKE_SERVED) if args.smoke else list(SERVED_GRID)
+    print(
+        f"auto -> {AUTO_PLAN.method}; {len(base)} base cells x "
+        f"{len(BASE_CANDIDATES)} candidates, {len(served)} served cells x "
+        f"{len(SERVED_CANDIDATES)} candidates, best of {args.repeats}"
+    )
+    rows = measure("base", base, BASE_CANDIDATES, base_instance, args.repeats)
+    rows += measure(
+        "served", served, SERVED_CANDIDATES, served_instance, args.repeats
+    )
 
-    if args.calibrate:
-        print_calibration(rows)
-        return
-
-    summary = summarize(rows)
-    snapshot = {
-        "scale": "smoke" if args.smoke else current_scale(),
-        "repeats": args.repeats,
-        "python": platform.python_version(),
-        "summary": summary,
-        "cells": rows,
+    summary = {
+        grid: summarize([r for r in rows if r["grid"] == grid])
+        for grid in ("base", "served")
     }
+    for grid, s in summary.items():
+        print(
+            f"{grid}: {s['cells']} cells, median regret "
+            f"{s['median_regret']:+.1%}, max {s['max_regret']:+.1%}, "
+            f"summed {s['summed_regret']:+.1%}, best {s['best_method_counts']}"
+        )
+    if args.smoke:
+        return
     results = {}
     if RESULT_PATH.exists():
         results = json.loads(RESULT_PATH.read_text())
-    results[args.label] = snapshot
+    results[args.label] = {
+        "auto": AUTO_PLAN.method,
+        "scale": current_scale(),
+        "repeats": args.repeats,
+        "python": platform.python_version(),
+        "cpu_count": os.cpu_count(),
+        "summary": summary,
+        "cells": rows,
+    }
     RESULT_PATH.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
-    print(
-        f"{args.label}: accuracy {summary['pick_accuracy']:.0%}, "
-        f"median regret {summary['median_regret']:.1%}, "
-        f"median overhead {summary['median_planning_overhead_fraction']:.4%} "
-        f"-> {RESULT_PATH}"
-    )
+    print(f"{args.label} -> {RESULT_PATH}")
 
 
 if __name__ == "__main__":

@@ -9,8 +9,8 @@ REP1xx  lock discipline — guarded attributes accessed off-lock
 REP2xx  determinism — RNG / wall-clock / set-order / id() in the
         bit-identical packages (engine, kernels, skyline, planner,
         rtree)
-REP3xx  registry consistency — calibration, ENGINE_CONFIGS,
-        identity-test coverage, derived dispatch views
+REP3xx  registry consistency — ENGINE_CONFIGS, derived dispatch
+        views
 REP4xx  hot-path & error hygiene — spans/logs on never-traced
         paths, bare/swallowed except, hand-built error envelopes
 ======  ==========================================================

@@ -1,32 +1,25 @@
-"""REP30x — registry ↔ calibration ↔ dispatch consistency.
+"""REP30x — registry ↔ dispatch consistency.
 
 PR 5 made :data:`repro.planner.registry.REGISTRY` the one table every
 layer dispatches from.  These rules keep the satellites that *cannot*
-be derived views — the checked-in calibration table, the engine-config
-map, the identity test's forced-pick list — from drifting away from
-it:
+be derived views from drifting away from it:
 
-- **REP301** — a plannable :class:`SolverSpec` has no calibration row:
-  the planner would cost it with the pessimistic ``DEFAULT_ROW`` and
-  effectively never pick it;
 - **REP302** — registry ↔ ``ENGINE_CONFIGS`` mismatch (an
   engine-backed spec missing from the config map, or a config entry no
   spec claims);
-- **REP303** — a plannable spec is not exercised by the identity
-  test's forced-pick list (a config ``method="auto"`` can emit without
-  a bit-identity guarantee test);
 - **REP304** — ``core.solve``'s ``SOLVERS`` / ``SOLVER_OPTIONS``
   tables are no longer *derived* from the registry (a literal dict
-  re-introduces the pre-PR-5 split-brain);
-- **REP305** — a stale calibration row neither a plannable spec nor a
-  churn backend (``plan_churn``) references; REP301 also fires for a
-  churn backend cost key with no calibrated row.
+  re-introduces the pre-PR-5 split-brain).
+
+REP301, REP303 and REP305 are retired: they checked the planner's
+calibration table and forced-pick list, which the fixed
+``method="auto"`` rule does not have.
 
 The checks run on a :class:`RegistryView` — by default snapshotted
-from the live registry/calibration/config tables (they are canonical;
-re-parsing them from source would just re-implement Python) — while
-the *test* and *derived-view* checks parse source, because what they
-verify is how the code is written, not what it evaluates to.
+from the live registry/config tables (they are canonical; re-parsing
+them from source would just re-implement Python) — while the
+*derived-view* check parses source, because what it verifies is how
+the code is written, not what it evaluates to.
 """
 
 from __future__ import annotations
@@ -37,11 +30,8 @@ from pathlib import Path
 
 from repro.analysis.findings import Finding
 
-RULE_MISSING_CALIBRATION = "REP301"
 RULE_ENGINE_CONFIG_MISMATCH = "REP302"
-RULE_MISSING_FORCED_PICK = "REP303"
 RULE_UNDERIVED_VIEW = "REP304"
-RULE_STALE_CALIBRATION = "REP305"
 
 #: The derived-view names ``repro.core`` must build from the registry.
 DERIVED_VIEWS = ("SOLVERS", "SOLVER_OPTIONS")
@@ -52,21 +42,12 @@ class RegistryView:
     """The cross-checked facts, decoupled from the live modules so
     tests can seed inconsistent views."""
 
-    #: ``{spec name: cost key}`` of plannable specs.
-    plannable: dict[str, str]
     #: Names of engine-backed specs (``config_factory`` present).
     engine_backed: frozenset[str]
     #: Keys of ``ENGINE_CONFIGS``.
     engine_configs: frozenset[str]
-    #: Keys of the checked-in ``CALIBRATION`` table.
-    calibration: frozenset[str]
-    #: Cost keys of the churn backends (``plan_churn`` candidates) —
-    #: calibrated rows that intentionally match no registry spec.
-    churn_cost_keys: frozenset[str] = frozenset()
     #: Source anchors (findings point at the drifted artifact).
-    calibration_path: str = "src/repro/planner/calibration.py"
     configs_path: str = "src/repro/engine/configs.py"
-    identity_test_path: str = "tests/test_planner_identity.py"
     core_init_path: str = "src/repro/core/__init__.py"
     root: Path = field(default_factory=Path)
 
@@ -74,16 +55,11 @@ class RegistryView:
     def live(cls, root: Path) -> "RegistryView":
         """Snapshot the real tables (imports the repro package)."""
         from repro.engine.configs import ENGINE_CONFIGS
-        from repro.planner.calibration import CALIBRATION
-        from repro.planner.plan import CHURN_COST_KEYS
         from repro.planner.registry import REGISTRY
 
         return cls(
-            plannable={s.name: s.cost_key for s in REGISTRY.plannable()},
             engine_backed=frozenset(s.name for s in REGISTRY if s.engine_backed),
             engine_configs=frozenset(ENGINE_CONFIGS),
-            calibration=frozenset(CALIBRATION),
-            churn_cost_keys=frozenset(CHURN_COST_KEYS.values()),
             root=root,
         )
 
@@ -105,34 +81,6 @@ def _anchor(root: Path, rel_path: str, symbol: str) -> int:
             if isinstance(target, ast.Name) and target.id == symbol:
                 return node.lineno
     return 1
-
-
-def _forced_pick_names(root: Path, rel_path: str) -> tuple[bool, set[str]]:
-    """``(derived_from_registry, literal names)`` for the identity test.
-
-    A test that computes its pick list via ``REGISTRY.plannable()``
-    covers every plannable spec by construction.  Otherwise the string
-    literals in the file are the candidate names to check against.
-    """
-    try:
-        source = (root / rel_path).read_text(encoding="utf-8")
-        tree = ast.parse(source)
-    except (OSError, SyntaxError):
-        return False, set()
-    literals: set[str] = set()
-    derived = False
-    for node in ast.walk(tree):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "plannable"
-            and isinstance(node.func.value, ast.Name)
-            and node.func.value.id == "REGISTRY"
-        ):
-            derived = True
-        if isinstance(node, ast.Constant) and isinstance(node.value, str):
-            literals.add(node.value)
-    return derived, literals
 
 
 def _underived_views(root: Path, rel_path: str) -> list[tuple[str, int]]:
@@ -167,54 +115,6 @@ def check_registry(view: RegistryView) -> list[Finding]:
     findings: list[Finding] = []
     root = view.root
 
-    calibration_line = _anchor(root, view.calibration_path, "CALIBRATION")
-    for name, cost_key in sorted(view.plannable.items()):
-        if cost_key not in view.calibration:
-            findings.append(
-                Finding(
-                    rule=RULE_MISSING_CALIBRATION,
-                    path=view.calibration_path,
-                    line=calibration_line,
-                    scope="CALIBRATION",
-                    message=(
-                        f"plannable solver '{name}' has no calibration row "
-                        f"for cost key '{cost_key}': the planner would fall "
-                        "back to the pessimistic DEFAULT_ROW and never pick "
-                        "it — refit with bench_planner.py --calibrate"
-                    ),
-                )
-            )
-    for cost_key in sorted(view.churn_cost_keys - view.calibration):
-        findings.append(
-            Finding(
-                rule=RULE_MISSING_CALIBRATION,
-                path=view.calibration_path,
-                line=calibration_line,
-                scope="CALIBRATION",
-                message=(
-                    f"churn backend cost key '{cost_key}' has no calibration "
-                    "row: plan_churn would rank it by the pessimistic "
-                    "DEFAULT_ROW — refit with bench_churn.py --calibrate"
-                ),
-            )
-        )
-    referenced = set(view.plannable.values()) | view.churn_cost_keys
-    for cost_key in sorted(view.calibration - referenced):
-        findings.append(
-            Finding(
-                rule=RULE_STALE_CALIBRATION,
-                path=view.calibration_path,
-                line=calibration_line,
-                scope="CALIBRATION",
-                severity="warning",
-                message=(
-                    f"calibration row '{cost_key}' matches no plannable "
-                    "spec's cost key (nor a churn backend's): stale row "
-                    "from a removed or renamed solver"
-                ),
-            )
-        )
-
     configs_line = _anchor(root, view.configs_path, "ENGINE_CONFIGS")
     for name in sorted(view.engine_backed - view.engine_configs):
         findings.append(
@@ -245,25 +145,6 @@ def check_registry(view: RegistryView) -> list[Finding]:
             )
         )
 
-    derived, literals = _forced_pick_names(root, view.identity_test_path)
-    if not derived:
-        missing = sorted(set(view.plannable) - literals)
-        for name in missing:
-            findings.append(
-                Finding(
-                    rule=RULE_MISSING_FORCED_PICK,
-                    path=view.identity_test_path,
-                    line=1,
-                    scope="<module>",
-                    message=(
-                        f"plannable solver '{name}' is not in the identity "
-                        "test's forced-pick list: method='auto' can emit a "
-                        "config with no bit-identity guarantee test (derive "
-                        "the list from REGISTRY.plannable())"
-                    ),
-                )
-            )
-
     for name, line in _underived_views(root, view.core_init_path):
         findings.append(
             Finding(
@@ -284,9 +165,6 @@ def check_registry(view: RegistryView) -> list[Finding]:
 __all__ = [
     "DERIVED_VIEWS",
     "RULE_ENGINE_CONFIG_MISMATCH",
-    "RULE_MISSING_CALIBRATION",
-    "RULE_MISSING_FORCED_PICK",
-    "RULE_STALE_CALIBRATION",
     "RULE_UNDERIVED_VIEW",
     "RegistryView",
     "check_registry",

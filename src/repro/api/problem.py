@@ -46,7 +46,7 @@ from repro.api.serde import (
 from repro.core import validate_solver_options
 from repro.data.instances import FunctionSet, ObjectSet, Point, object_set_fingerprint
 from repro.errors import InvalidProblemError, SerdeError, UnknownCatalogueError
-from repro.planner import AUTO_METHOD, Plan, explicit_plan, plan_instance
+from repro.planner import AUTO_METHOD, AUTO_PLAN, Plan, explicit_plan
 
 _OPTION_TYPES = (bool, int, float, str, type(None))
 
@@ -561,17 +561,14 @@ class Problem:
     def plan(self) -> Plan:
         """The planner's decision for this problem (memoized).
 
-        For ``method="auto"`` this profiles the instance and scores
-        every plannable registry config; for an explicit method it is
-        the trivial plan (``explain()`` works either way).  The
-        decision is a pure, deterministic function of the instance, so
-        memoizing it on this immutable value object makes "resolve
-        once per solve key" hold everywhere the problem travels.
+        For ``method="auto"`` this is :data:`~repro.planner.AUTO_PLAN`
+        (``sb-vec``, whatever the instance); for an explicit method it
+        is the trivial plan (``explain()`` works either way).
         """
         cached = self.__dict__.get("_plan")
         if cached is None:
             if self.method == AUTO_METHOD:
-                cached = plan_instance(self.function_set, self.object_set)
+                cached = AUTO_PLAN
             else:
                 cached = explicit_plan(self.method, dict(self.options))
             self.__dict__["_plan"] = cached
@@ -580,11 +577,11 @@ class Problem:
     @property
     def resolved_method(self) -> str:
         """The concrete method a solve will run: ``method`` itself, or
-        the planner's pick when ``method="auto"``."""
+        ``sb-vec`` when ``method="auto"``."""
         return self.plan().method
 
     def explain(self) -> str:
-        """Human-readable transcript of :meth:`plan`."""
+        """One line saying which method runs and why (:meth:`plan`)."""
         return self.plan().explain()
 
     def solve_key(self) -> tuple[str, str, str]:

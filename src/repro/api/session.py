@@ -3,7 +3,8 @@
 A session binds one base :class:`~repro.api.problem.Problem` to the
 service machinery: the instance-hash
 :class:`~repro.service.batch.ObjectIndexCache` (so the catalogue's
-R-tree is built once and shared across every solve), a
+R-tree and columnar state are built at most once, on first use, and
+shared across every solve), a
 :class:`~repro.service.batch.BatchSolver` thread pool for
 :meth:`solve_many`, a persistent thread pool for :meth:`submit`
 futures, and a :class:`~repro.core.dynamic.DynamicStableMatching` behind
@@ -31,10 +32,10 @@ from repro.core.dynamic import CHURN_BACKENDS, DynamicStableMatching
 from repro.core.types import RunStats
 from repro.core.validate import assert_stable
 from repro.data.instances import FunctionSet, ObjectSet
-from repro.errors import InvalidProblemError, SessionClosedError
+from repro.errors import InvalidProblemError, SessionClosedError, UnknownSolverError
 from repro.obs.trace import span
 from repro.planner import AUTO_METHOD as _AUTO
-from repro.planner import CHURN_COST_KEYS, Plan, explicit_plan, plan_churn
+from repro.planner import Plan
 from repro.service.batch import BatchSolver, SolveJob
 
 _DYNAMIC_METHOD = "dynamic"
@@ -61,12 +62,11 @@ class AssignmentSession:
     index cache (``None`` = the ``ThreadPoolExecutor`` default).
 
     ``churn_backend`` selects the suffix-rematch engine behind
-    ``apply``: ``"interp"``, ``"vec"`` (columnar kernels), or
-    ``"auto"`` (default — the planner's churn cost models pick from
-    the seed population's profile; see
-    :func:`~repro.planner.plan_churn`).  Both backends maintain
-    byte-identical matchings; cumulative cost counters are exposed by
-    :meth:`churn_info` and on each snapshot's ``stats``.
+    ``apply``: ``"interp"`` (the interpreted reference), ``"vec"``
+    (columnar kernels), or ``"auto"`` (default), which runs ``"vec"``.
+    Both backends maintain byte-identical matchings; cumulative cost
+    counters are exposed by :meth:`churn_info` and on each snapshot's
+    ``stats``.
     """
 
     def __init__(
@@ -78,13 +78,11 @@ class AssignmentSession:
         churn_backend: str = _AUTO,
     ):
         if churn_backend != _AUTO and churn_backend not in CHURN_BACKENDS:
-            raise ValueError(
-                f"unknown churn backend {churn_backend!r}; expected "
-                f"{_AUTO!r} or one of {CHURN_BACKENDS}"
+            raise UnknownSolverError(
+                churn_backend, (_AUTO, *CHURN_BACKENDS), kind="churn backend"
             )
         self._problem = problem
         self._churn_backend = churn_backend
-        self._churn_plan: Plan | None = None
         self._batch = BatchSolver(
             max_workers=max_workers,
             index_cache_size=index_cache_size,
@@ -147,26 +145,14 @@ class AssignmentSession:
             memory_index=problem.memory_index,
             buffer_fraction=problem.buffer_fraction,
             solve_kwargs=dict(problem.options),
-            # For method="auto": the plan memoized on the immutable
-            # Problem, so one solve key plans exactly once no matter
-            # how many jobs it spawns.
-            plan=problem.plan() if problem.method == _AUTO else None,
         )
-
-    def warm(self) -> "AssignmentSession":
-        """Pre-build (and cache) the base problem's object index."""
-        self._check_open()
-        job = self._job_for(self._problem)
-        self._batch.cache.get(job.objects, job.page_size, job.wants_memory_index)
-        return self
 
     def solve(self, problem: Problem | None = None) -> Solution:
         """Solve the base problem (or an override) synchronously.
 
         The returned :attr:`Solution.method` is the *resolved* method
-        that ran — for ``method="auto"`` problems the planner's pick,
-        with the :class:`~repro.planner.Plan` attached as
-        :attr:`Solution.plan`.
+        that ran — ``sb-vec`` for ``method="auto"`` problems, with the
+        :class:`~repro.planner.Plan` attached as :attr:`Solution.plan`.
         """
         self._check_open()
         target = problem if problem is not None else self._problem
@@ -195,13 +181,8 @@ class AssignmentSession:
         ]
 
     def explain(self, problem: Problem | None = None) -> Plan:
-        """The planner's :class:`~repro.planner.Plan` for a problem.
-
-        For ``method="auto"`` this is the full decision artifact
-        (profile, per-candidate estimates, pick); for an explicit
-        method, the trivial plan.  Memoized on the problem — asking
-        before or after :meth:`solve` costs one profile total.
-        """
+        """The planner's :class:`~repro.planner.Plan` for a problem
+        (see :meth:`Problem.plan <repro.api.problem.Problem.plan>`)."""
         self._check_open()
         target = problem if problem is not None else self._problem
         return target.plan()
@@ -227,31 +208,14 @@ class AssignmentSession:
 
     # -- dynamic (churn) solving ---------------------------------------
 
-    def _resolve_churn_plan(self) -> Plan:
-        """The backend decision for this session's churn path.
-
-        ``churn_backend="auto"`` consults the planner's churn cost
-        models against the seed population's profile; an explicit
-        backend produces the trivial plan.  The chosen backend name is
-        in ``options["backend"]``.
-        """
-        if self._churn_backend == _AUTO:
-            return plan_churn(
-                self._problem.function_set, self._problem.object_set
-            )
-        return explicit_plan(
-            CHURN_COST_KEYS[self._churn_backend],
-            {"backend": self._churn_backend},
-        )
-
     def _ensure_dynamic(self) -> DynamicStableMatching:
         if self._dynamic is None:
             problem = self._problem
-            self._churn_plan = self._resolve_churn_plan()
+            backend = self._churn_backend
             self._dynamic = DynamicStableMatching.from_instance(
                 problem.function_set,
                 problem.object_set,
-                backend=self._churn_plan.options_dict()["backend"],
+                backend="vec" if backend == _AUTO else backend,
             )
             for fid, w in enumerate(problem.functions):
                 self._dyn_functions[fid] = (
@@ -274,7 +238,6 @@ class AssignmentSession:
             pairs=tuple(self._dynamic.matching.pairs),
             method=_DYNAMIC_METHOD,
             stats=stats,
-            plan=self._churn_plan,
         )
 
     def current(self) -> Solution:
@@ -299,12 +262,6 @@ class AssignmentSession:
         info = dyn.churn_info()
         info["requested_backend"] = self._churn_backend
         return info
-
-    @property
-    def churn_plan(self) -> Plan | None:
-        """The churn-backend :class:`~repro.planner.Plan` (``None``
-        until the dynamic path is first touched)."""
-        return self._churn_plan
 
     def apply(self, events: Event | Iterable[Event]) -> Solution:
         """Apply churn events and incrementally repair the matching.

@@ -85,16 +85,12 @@ class Solution:
             plan=plan,
         )
 
-    def explain(self, include_actual: bool = True) -> str:
-        """The planner transcript for this solve (estimated vs actual
-        wall time included when run statistics are attached)."""
+    def explain(self) -> str:
+        """One line saying which method ran and why."""
         plan = self.plan
         if plan is None:
             plan = explicit_plan(self.method)
-        actual = None
-        if include_actual and self.stats is not None:
-            actual = self.stats.cpu_seconds
-        return plan.explain(actual_seconds=actual)
+        return plan.explain()
 
     # -- lookups -------------------------------------------------------
 

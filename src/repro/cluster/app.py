@@ -555,10 +555,6 @@ class ReproGateway(HttpService):
             "nodes": sorted({s["node"] for s in spans if s.get("node")}),
             "spans": spans,
         }
-        for record in records:
-            if record.get("plan_explain"):
-                stitched["plan_explain"] = record["plan_explain"]
-                break
         return Response.json(stitched)
 
     # -- lifecycle -----------------------------------------------------

@@ -17,8 +17,8 @@ Public entry points:
 Every solver above (except the oracles and Brute Force) is a thin
 strategy configuration over :class:`repro.engine.AssignmentEngine`;
 ``solve`` also accepts a custom :class:`repro.engine.EngineConfig`,
-and ``method="auto"`` defers the pick to the workload-adaptive
-planner (:mod:`repro.planner`).
+and ``method="auto"`` runs ``sb-vec`` (the planner's fixed rule, see
+:mod:`repro.planner`).
 
 Dispatch knowledge (name → solve callable → option schema → engine
 config factory) lives in one place — the solver registry,
@@ -58,7 +58,7 @@ def validate_solver_options(method: str, options: dict | None) -> None:
     for an unregistered name and
     :class:`~repro.errors.InvalidSolverOptionError` (a ``TypeError``)
     naming the accepted options for an unknown override.  ``"auto"``
-    is accepted (with no options): the planner picks the config.
+    is accepted (with no options): it resolves to ``sb-vec``.
     """
     REGISTRY.validate(method, options)
 
@@ -72,12 +72,12 @@ def solve(
     """Run one of the stable-assignment algorithms.
 
     ``method`` is one of ``sb`` (the paper's algorithm), ``sb-update`` /
-    ``sb-deltasky`` (Figure 8 ablations), ``sb-two-skylines``
+    ``sb-deltasky`` (Figure 8 ablations), ``sb-vec`` /
+    ``sb-deltasky-vec`` (their columnar twins), ``sb-two-skylines``
     (prioritized variant), ``sb-alt`` (disk-resident functions),
-    ``brute-force`` or ``chain`` — or ``"auto"`` to let the
-    workload-adaptive planner pick from the instance profile (see
-    :mod:`repro.planner`; the run is bit-identical to invoking the
-    resolved method directly) — or an
+    ``brute-force`` or ``chain`` — or ``"auto"``, which runs ``sb-vec``
+    (see :mod:`repro.planner`; the run is bit-identical to invoking
+    ``sb-vec`` directly) — or an
     :class:`~repro.engine.engine.EngineConfig` to run a custom
     strategy combination directly on the engine.
     """
@@ -95,11 +95,10 @@ def solve(
         return AssignmentEngine(method).run(functions, index)
     REGISTRY.validate(method, kwargs)
     if method == AUTO_METHOD:
-        from repro.planner.plan import plan_instance
+        from repro.planner.plan import AUTO_PLAN
 
-        plan = plan_instance(functions, index.objects)
-        spec = REGISTRY.get(plan.method)
-        return spec.solve(functions, index, **plan.options_dict())
+        spec = REGISTRY.get(AUTO_PLAN.method)
+        return spec.solve(functions, index, **AUTO_PLAN.options_dict())
     return REGISTRY.get(method).solve(functions, index, **kwargs)
 
 

@@ -7,7 +7,7 @@ configured threshold are additionally pinned in a separate *slow*
 store — the slow-solve log — so a latency spike stays inspectable
 long after ordinary traffic has churned the recent ring.  Slow-trace
 records keep whatever the spans carried, which for solve spans
-includes the planner's ``explain()`` transcript.
+includes the ``resolved_method`` the planner picked.
 
 The pure functions below (:func:`assemble_tree`, :func:`render_tree`)
 work on span *dicts*, so the gateway can stitch its local record with
@@ -52,7 +52,6 @@ class TraceStore:
         root: Span,
         spans: list[Span],
         node: str | None = None,
-        extra: dict | None = None,
     ) -> dict:
         """Store one finished request's span tree; returns the record.
 
@@ -82,8 +81,6 @@ class TraceStore:
             "node": node,
             "spans": [s.to_dict() for s in all_spans],
         }
-        if extra:
-            record.update(extra)
         with self._guard:
             self.recorded_total += 1
             self._recent[root.trace_id] = record
@@ -229,11 +226,6 @@ def render_tree(record: dict) -> str:
     roots = assemble_tree(spans)
     for i, root in enumerate(roots):
         _render_node(root, "", i == len(roots) - 1, lines)
-    explain = record.get("plan_explain")
-    if explain:
-        lines.append("")
-        lines.append("planner transcript:")
-        lines.extend(f"  {line}" for line in str(explain).splitlines())
     return "\n".join(lines)
 
 

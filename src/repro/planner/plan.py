@@ -1,11 +1,15 @@
-"""The :class:`Plan` artifact and the planning entry points.
+"""The :class:`Plan` artifact and the rule that resolves ``auto``.
 
-``plan_instance`` is the planner proper: profile the instance, score
-every ``plannable`` registry config with its calibrated cost model,
-pick the cheapest (ties broken lexicographically by name, so the
-decision is deterministic in every process — the bit-identical
-``auto`` guarantee).  ``explicit_plan`` wraps a caller-chosen method
-in the same artifact so ``explain()`` works uniformly.
+``method="auto"`` resolves by one fixed rule: every ``auto`` solve
+runs ``sb-vec``, the columnar twin of the paper's SB
+(:data:`AUTO_PLAN`).  Timed per op on a warm index, it came within a
+few percent of the fastest of ``chain``, ``sb-vec`` and
+``sb-deltasky-vec`` on every served shape, so ranking candidates
+per instance bought nothing (README, "Adaptive planning").  The rule
+reads nothing of the instance, so every process resolves every
+instance identically — the bit-identical ``auto`` guarantee.
+``explicit_plan`` wraps a caller-chosen method in the same artifact
+so ``explain()`` works uniformly.
 
 A ``Plan`` is a small, picklable, JSON-serializable value: the service
 layer records it per job, the session attaches it to the
@@ -15,30 +19,17 @@ solve envelope and counts its picks in ``/metrics``.
 
 from __future__ import annotations
 
-import time
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
-from repro.data.instances import FunctionSet, ObjectSet
 from repro.errors import SerdeError
-from repro.planner.calibration import CALIBRATION_VERSION
-from repro.planner.cost import cost_model_for
-from repro.planner.profile import InstanceProfile, features, profile_instance
-from repro.planner.registry import AUTO_METHOD, REGISTRY, SolverRegistry
-
-
-@dataclass(frozen=True)
-class PlanCandidate:
-    """One scored registry config."""
-
-    method: str
-    estimated_seconds: float
+from repro.planner.registry import AUTO_METHOD
 
 
 @dataclass(frozen=True)
 class Plan:
-    """The planner's decision for one solve, plus its evidence."""
+    """The method a solve runs, and who chose it."""
 
     #: What the caller asked for: ``"auto"`` or a concrete name.
     requested: str
@@ -46,66 +37,26 @@ class Plan:
     method: str
     #: Solver options of the resolved method (sorted items).
     options: tuple[tuple[str, Any], ...] = ()
-    #: The measured instance shape (``None`` for explicit picks —
-    #: nothing was profiled).
-    profile: InstanceProfile | None = None
-    #: Every scored candidate, cheapest first (empty for explicit).
-    candidates: tuple[PlanCandidate, ...] = ()
-    #: The chosen candidate's estimate (``None`` for explicit picks).
-    estimated_seconds: float | None = None
-    #: Wall time the decision itself cost.
-    planning_seconds: float = 0.0
-    calibration_version: str = field(default=CALIBRATION_VERSION)
 
     @property
     def auto(self) -> bool:
-        """Did the planner (rather than the caller) pick the method?"""
+        """Did the rule (rather than the caller) pick the method?"""
         return self.requested == AUTO_METHOD
 
     def options_dict(self) -> dict[str, Any]:
         return dict(self.options)
 
-    # -- explain -------------------------------------------------------
-
-    def explain(self, actual_seconds: float | None = None) -> str:
-        """A human-readable transcript of the decision."""
-        lines = []
+    def explain(self) -> str:
+        """One line saying which method runs and why."""
         if self.auto:
-            lines.append(
-                f"planner resolved method='auto' -> {self.method!r} "
-                f"(calibration {self.calibration_version}, "
-                f"planning cost {self.planning_seconds * 1e3:.3f} ms)"
+            return (
+                f"planner resolved method='auto' -> {self.method!r} by its "
+                "fixed rule: every auto solve runs the columnar SB"
             )
-        else:
-            lines.append(
-                f"method {self.method!r} was picked explicitly; "
-                "the planner was not consulted"
-            )
-        if self.profile is not None:
-            p = self.profile
-            priority = f" max_priority={p.max_priority:g}" if p.has_priorities else ""
-            lines.append(
-                f"  profile: |F|={p.num_functions} |O|={p.num_objects} "
-                f"dims={p.dims} capacity_ratio={p.capacity_ratio:.3g} "
-                f"correlation={p.object_correlation:+.3f} "
-                f"weight_skew={p.weight_skew:.3f}{priority}"
-            )
-        for i, cand in enumerate(self.candidates):
-            marker = "->" if cand.method == self.method else "  "
-            chosen = "  (chosen)" if i == 0 and self.auto else ""
-            lines.append(
-                f"  {marker} {cand.method:<16} "
-                f"est {cand.estimated_seconds * 1e3:9.3f} ms{chosen}"
-            )
-        if self.estimated_seconds is not None and actual_seconds is not None:
-            err = abs(self.estimated_seconds - actual_seconds)
-            rel = err / actual_seconds if actual_seconds > 0 else float("inf")
-            lines.append(
-                f"  estimated {self.estimated_seconds * 1e3:.3f} ms vs "
-                f"actual {actual_seconds * 1e3:.3f} ms "
-                f"(relative error {rel:.0%})"
-            )
-        return "\n".join(lines)
+        return (
+            f"method {self.method!r} was picked explicitly; "
+            "the planner was not consulted"
+        )
 
     # -- serde ---------------------------------------------------------
 
@@ -114,14 +65,6 @@ class Plan:
             "requested": self.requested,
             "method": self.method,
             "options": dict(self.options),
-            "profile": None if self.profile is None else self.profile.to_dict(),
-            "candidates": [
-                {"method": c.method, "estimated_seconds": c.estimated_seconds}
-                for c in self.candidates
-            ],
-            "estimated_seconds": self.estimated_seconds,
-            "planning_seconds": self.planning_seconds,
-            "calibration_version": self.calibration_version,
         }
 
     @classmethod
@@ -129,64 +72,17 @@ class Plan:
         if not isinstance(payload, Mapping):
             raise SerdeError("plan payload must be a mapping")
         try:
-            profile = payload.get("profile")
             return cls(
                 requested=payload["requested"],
                 method=payload["method"],
                 options=tuple(sorted(dict(payload.get("options") or {}).items())),
-                profile=(
-                    None if profile is None else InstanceProfile.from_dict(profile)
-                ),
-                candidates=tuple(
-                    PlanCandidate(c["method"], float(c["estimated_seconds"]))
-                    for c in payload.get("candidates") or ()
-                ),
-                estimated_seconds=payload.get("estimated_seconds"),
-                planning_seconds=float(payload.get("planning_seconds", 0.0)),
-                calibration_version=payload.get(
-                    "calibration_version", CALIBRATION_VERSION
-                ),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise SerdeError(f"malformed plan payload: {exc}") from exc
 
 
-def plan_instance(
-    functions: FunctionSet,
-    objects: ObjectSet,
-    registry: SolverRegistry = REGISTRY,
-) -> Plan:
-    """Resolve ``method="auto"`` for one instance.
-
-    Deterministic: the profile is stride-sampled (no RNG), the cost
-    models are pure functions of it, and estimate ties break by method
-    name — every process plans the same instance identically.
-    """
-    start = time.perf_counter()
-    profile = profile_instance(functions, objects)
-    x = features(profile)  # shared by every candidate's model
-    candidates = []
-    for spec in registry.plannable():
-        model = cost_model_for(spec.cost_key)
-        candidates.append(
-            PlanCandidate(
-                method=spec.name,
-                estimated_seconds=model.estimate_from_features(x),
-            )
-        )
-    if not candidates:
-        raise ValueError("no plannable configs are registered")
-    candidates.sort(key=lambda c: (c.estimated_seconds, c.method))
-    chosen = candidates[0]
-    return Plan(
-        requested=AUTO_METHOD,
-        method=chosen.method,
-        options=(),
-        profile=profile,
-        candidates=tuple(candidates),
-        estimated_seconds=chosen.estimated_seconds,
-        planning_seconds=time.perf_counter() - start,
-    )
+#: What ``method="auto"`` resolves to, for every instance.
+AUTO_PLAN = Plan(requested=AUTO_METHOD, method="sb-vec")
 
 
 def explicit_plan(method: str, options: Mapping[str, Any] | None = None) -> Plan:
@@ -198,53 +94,4 @@ def explicit_plan(method: str, options: Mapping[str, Any] | None = None) -> Plan
     )
 
 
-#: Churn backend → its calibrated per-event cost-model key.
-CHURN_COST_KEYS: dict[str, str] = {
-    "interp": "dynamic-interp",
-    "vec": "dynamic-vec",
-}
-
-
-def plan_churn(functions: FunctionSet, objects: ObjectSet) -> Plan:
-    """Resolve the churn backend (``method="auto"`` for ``apply``).
-
-    Same discipline as :func:`plan_instance`, but the candidates are
-    the two suffix-rematch backends of
-    :class:`~repro.core.dynamic.DynamicStableMatching` and the models
-    estimate *per-event* seconds on the seed population's shape
-    (calibrated by ``benchmarks/bench_churn.py``).  The chosen backend
-    name is carried in ``options["backend"]``; deterministic for the
-    same seed instance in every process.
-    """
-    start = time.perf_counter()
-    profile = profile_instance(functions, objects)
-    x = features(profile)
-    candidates = [
-        PlanCandidate(
-            method=cost_key,
-            estimated_seconds=cost_model_for(cost_key).estimate_from_features(x),
-        )
-        for _, cost_key in sorted(CHURN_COST_KEYS.items())
-    ]
-    candidates.sort(key=lambda c: (c.estimated_seconds, c.method))
-    chosen = candidates[0]
-    backend = next(b for b, k in CHURN_COST_KEYS.items() if k == chosen.method)
-    return Plan(
-        requested=AUTO_METHOD,
-        method=chosen.method,
-        options=(("backend", backend),),
-        profile=profile,
-        candidates=tuple(candidates),
-        estimated_seconds=chosen.estimated_seconds,
-        planning_seconds=time.perf_counter() - start,
-    )
-
-
-__all__ = [
-    "CHURN_COST_KEYS",
-    "Plan",
-    "PlanCandidate",
-    "explicit_plan",
-    "plan_churn",
-    "plan_instance",
-]
+__all__ = ["AUTO_PLAN", "Plan", "explicit_plan"]

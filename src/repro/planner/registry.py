@@ -5,13 +5,11 @@ three places: ``repro.core.solve`` owned a name → callable dict plus a
 separate name → option-schema dict, ``repro.engine.configs`` owned the
 name → :class:`~repro.engine.engine.EngineConfig` factories, and the
 API layer re-validated names against the core dicts.  Adding a solver
-(or asking "which methods could the planner pick here?") meant editing
-all of them in lockstep.
+meant editing all of them in lockstep.
 
 Now a :class:`SolverSpec` carries everything known about one named
-method — the solve entry point, the engine-config factory, the option
-schema, the cost-model key and whether the workload-adaptive planner
-may pick it — and :data:`REGISTRY` is the single table that
+method — the solve entry point, the engine-config factory and the
+option schema — and :data:`REGISTRY` is the single table that
 ``repro.core.solve``, :class:`~repro.api.problem.Problem` validation,
 the planner and the server all consult.
 
@@ -22,8 +20,9 @@ a module-level import of the solver functions here would be circular.
 
 ``method="auto"`` is *not* a spec: it is the planner pseudo-method
 (:data:`AUTO_METHOD`) that :meth:`SolverRegistry.validate` accepts and
-:func:`repro.planner.plan.plan_instance` resolves to one of the
-``plannable`` specs below.
+:data:`repro.planner.plan.AUTO_PLAN` resolves to ``sb-vec``.  Every
+other spec stays registered: ``chain`` and the interpreted SB
+variants reproduce the paper's figures and serve as identity oracles.
 """
 
 from __future__ import annotations
@@ -171,24 +170,11 @@ class SolverSpec:
     #: Keyword overrides the solver accepts; anything else is rejected
     #: up front with a typed error.
     options: frozenset[str]
-    #: May ``method="auto"`` resolve to this config?  Excluded are
-    #: ``brute-force`` (the Section 4.1 baseline, quadratic in
-    #: ``|F|·|O|`` page accesses) and ``sb-alt`` (the Section 7.6
-    #: disk-resident-*function* setting, which also wants a
-    #: memory-resident object tree — a different storage model the
-    #: caller must opt into explicitly).
-    plannable: bool
     #: ``(functions, index, **options) -> AssignmentResult``.
     solve: Callable[..., Any] = field(repr=False)
     #: ``(**options) -> EngineConfig``; ``None`` for the one solver
     #: (brute-force) that does not run on the unified engine.
     config_factory: Callable[..., Any] | None = field(repr=False)
-    #: Row name in the planner's calibration table.
-    cost_key: str = ""
-
-    def __post_init__(self) -> None:
-        if not self.cost_key:
-            object.__setattr__(self, "cost_key", self.name)
 
     @property
     def engine_backed(self) -> bool:
@@ -215,7 +201,6 @@ SPECS: tuple[SolverSpec, ...] = (
         name="sb",
         summary="the paper's SB: resumable biased Ω-bounded TA, multi-pair",
         options=_SB_OPTIONS | {"variant"},
-        plannable=True,
         solve=_solve_sb,
         config_factory=_config_sb,
     ),
@@ -223,7 +208,6 @@ SPECS: tuple[SolverSpec, ...] = (
         name="sb-update",
         summary="Figure 8 ablation: fresh round-robin TA, single-pair",
         options=_SB_OPTIONS,
-        plannable=True,
         solve=_solve_sb_update,
         config_factory=_config_sb_update,
     ),
@@ -231,7 +215,6 @@ SPECS: tuple[SolverSpec, ...] = (
         name="sb-deltasky",
         summary="Figure 8 ablation: DeltaSky maintenance",
         options=_SB_OPTIONS,
-        plannable=True,
         solve=_solve_sb_deltasky,
         config_factory=_config_sb_deltasky,
     ),
@@ -239,7 +222,6 @@ SPECS: tuple[SolverSpec, ...] = (
         name="sb-vec",
         summary="columnar twin of sb: batch Pareto, one matmul per round",
         options=frozenset({"multi_pair"}),
-        plannable=True,
         solve=_solve_sb_vec,
         config_factory=_config_sb_vec,
     ),
@@ -247,7 +229,6 @@ SPECS: tuple[SolverSpec, ...] = (
         name="sb-deltasky-vec",
         summary="columnar twin of sb-deltasky: incremental mask repair",
         options=frozenset({"multi_pair"}),
-        plannable=True,
         solve=_solve_sb_deltasky_vec,
         config_factory=_config_sb_deltasky_vec,
     ),
@@ -255,7 +236,6 @@ SPECS: tuple[SolverSpec, ...] = (
         name="sb-two-skylines",
         summary="prioritized two-skyline variant (Section 6.2)",
         options=frozenset({"multi_pair"}),
-        plannable=True,
         solve=_solve_two_skylines,
         config_factory=_config_two_skylines,
     ),
@@ -263,7 +243,6 @@ SPECS: tuple[SolverSpec, ...] = (
         name="sb-alt",
         summary="disk-resident function lists, batch TA sweep (Section 7.6)",
         options=frozenset({"page_size", "multi_pair"}),
-        plannable=False,
         solve=_solve_sb_alt,
         config_factory=_config_sb_alt,
     ),
@@ -271,7 +250,6 @@ SPECS: tuple[SolverSpec, ...] = (
         name="brute-force",
         summary="Section 4.1 baseline: repeated best-pair extraction",
         options=frozenset({"function_scan_pages"}),
-        plannable=False,
         solve=_solve_brute_force,
         config_factory=None,
     ),
@@ -279,7 +257,6 @@ SPECS: tuple[SolverSpec, ...] = (
         name="chain",
         summary="the adapted Chain of Wong et al. [25]: mutual top-1 chase",
         options=frozenset({"disk_function_tree"}),
-        plannable=True,
         solve=_solve_chain,
         config_factory=_config_chain,
     ),
@@ -312,10 +289,6 @@ class SolverRegistry:
             raise UnknownSolverError(name, self.method_names())
         return spec
 
-    def plannable(self) -> tuple[SolverSpec, ...]:
-        """The specs ``method="auto"`` may resolve to."""
-        return tuple(s for s in self if s.plannable)
-
     def option_schema(self) -> dict[str, frozenset[str]]:
         """``{name: accepted options}`` (the legacy table shape)."""
         return {s.name: s.options for s in self}
@@ -327,8 +300,7 @@ class SolverRegistry:
         ``ValueError``) for an unregistered name and
         :class:`~repro.errors.InvalidSolverOptionError` (a
         ``TypeError``) for an unaccepted override.  ``auto`` is valid
-        and accepts no options — the planner owns the configuration of
-        whatever it picks.
+        and accepts no options — the rule fixes the config it runs.
         """
         if method == AUTO_METHOD:
             if options:
@@ -337,10 +309,9 @@ class SolverRegistry:
                     options,
                     (),
                     message=(
-                        "method='auto' accepts no solver options: the "
-                        "planner picks the config (and its options) from "
-                        "the instance profile; pick a concrete method to "
-                        "pass overrides"
+                        "method='auto' accepts no solver options: it "
+                        "always runs sb-vec with its defaults; pick a "
+                        "concrete method to pass overrides"
                     ),
                 )
             return

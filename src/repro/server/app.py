@@ -4,7 +4,7 @@ One event loop accepts JSON-over-HTTP requests; every solve funnels
 through a single :class:`~repro.api.session.AssignmentSession`, so the
 R-tree :class:`ObjectIndexCache` inside its :class:`BatchSolver` is
 shared across *all* network clients — sixteen concurrent cohorts over
-one catalogue build its index exactly once.  Around that sit three
+one catalogue share one index, loaded at most once.  Around that sit three
 serving concerns the library layers don't have:
 
 - **admission control** — a bounded live-work counter turns overload
@@ -217,11 +217,6 @@ class ReproServer(HttpService):
             solution, hit, elapsed = await self._solve_inner(problem)
             solve_span.attributes["cache_hit"] = hit
             solve_span.attributes["resolved_method"] = solution.method
-            if solution.plan is not None:
-                # Slow traces pin this record, so the planner transcript
-                # stays inspectable; the store lifts it off the span
-                # into the record.
-                solve_span.attributes["plan_explain"] = solution.explain()
             return solution, hit, elapsed
 
     async def _solve_inner(self, problem: Problem) -> tuple[Solution, bool, float]:

@@ -133,7 +133,7 @@ class ServiceConfig:
     #: logging and the log ring stay on; they replace plain logging).
     observability: bool = True
     #: Requests at or over this wall time are pinned in the slow-trace
-    #: store, a solve's with its planner transcript.
+    #: store.
     slow_trace_threshold_seconds: float = 0.25
     #: Bounded in-process log ring served at ``GET /v1/logs``.
     log_ring_size: int = 512
@@ -403,16 +403,8 @@ class HttpService:
         self, root: Span, spans: list[Span], slow_message: str, **fields: Any
     ) -> None:
         """Retain one finished trace, logging ``slow_message`` with
-        ``fields`` when it is slow.  A solve span's planner transcript
-        moves off the span onto the record, where slow traces keep it."""
-        extra = {}
-        for s in spans:
-            explain = s.attributes.pop("plan_explain", None)
-            if explain is not None:
-                extra["plan_explain"] = explain
-        record = self._traces.record(
-            root, spans, node=self._node, extra=extra or None
-        )
+        ``fields`` when it is slow."""
+        record = self._traces.record(root, spans, node=self._node)
         if record["slow"]:
             self.logger.warning(
                 slow_message,

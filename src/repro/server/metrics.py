@@ -132,11 +132,8 @@ class ServerMetrics(HttpMetrics):
         self.solves_total = 0
         self.solve_cache_hits = 0
         # Planner observability: how often method="auto" resolved to
-        # each config, and how honest its latency estimates are.
+        # each config.
         self.planner_picks: Counter[str] = Counter()
-        self.planner_estimate_samples = 0
-        self.planner_abs_error_seconds = 0.0
-        self.planner_abs_relative_error = 0.0
         self.latency: dict[str, LatencyHistogram] = {}
         # Aggregate engine-run cost, accumulated from each fresh
         # (non-cached) solve's RunStats.
@@ -168,20 +165,6 @@ class ServerMetrics(HttpMetrics):
             # One pick per served auto-solve: the decision applies to
             # this request whether the engine ran or the cache answered.
             self.planner_picks[plan.method] += 1
-            if not cached and plan.estimated_seconds is not None:
-                # Compare against what the model was calibrated on —
-                # engine solve time, not the queue-inclusive service
-                # latency (under a saturated worker pool the elapsed
-                # time is mostly waiting, which would read as model
-                # drift when the estimate is fine).
-                actual = seconds
-                if stats is not None and stats.cpu_seconds > 0:
-                    actual = stats.cpu_seconds
-                if actual > 0:
-                    error = abs(plan.estimated_seconds - actual)
-                    self.planner_estimate_samples += 1
-                    self.planner_abs_error_seconds += error
-                    self.planner_abs_relative_error += error / actual
         if not cached and stats is not None:
             self.engine_physical_reads += stats.io.physical_reads
             self.engine_logical_reads += stats.io.logical_reads
@@ -221,21 +204,6 @@ class ServerMetrics(HttpMetrics):
                     method: n for method, n in sorted(self.planner_picks.items())
                 },
                 "auto_solves": sum(self.planner_picks.values()),
-                "estimate": {
-                    "samples": self.planner_estimate_samples,
-                    "mean_abs_error_seconds": (
-                        self.planner_abs_error_seconds
-                        / self.planner_estimate_samples
-                        if self.planner_estimate_samples
-                        else 0.0
-                    ),
-                    "mean_abs_relative_error": (
-                        self.planner_abs_relative_error
-                        / self.planner_estimate_samples
-                        if self.planner_estimate_samples
-                        else 0.0
-                    ),
-                },
             },
             "latency": {
                 method: hist.to_dict() for method, hist in self.latency.items()

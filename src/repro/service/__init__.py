@@ -2,8 +2,8 @@
 
 The first serving layer on the road to the ROADMAP's heavy-traffic
 story: :class:`~repro.service.batch.BatchSolver` accepts many
-(FunctionSet, ObjectSet) jobs, reuses built object R-trees across
-jobs through an instance-hash cache, runs the jobs on a thread pool
+(FunctionSet, ObjectSet) jobs, reuses object indexes across jobs
+through an instance-hash cache, runs the jobs on a thread pool
 over that one shared cache and returns per-job
 :class:`~repro.core.types.AssignmentResult`\\ s.
 """

@@ -6,11 +6,14 @@ workloads) rarely solve a single instance: the same object catalogue
 is matched against many function cohorts, or many catalogues are
 solved side by side.  Two observations make this batchable:
 
-- **index reuse** — building the object R-tree is the expensive,
-  solver-independent part, and the paper explicitly excludes it from
-  measured cost; an instance-hash cache shares one built
-  :class:`~repro.core.index.ObjectIndex` across every job with the
-  same objects / page size / backend;
+- **index reuse** — building the object R-tree (and the catalogue's
+  columnar state) is the expensive, solver-independent part, and the
+  paper explicitly excludes it from measured cost; an instance-hash
+  cache shares one :class:`~repro.core.index.ObjectIndex` across every
+  job with the same objects / page size / backend.  The cache creates
+  its indexes unloaded: the first run that reads the tree bulk-loads
+  it, so a catalogue served only by ``sb-vec`` (all ``auto`` traffic)
+  never pays for a tree;
 - **independent jobs** — each engine run keeps all mutable state in
   its own strategies, so jobs on *different* indexes execute fully in
   parallel on a :class:`~concurrent.futures.ThreadPoolExecutor`.
@@ -33,11 +36,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.core import solve
-from repro.core.index import ObjectIndex, build_object_index
+from repro.core.index import ObjectIndex
 from repro.core.types import AssignmentResult
 from repro.data.instances import FunctionSet, ObjectSet, object_set_fingerprint
 from repro.obs.trace import attach_engine_spans, span
-from repro.planner import AUTO_METHOD, Plan, plan_instance
+from repro.planner import AUTO_METHOD, AUTO_PLAN, Plan
 
 
 @dataclass
@@ -47,7 +50,7 @@ class SolveJob:
 
     functions: FunctionSet
     objects: ObjectSet
-    #: Solver name (``"auto"`` defers to the planner), or an
+    #: Solver name (``"auto"`` runs ``sb-vec``), or an
     #: :class:`~repro.engine.engine.EngineConfig` for a custom
     #: strategy combination.
     method: str | object = "sb"
@@ -58,11 +61,6 @@ class SolveJob:
     memory_index: bool | None = None
     buffer_fraction: float = 0.02
     solve_kwargs: dict = field(default_factory=dict)
-    #: Pre-resolved planner decision for ``method="auto"`` jobs.  The
-    #: session layer passes the :meth:`Problem.plan` memo here so one
-    #: problem plans exactly once per solve key; left ``None``, the
-    #: solver resolves the plan itself on first touch.
-    plan: Plan | None = None
 
     @property
     def method_name(self) -> str:
@@ -73,30 +71,23 @@ class SolveJob:
     @property
     def wants_memory_index(self) -> bool:
         if self.memory_index is None:
-            if self.method == AUTO_METHOD:
-                return self.resolve().method_name == "sb-alt"
             return self.method_name == "sb-alt"
         return self.memory_index
 
     def resolve(self) -> "ResolvedJob":
         """The concrete ``(method, options, plan)`` this job will run.
 
-        For ``method="auto"`` the planner resolves (and memoizes on
-        the job) the pick; every other method passes through.  All
-        downstream consumers — the solve itself, the index-mode
-        choice — read the *resolved* method, so an ``auto`` job is
+        ``method="auto"`` resolves to :data:`~repro.planner.AUTO_PLAN`
+        (``sb-vec``); every other method passes through.  The solve
+        reads the *resolved* method, so an ``auto`` job is
         indistinguishable from an explicitly routed one by the time an
         engine runs.
         """
         if self.method == AUTO_METHOD:
-            if self.plan is None:
-                # Benign race if two threads resolve concurrently: the
-                # planner is deterministic, both compute the same plan.
-                self.plan = plan_instance(self.functions, self.objects)
             return ResolvedJob(
-                method=self.plan.method,
-                solve_kwargs=self.plan.options_dict(),
-                plan=self.plan,
+                method=AUTO_PLAN.method,
+                solve_kwargs=AUTO_PLAN.options_dict(),
+                plan=AUTO_PLAN,
             )
         return ResolvedJob(
             method=self.method, solve_kwargs=dict(self.solve_kwargs), plan=None
@@ -140,24 +131,24 @@ class JobResult:
 
 @dataclass
 class _CacheEntry:
-    build_lock: threading.Lock = field(default_factory=threading.Lock)
+    index: ObjectIndex
     run_lock: threading.Lock = field(default_factory=threading.Lock)
-    index: ObjectIndex | None = None
 
 
 class ObjectIndexCache:
-    """LRU cache of built object R-trees keyed by instance hash.
+    """LRU cache of object indexes keyed by instance hash.
 
     Each entry carries a lock serializing solver runs on that index:
     the storage layer (LRU page buffer, I/O counters) is mutable and
-    cold-started per run via ``reset_for_run``.  The first columnar
-    run also builds the catalogue's columnar state on the index
-    (:func:`repro.kernels.columnar.catalogue_columns`) under that lock,
-    and an evicted entry takes the state with it.  Running jobs hold
-    their own references, so LRU eviction never invalidates an
-    in-flight run.  Concurrent jobs on the same catalogue build the
-    tree exactly once — racers block on the entry's build lock rather
-    than duplicating the bulk-load.
+    cold-started per run via ``reset_for_run``.  Indexes are created
+    unloaded, and both halves of the catalogue state are built on
+    first use under that lock: the tree loads in the first run that
+    reads it (an interpreted config, ``chain``, ``brute-force``), the
+    columnar state (:func:`repro.kernels.columnar.catalogue_columns`)
+    in the first columnar run.  Either way a catalogue is loaded at
+    most once per entry, and an evicted entry takes its state with it.
+    Running jobs hold their own references, so LRU eviction never
+    invalidates an in-flight run.
     """
 
     def __init__(self, max_entries: int = 32):
@@ -172,7 +163,10 @@ class ObjectIndexCache:
     def get(
         self, objects: ObjectSet, page_size: int, memory: bool
     ) -> tuple[ObjectIndex, threading.Lock, bool]:
-        """``(index, run_lock, was_cache_hit)`` for an object set."""
+        """``(index, run_lock, was_cache_hit)`` for an object set.
+
+        The index may be unloaded: read its tree only while holding
+        ``run_lock``."""
         key = (object_set_fingerprint(objects), page_size, memory)
         with self._guard:
             entry = self._entries.get(key)
@@ -181,19 +175,14 @@ class ObjectIndexCache:
                 self.hits += 1
                 hit = True
             else:
-                entry = _CacheEntry()
+                entry = _CacheEntry(
+                    ObjectIndex(objects, page_size=page_size, is_memory=memory)
+                )
                 self._entries[key] = entry
                 self.misses += 1
                 hit = False
                 while len(self._entries) > self.max_entries:
                     self._entries.popitem(last=False)
-        # Build outside the guard: bulk-loading a big tree must not
-        # block cache lookups for unrelated jobs.
-        with entry.build_lock:
-            if entry.index is None:
-                entry.index = build_object_index(
-                    objects, page_size=page_size, memory=memory
-                )
         return entry.index, entry.run_lock, hit
 
     def info(self) -> dict[str, int]:
@@ -209,7 +198,7 @@ class BatchSolver:
     """Solves batches of :class:`SolveJob`\\ s on a thread pool.
 
     The pool runs over one shared :class:`ObjectIndexCache`, so a
-    shared catalogue is built exactly once; same-catalogue jobs
+    shared catalogue is loaded at most once; same-catalogue jobs
     serialize on the entry's run lock (and on the GIL).
     ``max_workers`` sizes the thread pool (``None`` = the
     :class:`~concurrent.futures.ThreadPoolExecutor` default).
@@ -250,9 +239,6 @@ class BatchSolver:
 
     def _run_job(self, position: int, job: SolveJob) -> JobResult:
         start = time.perf_counter()
-        # Resolve the plan *before* the index-mode choice: the engine
-        # must see exactly what a direct invocation of the resolved
-        # method would see (index backend included).
         with span("plan.resolve") as plan_span:
             resolved = job.resolve()
             plan_span.attributes["method"] = resolved.method_name

@@ -84,7 +84,6 @@ def test_closed_session_raises_everywhere():
         session.submit,
         session.current,
         lambda: session.apply([]),
-        session.warm,
     ):
         with pytest.raises(SessionClosedError):
             op()

@@ -118,6 +118,53 @@ def test_cache_rebuild_after_eviction():
     assert hit
 
 
+def run_signature(result):
+    stats = result.stats
+    return (
+        [(p.fid, p.oid, p.score, p.count) for p in result.matching.pairs],
+        (stats.io.physical_reads, stats.io.logical_reads, stats.io.physical_writes),
+        stats.loops,
+        stats.peak_memory_bytes,
+        dict(stats.counters),
+    )
+
+
+def test_first_solve_on_an_unloaded_index_is_charged_like_an_eager_one():
+    """The cache creates indexes unloaded and a run that reads the tree
+    loads it.  The loading run reports exactly the I/O, loops, peak
+    memory and counters of the same solve on an index that
+    ``build_object_index`` loaded before the run."""
+    from repro.planner import REGISTRY
+
+    fs, os_ = random_instance(9, 60, 3, seed=83, capacities=True)
+    for method in REGISTRY.names():
+        job = SolveJob(functions=fs, objects=os_, method=method, page_size=512)
+        solver = BatchSolver()
+        lazy = solver.solve_one(job)
+        index, _, _ = solver.cache.get(os_, 512, job.wants_memory_index)
+        # Only the columnar configs leave the tree unloaded.
+        assert index.loaded == (not method.endswith("-vec")), method
+        eager = build_object_index(os_, page_size=512, memory=job.wants_memory_index)
+        direct = solve(fs, eager, method=method)
+        assert run_signature(lazy.result) == run_signature(direct), method
+
+
+def test_auto_session_leaves_the_cached_tree_unloaded():
+    from repro.api import AssignmentSession, Problem
+
+    fs, os_ = random_instance(12, 80, 3, seed=87)
+    problem = Problem.from_sets(os_, fs, method="auto")
+    with AssignmentSession(problem) as session:
+        assert session.solve().method == "sb-vec"
+        session.solve(problem.with_functions([(0.3, 0.2, 0.5), (0.6, 0.3, 0.1)]))
+        index, _, hit = session._batch.cache.get(os_, problem.page_size, False)
+        assert hit and not index.loaded
+        assert index.columnar is not None  # the columnar state did build
+        session.solve(problem.with_method("chain"))
+        assert index.loaded
+    assert session.cache_info()["misses"] == 1
+
+
 def test_solve_kwargs_and_stats_surface():
     fs, os_ = random_instance(10, 15, 3, seed=61)
     job = SolveJob(
@@ -186,27 +233,33 @@ def test_fingerprint_freezes_catalogue_against_stale_cache_reuse():
     assert other.matching.as_dict() != again.matching.as_dict()
 
 
-def test_eviction_racing_inflight_build_hands_out_correct_indexes(monkeypatch):
-    """A cache bounded to one entry under concurrent `get`s for many
-    distinct catalogues: entries are evicted while other builds are
-    still in flight, yet every caller must receive a fully-built index
-    for *its* catalogue — never a partially-built or stale one."""
-    import threading
+def slow_bulk_load(monkeypatch, log):
+    """Patch the R-tree bulk-load to log each load's size and sleep,
+    widening any race around it."""
     import time as _time
 
-    import repro.service.batch as batch_mod
+    from repro.rtree.tree import RTree
 
-    real_build = batch_mod.build_object_index
+    real_load = RTree.bulk_load
+    guard = threading.Lock()
+
+    def load(store, dims, items):
+        with guard:
+            log.append(len(items))
+        _time.sleep(0.02)
+        return real_load(store, dims, items)
+
+    monkeypatch.setattr(RTree, "bulk_load", staticmethod(load))
+
+
+def test_eviction_racing_inflight_build_hands_out_correct_indexes(monkeypatch):
+    """A cache bounded to one entry under concurrent `get`s for many
+    distinct catalogues, each caller then loading its tree under its
+    run lock: entries are evicted while other loads are still in
+    flight, yet every caller must receive a fully-built index for
+    *its* catalogue — never a partially-built or stale one."""
     build_log = []
-    build_guard = threading.Lock()
-
-    def slow_build(objects, page_size=4096, buffer_fraction=0.02, memory=False):
-        with build_guard:
-            build_log.append(object_set_fingerprint(objects))
-        _time.sleep(0.02)  # widen the eviction-vs-build race window
-        return real_build(objects, page_size=page_size, memory=memory)
-
-    monkeypatch.setattr(batch_mod, "build_object_index", slow_build)
+    slow_bulk_load(monkeypatch, build_log)
     cache = ObjectIndexCache(max_entries=1)
     sets = [random_instance(1, 8 + i, 2, seed=900 + i)[1] for i in range(6)]
     results = [None] * len(sets)
@@ -217,6 +270,8 @@ def test_eviction_racing_inflight_build_hands_out_correct_indexes(monkeypatch):
         try:
             barrier.wait()
             index, run_lock, _ = cache.get(sets[i], 256, False)
+            with run_lock:
+                index.tree  # loads here, racing the other catalogues
             results[i] = (index, run_lock)
         except Exception as exc:  # surfaced below
             errors.append(exc)
@@ -230,32 +285,21 @@ def test_eviction_racing_inflight_build_hands_out_correct_indexes(monkeypatch):
     assert not errors
     for i, (index, run_lock) in enumerate(results):
         # fully built, and for the right catalogue (not a stale reuse)
-        assert index is not None and index.tree is not None
+        assert index is not None and index.loaded
         assert index.objects is sets[i]
-        assert len(index.objects) == 8 + i
+        assert sorted(index.tree.iter_items()) == sorted(sets[i].items())
         assert run_lock is not None
     # the bound still holds after the storm
     assert cache.info()["entries"] == 1
-    assert set(build_log) == {object_set_fingerprint(s) for s in sets}
+    assert sorted(build_log) == [len(s) for s in sets]
 
 
 def test_concurrent_gets_for_one_catalogue_build_exactly_once(monkeypatch):
-    """Racers on the same catalogue serialize on the entry's build
-    lock: one bulk-load total, everyone shares the identical index."""
-    import threading
-    import time as _time
-
-    import repro.service.batch as batch_mod
-
-    real_build = batch_mod.build_object_index
-    build_count = []
-
-    def slow_build(objects, page_size=4096, buffer_fraction=0.02, memory=False):
-        build_count.append(1)
-        _time.sleep(0.02)
-        return real_build(objects, page_size=page_size, memory=memory)
-
-    monkeypatch.setattr(batch_mod, "build_object_index", slow_build)
+    """Racers on the same catalogue share one index, created unloaded;
+    its tree loads under the entry's run lock: one bulk-load total,
+    however many racers read it."""
+    build_log = []
+    slow_bulk_load(monkeypatch, build_log)
     cache = ObjectIndexCache(max_entries=4)
     _, objects = random_instance(1, 20, 3, seed=911)
     results = []
@@ -263,7 +307,9 @@ def test_concurrent_gets_for_one_catalogue_build_exactly_once(monkeypatch):
 
     def fetch():
         barrier.wait()
-        index, _, _ = cache.get(objects, 512, False)
+        index, run_lock, _ = cache.get(objects, 512, False)
+        with run_lock:
+            index.tree
         results.append(index)
 
     threads = [threading.Thread(target=fetch) for _ in range(8)]
@@ -272,7 +318,7 @@ def test_concurrent_gets_for_one_catalogue_build_exactly_once(monkeypatch):
     for t in threads:
         t.join()
 
-    assert len(build_count) == 1
+    assert build_log == [len(objects)]
     assert len({id(index) for index in results}) == 1
     assert cache.info() == {"hits": 7, "misses": 1, "entries": 1}
 

@@ -1,6 +1,6 @@
 """The columnar churn backend: three-way bit-identity (vectorized ==
 interpreted == from-scratch) after every event, the per-side partner
-indexes, the cumulative churn counters, and ``plan_churn`` routing."""
+indexes, the cumulative churn counters, and ``churn_backend`` routing."""
 
 import pytest
 from hypothesis import given, settings
@@ -15,9 +15,8 @@ from repro.api import (
 )
 from repro.core.dynamic import DynamicStableMatching
 from repro.data.generators import churn_stream, make_functions, make_objects
-from repro.data.instances import FunctionSet, ObjectSet
+from repro.errors import UnknownSolverError
 from repro.kernels.dynamic import INITIAL_ROWS, MutableColumns
-from repro.planner import CHURN_COST_KEYS, plan_churn
 
 from .conftest import random_instance
 
@@ -309,19 +308,18 @@ def test_session_apply_accepts_batches():
 def test_session_auto_resolves_churn_backend():
     problem = _problem(nf=3, no=12, dims=2)
     with AssignmentSession(problem) as session:
-        session.apply(ObjectArrived(point=(0.5, 0.5)))
-        plan = session.churn_plan
-        assert plan is not None and plan.auto
-        chosen = plan.options_dict()["backend"]
-        assert chosen in ("interp", "vec")
-        assert session.churn_info()["backend"] == chosen
+        solution = session.apply(ObjectArrived(point=(0.5, 0.5)))
+        assert session.churn_info()["backend"] == "vec"
         assert session.churn_info()["requested_backend"] == "auto"
-        assert {c.method for c in plan.candidates} == set(CHURN_COST_KEYS.values())
+        assert solution.plan is None  # churn snapshots carry no plan
 
 
 def test_session_rejects_unknown_churn_backend():
-    with pytest.raises(ValueError):
+    with pytest.raises(UnknownSolverError) as exc:
         AssignmentSession(_problem(), churn_backend="fast")
+    assert type(exc.value) is UnknownSolverError
+    assert isinstance(exc.value, ValueError)
+    assert exc.value.known == ("auto", "interp", "vec")
 
 
 def test_has_churn_state_is_lazy():
@@ -329,22 +327,3 @@ def test_has_churn_state_is_lazy():
         assert not session.has_churn_state
         session.current()
         assert session.has_churn_state
-
-
-# ---------------------------------------------------------------------------
-# plan_churn
-# ---------------------------------------------------------------------------
-
-
-def test_plan_churn_is_deterministic_and_shape_sensitive():
-    tiny_f = FunctionSet([(0.5, 0.5)] * 2)
-    tiny_o = ObjectSet([(0.1, 0.2)] * 8)
-    p1 = plan_churn(tiny_f, tiny_o)
-    p2 = plan_churn(tiny_f, tiny_o)
-    assert p1.method == p2.method
-    assert p1.options_dict() == p2.options_dict()
-    assert p1.options_dict()["backend"] == "interp"  # tiny: Python wins
-
-    big_f = make_functions(100, 3, seed=2)
-    big_o = make_objects(1000, 3, seed=3)
-    assert plan_churn(big_f, big_o).options_dict()["backend"] == "vec"

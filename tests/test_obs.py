@@ -153,7 +153,7 @@ class TestTreeAssembly:
         names = [child["span"]["name"] for child in root["children"]]
         assert names == ["early", "late", "engine.search"]
 
-    def test_render_tree_header_flags_and_transcript(self):
+    def test_render_tree_header_flags(self):
         record = {
             "trace_id": "ab" * 16,
             "status": "ok",
@@ -162,15 +162,12 @@ class TestTreeAssembly:
             "stitched": True,
             "nodes": ["127.0.0.1:1", "127.0.0.1:2"],
             "spans": [self._span("gateway.request", "a" * 16, None, 0.0)],
-            "plan_explain": "candidates:\n  sb: 1.0",
         }
         text = render_tree(record)
         assert "ab" * 16 in text
         assert "[slow]" in text
         assert "stitched: 127.0.0.1:1, 127.0.0.1:2" in text
         assert "gateway.request" in text
-        assert "planner transcript:" in text
-        assert "sb: 1.0" in text
 
 
 class TestTraceStore:
@@ -211,7 +208,7 @@ class TestTraceStore:
         assert listing[0]["spans"] == 1
         assert listing[0]["slow"] is False
 
-    def test_record_stamps_node_and_keeps_extra(self):
+    def test_record_stamps_node_and_dedupes_root(self):
         store = TraceStore()
         root = self._root()
         child = Span(
@@ -222,11 +219,8 @@ class TestTraceStore:
             started=1.0,
             duration_seconds=0.001,
         )
-        record = store.record(
-            root, [child], node="127.0.0.1:99", extra={"plan_explain": "why"}
-        )
+        record = store.record(root, [child], node="127.0.0.1:99")
         assert all(s["node"] == "127.0.0.1:99" for s in record["spans"])
-        assert record["plan_explain"] == "why"
         assert len(record["spans"]) == 2  # root deduped into the list
 
     def test_recent_zero_limit_returns_nothing(self):
@@ -429,7 +423,7 @@ class TestServerObservability:
         engine = [s for s in record["spans"] if s["name"] == "engine.solve"]
         assert engine[0]["attributes"]["loops"] >= 1
 
-    def test_auto_solves_retain_the_planner_transcript(
+    def test_auto_solve_traces_carry_the_resolved_method(
         self, obs_server, obs_client
     ):
         obs_client.solve(make_problem(seed=103, method="auto"))
@@ -437,9 +431,10 @@ class TestServerObservability:
             "GET", f"/v1/traces/{obs_client.last_trace_id}"
         )[1]
         assert record["slow"] is True  # threshold 0 pins everything
-        assert "plan_explain" in record
-        rendered = render_tree(record)
-        assert "planner transcript:" in rendered
+        (solve,) = [s for s in record["spans"] if s["name"] == "solve.execute"]
+        assert solve["attributes"]["method"] == "auto"
+        assert solve["attributes"]["resolved_method"] == "sb-vec"
+        assert "solve.execute" in render_tree(record)
 
     def test_trace_listing_is_queryable(self, obs_server, obs_client):
         obs_client.solve(make_problem(seed=104))

@@ -1,27 +1,18 @@
-"""Unit coverage of :mod:`repro.planner`: registry, profiler, cost
-models, plans, and the Problem-level auto surface."""
-
-import math
+"""Unit coverage of :mod:`repro.planner`: registry, the ``auto`` rule,
+plans, and the Problem-level auto surface."""
 
 import pytest
 
 from repro.api import Problem
 from repro.core import SOLVER_OPTIONS, SOLVERS
-from repro.data.instances import FunctionSet, ObjectSet
 from repro.errors import InvalidSolverOptionError, UnknownSolverError
 from repro.planner import (
     AUTO_METHOD,
+    AUTO_PLAN,
     REGISTRY,
-    CostModel,
-    InstanceProfile,
     Plan,
-    cost_model_for,
     explicit_plan,
-    fit_power_law,
-    plan_instance,
-    profile_instance,
 )
-from repro.planner.calibration import CALIBRATION
 
 from .conftest import random_instance
 
@@ -35,77 +26,15 @@ class TestRegistry:
         assert set(SOLVERS) == set(REGISTRY.names())
         assert SOLVER_OPTIONS == REGISTRY.option_schema()
 
-    def test_plannable_excludes_special_storage_models(self):
-        plannable = {s.name for s in REGISTRY.plannable()}
-        assert plannable == {
-            "sb", "sb-update", "sb-deltasky", "sb-two-skylines", "chain",
-            "sb-vec", "sb-deltasky-vec",
-        }
-        assert "sb-alt" not in plannable  # memory-resident object tree
-        assert "brute-force" not in plannable  # quadratic baseline
-
-    def test_every_plannable_config_is_calibrated(self):
-        for spec in REGISTRY.plannable():
-            assert spec.cost_key in CALIBRATION, spec.name
-
-    def test_calibration_table_round_trips_through_the_fitter(self):
-        """The ``--calibrate`` printer emits a table covering every
-        plannable spec that parses back into the checked-in shape."""
-        import contextlib
-        import io
-        import sys
-        from pathlib import Path
-
-        sys.path.insert(
-            0, str(Path(__file__).resolve().parent.parent / "benchmarks")
-        )
-        try:
-            from bench_planner import print_calibration
-        finally:
-            sys.path.pop(0)
-
-        fs, os_ = random_instance(6, 40, 3, seed=77)
-        profile = profile_instance(fs, os_)
-        # Synthetic measured rows: enough shape variation for the fit.
-        rows = []
-        shapes = [
-            (10, 100), (10, 1000), (30, 300), (30, 3000),
-            (100, 1000), (100, 10000), (300, 3000), (300, 30000),
-        ]
-        for i, (nf, no) in enumerate(shapes):
-            fake = InstanceProfile.from_dict(
-                {**profile.to_dict(), "num_functions": nf, "num_objects": no}
-            )
-            rows.append({
-                "profile": fake.to_dict(),
-                "timings": {
-                    s.name: 1e-4 * nf * no * (1 + 0.1 * j)
-                    for j, s in enumerate(REGISTRY.plannable())
-                },
-            })
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            print_calibration(rows)
-        printed = buf.getvalue()
-        # The printed table must execute and cover every plannable spec
-        # with full-width coefficient rows (the calibration.py shape).
-        namespace: dict = {}
-        exec(printed.split("# Paste into")[1].split(":\n", 1)[1], namespace)
-        table = namespace["CALIBRATION"]
-        assert isinstance(namespace["CALIBRATION_VERSION"], str)
-        for spec in REGISTRY.plannable():
-            assert spec.cost_key in table, spec.name
-            assert len(table[spec.cost_key]) == len(CALIBRATION["sb"])
-
     def test_auto_picks_a_vectorized_config_on_a_grid_shape(self):
-        """The recalibrated table must route at least the default
-        Table 2 cell (anti-correlated 100x2000, dims=4) to a columnar
-        config — the point of registering the kernels as plannable."""
+        """The default Table 2 cell (anti-correlated 100x2000, dims=4)
+        resolves to the columnar SB, like every other instance."""
         from repro.bench.harness import make_instance
 
         fs, os_ = make_instance(100, 2000, 4, "anti-correlated", seed=17)
-        plan = plan_instance(fs, os_)
-        assert plan.method in {"sb-vec", "sb-deltasky-vec"}
+        plan = Problem.from_sets(os_, fs, method="auto").plan()
+        assert plan is AUTO_PLAN
+        assert plan.method == "sb-vec"
 
     def test_unknown_method_lists_auto(self):
         with pytest.raises(UnknownSolverError) as exc:
@@ -150,177 +79,52 @@ class TestRegistry:
 
 
 # ---------------------------------------------------------------------------
-# Profiler
-# ---------------------------------------------------------------------------
-
-
-class TestProfiler:
-    def test_profile_is_deterministic(self):
-        fs, os_ = random_instance(20, 50, 3, seed=2, capacities=True)
-        assert profile_instance(fs, os_) == profile_instance(fs, os_)
-
-    def test_basic_shape_fields(self):
-        fs, os_ = random_instance(5, 12, 3, seed=3)
-        p = profile_instance(fs, os_)
-        assert (p.num_functions, p.num_objects, p.dims) == (5, 12, 3)
-        assert p.function_capacity_total == 5
-        assert p.object_capacity_total == 12
-        assert p.capacity_ratio == pytest.approx(12 / 5)
-        assert not p.has_priorities
-
-    def test_priorities_and_capacities_flow_through(self):
-        fs, os_ = random_instance(6, 9, 3, seed=4, capacities=True, priorities=True)
-        p = profile_instance(fs, os_)
-        assert p.has_priorities
-        assert p.max_priority == max(fs.gammas)
-        assert p.function_capacity_total == sum(fs.capacities)
-        assert p.object_capacity_total == sum(os_.capacities)
-
-    def test_correlation_sign_tracks_distribution(self):
-        from repro.data.generators import make_objects
-
-        anti = make_objects(300, 3, "anti-correlated", seed=5)
-        corr = make_objects(300, 3, "correlated", seed=5)
-        fs, _ = random_instance(4, 1, 3, seed=5)
-        assert profile_instance(fs, anti).object_correlation < -0.1
-        assert profile_instance(fs, corr).object_correlation > 0.1
-
-    def test_sampling_is_bounded(self):
-        from repro.planner.profile import SAMPLE_LIMIT
-
-        fs, os_ = random_instance(5, 4 * SAMPLE_LIMIT, 2, seed=6)
-        p = profile_instance(fs, os_)
-        assert p.sampled_objects == SAMPLE_LIMIT
-        assert p.sampled_functions == 5
-
-    def test_profile_serde_round_trip(self):
-        fs, os_ = random_instance(7, 11, 4, seed=7, priorities=True)
-        p = profile_instance(fs, os_)
-        assert InstanceProfile.from_dict(p.to_dict()) == p
-
-    def test_degenerate_instances_profile_cleanly(self):
-        fs = FunctionSet([(0.5, 0.5)])
-        os_ = ObjectSet([(0.3, 0.3)])
-        p = profile_instance(fs, os_)
-        assert p.object_correlation == 0.0  # too few rows to correlate
-        # Identical coordinates: zero-variance columns contribute 0.
-        os_flat = ObjectSet([(0.5, 0.5)] * 10)
-        assert profile_instance(fs, os_flat).object_correlation == 0.0
-
-
-# ---------------------------------------------------------------------------
-# Cost models
-# ---------------------------------------------------------------------------
-
-
-class TestCostModel:
-    def test_estimates_are_positive_and_monotone_in_size(self):
-        fs_small, os_small = random_instance(5, 50, 3, seed=8)
-        fs_big, os_big = random_instance(50, 2000, 3, seed=8)
-        for spec in REGISTRY.plannable():
-            model = cost_model_for(spec.cost_key)
-            small = model.estimate_seconds(profile_instance(fs_small, os_small))
-            big = model.estimate_seconds(profile_instance(fs_big, os_big))
-            assert small > 0
-            assert big > small, spec.name
-
-    def test_uncalibrated_config_falls_back_pessimistically(self):
-        fs, os_ = random_instance(20, 200, 3, seed=9)
-        profile = profile_instance(fs, os_)
-        fallback = cost_model_for("not-in-the-table")
-        calibrated = [
-            cost_model_for(s.cost_key).estimate_seconds(profile)
-            for s in REGISTRY.plannable()
-        ]
-        assert fallback.estimate_seconds(profile) > max(calibrated)
-
-    def test_fit_power_law_recovers_synthetic_law(self):
-        # t = 1e-6 * |F|^1.0 * |O|^0.5 exactly; the fit must recover
-        # the generating exponents to fitting precision.
-        samples = []
-        for nf in (10, 30, 100, 300):
-            for no in (100, 1000, 10000):
-                fs, os_ = random_instance(2, 3, 2, seed=nf + no)
-                profile = profile_instance(fs, os_)
-                profile = InstanceProfile.from_dict(
-                    {**profile.to_dict(), "num_functions": nf, "num_objects": no}
-                )
-                t = 1e-6 * (nf + 1) ** 1.0 * (no + 1) ** 0.5
-                samples.append((profile, t))
-        coeffs = fit_power_law(samples, ridge=1e-9)
-        assert coeffs[1] == pytest.approx(1.0, abs=0.05)
-        assert coeffs[2] == pytest.approx(0.5, abs=0.05)
-
-    def test_fit_requires_enough_samples(self):
-        with pytest.raises(ValueError):
-            fit_power_law([])
-
-    def test_estimate_from_features_matches_profile_path(self):
-        from repro.planner import features
-
-        fs, os_ = random_instance(9, 40, 3, seed=10)
-        profile = profile_instance(fs, os_)
-        model = CostModel("sb", CALIBRATION["sb"])
-        assert model.estimate_seconds(profile) == model.estimate_from_features(
-            features(profile)
-        )
-
-
-# ---------------------------------------------------------------------------
 # Plans
 # ---------------------------------------------------------------------------
 
 
 class TestPlan:
     def test_plan_is_deterministic(self):
-        fs, os_ = random_instance(15, 60, 3, seed=11)
-        a, b = plan_instance(fs, os_), plan_instance(fs, os_)
-        assert a.method == b.method
-        assert a.candidates == b.candidates
-
-    def test_plan_covers_every_plannable_config(self):
-        fs, os_ = random_instance(10, 30, 3, seed=12)
-        plan = plan_instance(fs, os_)
-        assert plan.auto
-        assert {c.method for c in plan.candidates} == {
-            s.name for s in REGISTRY.plannable()
+        """The rule reads nothing of the instance: every shape, with or
+        without priorities and capacities, gets the same plan."""
+        shapes = [
+            random_instance(15, 60, 3, seed=11),
+            random_instance(1, 2, 2, seed=12),
+            random_instance(40, 30, 4, seed=13, capacities=True, priorities=True),
+        ]
+        plans = {
+            Problem.from_sets(os_, fs, method="auto").plan() for fs, os_ in shapes
         }
-        # Cheapest first, and the pick is the head of the ranking.
-        estimates = [c.estimated_seconds for c in plan.candidates]
-        assert estimates == sorted(estimates)
-        assert plan.method == plan.candidates[0].method
-        assert plan.estimated_seconds == plan.candidates[0].estimated_seconds
+        assert plans == {AUTO_PLAN}
+        assert AUTO_PLAN.auto
+        assert (AUTO_PLAN.method, AUTO_PLAN.options) == ("sb-vec", ())
 
     def test_explicit_plan_is_trivial(self):
         plan = explicit_plan("chain", {"disk_function_tree": True})
         assert not plan.auto
         assert plan.method == "chain"
-        assert plan.candidates == ()
-        assert plan.profile is None
+        assert plan.options_dict() == {"disk_function_tree": True}
         assert "explicitly" in plan.explain()
 
     def test_plan_serde_round_trip(self):
-        fs, os_ = random_instance(8, 25, 3, seed=13, priorities=True)
-        plan = plan_instance(fs, os_)
-        restored = Plan.from_dict(plan.to_dict())
-        assert restored == plan
+        explicit = explicit_plan("chain", {"disk_function_tree": True})
+        for plan in (AUTO_PLAN, explicit):
+            assert Plan.from_dict(plan.to_dict()) == plan
+        # A payload with fields this version does not keep still reads.
+        legacy = {**AUTO_PLAN.to_dict(), "candidates": [], "profile": None}
+        assert Plan.from_dict(legacy) == AUTO_PLAN
 
     def test_plan_explain_mentions_decision(self):
-        fs, os_ = random_instance(8, 25, 3, seed=14)
-        plan = plan_instance(fs, os_)
-        text = plan.explain(actual_seconds=0.5)
+        text = AUTO_PLAN.explain()
+        assert "\n" not in text
         assert "method='auto'" in text
-        assert plan.method in text
-        assert "actual" in text
-        for candidate in plan.candidates:
-            assert candidate.method in text
+        assert "'sb-vec'" in text
+        assert "rule" in text
 
     def test_plan_is_picklable(self):
         import pickle
 
-        fs, os_ = random_instance(8, 25, 3, seed=15)
-        plan = plan_instance(fs, os_)
-        assert pickle.loads(pickle.dumps(plan)) == plan
+        assert pickle.loads(pickle.dumps(AUTO_PLAN)) == AUTO_PLAN
 
 
 # ---------------------------------------------------------------------------
@@ -343,9 +147,7 @@ class TestProblemAuto:
         problem = self._problem()
         plan = problem.plan()
         assert problem.plan() is plan  # memoized
-        assert problem.resolved_method == plan.method
-        assert problem.resolved_method != "auto"
-        assert plan.method in {s.name for s in REGISTRY.plannable()}
+        assert problem.resolved_method == plan.method == "sb-vec"
 
     def test_solve_key_shared_with_explicit_pick(self):
         problem = self._problem()
@@ -357,11 +159,3 @@ class TestProblemAuto:
         assert problem.resolved_method == "sb"
         assert not problem.plan().auto
         assert "explicitly" in problem.explain()
-
-    def test_auto_estimates_are_finite_on_tiny_instances(self):
-        # Out-of-grid extrapolation must stay sane (the ridge fit's
-        # job): tiny instances get small positive finite estimates.
-        problem = self._problem(seed=18)
-        for candidate in problem.plan().candidates:
-            assert math.isfinite(candidate.estimated_seconds)
-            assert candidate.estimated_seconds > 0

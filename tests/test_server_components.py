@@ -295,24 +295,19 @@ def test_latency_histogram_bisect_matches_linear_reference():
     assert hist.count == len(probes)
 
 
-def test_server_metrics_planner_picks_and_estimate_error():
+def test_server_metrics_count_planner_picks():
     from repro.planner import Plan
 
     metrics = ServerMetrics()
-    auto_plan = Plan(
-        requested="auto",
-        method="chain",
-        estimated_seconds=0.08,
-        planning_seconds=0.0001,
-    )
+    auto_plan = Plan(requested="auto", method="chain")
 
     class FakeSolution:
         stats = None
         plan = auto_plan
 
-    # Fresh auto solve: pick counted, estimate error sampled.
+    # Fresh auto solve: pick counted.
     metrics.record_solve("chain", 0.1, FakeSolution(), cached=False, plan=auto_plan)
-    # Cached auto solve: pick counted, no estimate sample.
+    # Cached auto solve: pick counted too.
     metrics.record_solve("chain", 0.001, FakeSolution(), cached=True, plan=auto_plan)
     # Explicit request replaying the same cached entry: no pick.
     metrics.record_solve("chain", 0.001, FakeSolution(), cached=True)
@@ -321,7 +316,4 @@ def test_server_metrics_planner_picks_and_estimate_error():
     )
     planner = snapshot["planner"]
     assert planner["picks"] == {"chain": 2}
-    assert planner["auto_solves"] == 2
-    assert planner["estimate"]["samples"] == 1
-    assert planner["estimate"]["mean_abs_error_seconds"] == pytest.approx(0.02)
-    assert planner["estimate"]["mean_abs_relative_error"] == pytest.approx(0.2)
+    assert planner == {"picks": {"chain": 2}, "auto_solves": 2}

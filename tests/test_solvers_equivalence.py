@@ -1,9 +1,10 @@
-"""The central cross-validation: seven solver implementations must
-produce the identical canonical stable matching on every instance.
+"""The central cross-validation: every registered solver must produce
+the identical canonical stable matching on every instance.
 
 Under the strict canonical orders the stable matching is unique, so
 greedy oracle == Gale-Shapley == Brute Force == Chain == SB (all
-variants) == SB-alt, pair for pair, unit for unit.
+variants, interpreted and columnar) == SB-alt, pair for pair, unit for
+unit.
 """
 
 import pytest
@@ -18,18 +19,11 @@ from repro.core import (
     solve,
 )
 from repro.data.instances import FunctionSet, ObjectSet
+from repro.planner import REGISTRY
 
 from .conftest import random_instance
 
-ALL_METHODS = [
-    "sb",
-    "sb-update",
-    "sb-deltasky",
-    "sb-two-skylines",
-    "sb-alt",
-    "brute-force",
-    "chain",
-]
+ALL_METHODS = REGISTRY.names()
 
 
 def run_all(fs, os_, methods=ALL_METHODS):
