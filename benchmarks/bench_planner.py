@@ -2,8 +2,11 @@
 
 ``auto`` always runs ``sb-vec``.  For every grid cell this script
 times ``auto`` and each candidate config on a warm index (the tree
-loaded and the catalogue's columnar state built before any timed run),
-keeps the best of ``--repeats`` runs per method, and reports
+loaded and the catalogue's columnar state built before any timed run).
+It runs ``--repeats`` rounds of one run per method, so that a slow
+spell of the host falls on every method of a round, collects garbage
+before each run, so that no run pays for what the previous one left,
+and keeps each method's best run.  It reports
 
 - **regret** — ``(t_auto - t_best) / t_best``, where ``t_best`` is the
   fastest candidate's time (``sb-vec`` is a candidate, so the regret
@@ -32,13 +35,15 @@ nothing.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_planner.py --label pr22_rule
+    PYTHONPATH=src python benchmarks/bench_planner.py --label my_host
     PYTHONPATH=src python benchmarks/bench_planner.py --smoke
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import gc
 import json
 import os
 import platform
@@ -103,17 +108,18 @@ def base_instance(shape: dict):
     return make_instance(seed=17, **shape)
 
 
-_catalogues: dict = {}
+@functools.cache
+def served_catalogue(no: int):
+    """One catalogue per size, shared by its cells as the service
+    reuses its catalogues."""
+    return make_objects(no, 3, "anti-correlated", seed=17)
 
 
 def served_instance(shape: dict):
-    """One shared catalogue per size (as the service reuses its
-    catalogues); a cohort of ``nf`` functions over it, with priorities
-    and capacities drawn from 1–3 when ``weighted``."""
+    """A cohort of ``nf`` functions over the shared catalogue, with
+    priorities and capacities drawn from 1–3 when ``weighted``."""
     no, nf = shape["no"], shape["nf"]
-    objects = _catalogues.get(no)
-    if objects is None:
-        objects = _catalogues[no] = make_objects(no, 3, "anti-correlated", seed=17)
+    objects = served_catalogue(no)
     gammas = capacities = None
     if shape["weighted"]:
         rng = np.random.default_rng([17, nf])
@@ -133,12 +139,12 @@ def measure(grid: str, shapes, candidates, instance, repeats: int) -> list[dict]
         # indexes a catalogue; one untimed columnar solve builds the
         # catalogue's columnar state.
         run_cell(AUTO_PLAN.method, functions, objects)
-        timings: dict[str, float] = {}
-        for method in (*candidates, AUTO_METHOD):
-            timings[method] = min(
-                run_cell(method, functions, objects).cpu_seconds
-                for _ in range(repeats)
-            )
+        timings = dict.fromkeys((*candidates, AUTO_METHOD), float("inf"))
+        for _ in range(repeats):
+            for method in timings:
+                gc.collect()
+                seconds = run_cell(method, functions, objects).cpu_seconds
+                timings[method] = min(timings[method], seconds)
         best = min(candidates, key=lambda m: (timings[m], m))
         regret = (timings[AUTO_METHOD] - timings[best]) / timings[best]
         rows.append(

@@ -9,7 +9,7 @@ be derived views from drifting away from it:
   spec claims);
 - **REP304** — ``core.solve``'s ``SOLVERS`` / ``SOLVER_OPTIONS``
   tables are no longer *derived* from the registry (a literal dict
-  re-introduces the pre-PR-5 split-brain).
+  re-introduces the split-brain the registry removed).
 
 REP301, REP303 and REP305 are retired: they checked the planner's
 calibration table and forced-pick list, which the fixed
