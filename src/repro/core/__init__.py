@@ -39,6 +39,7 @@ from repro.core.validate import assert_stable, assert_valid_matching, find_block
 from repro.data.instances import FunctionSet, ObjectSet
 from repro.engine.engine import AssignmentEngine, EngineConfig
 from repro.errors import InvalidSolverOptionError, UnknownSolverError
+from repro.planner.plan import AUTO_PLAN
 from repro.planner.registry import AUTO_METHOD, REGISTRY
 
 #: Name → solve callable, derived from the registry (legacy view).
@@ -95,8 +96,6 @@ def solve(
         return AssignmentEngine(method).run(functions, index)
     REGISTRY.validate(method, kwargs)
     if method == AUTO_METHOD:
-        from repro.planner.plan import AUTO_PLAN
-
         spec = REGISTRY.get(AUTO_PLAN.method)
         return spec.solve(functions, index, **AUTO_PLAN.options_dict())
     return REGISTRY.get(method).solve(functions, index, **kwargs)
