@@ -16,7 +16,6 @@ sacrifice for its ability to resume searches").
 from __future__ import annotations
 
 import heapq
-import time
 
 from repro.core.capacity import CapacityTracker
 from repro.core.index import ObjectIndex
@@ -38,7 +37,7 @@ def brute_force_assign(
     disk-resident function set (Section 7.6's swapped-storage setting,
     where Brute Force must at least scan F once to issue its queries).
     """
-    start = time.perf_counter()
+    start = index.run_clock()
     io_before = index.stats.snapshot()
     mem = MemoryTracker()
     matching = Matching()
@@ -103,7 +102,7 @@ def brute_force_assign(
     io.logical_reads += function_scan_pages
     stats = RunStats(
         io=io,
-        cpu_seconds=time.perf_counter() - start,
+        cpu_seconds=index.run_clock() - start,
         peak_memory_bytes=mem.peak_bytes,
         loops=loops,
         counters={"top1_searches": top1_searches},

@@ -34,8 +34,11 @@ Two interchangeable backends run step 3:
 - ``backend="vec"`` — the columnar churn kernel of
   :mod:`repro.kernels.dynamic`: mutable preallocated coordinate and
   weight matrices mirror the live population, and the suffix is
-  re-matched with masked mutual-best matmul rounds plus
-  reference-dominator skyline repair.
+  re-matched in mutual-best rounds over per-side best pointers (each
+  free function's best alive object, each candidate object's best
+  alive function), rescanning only the pointers whose target was
+  exhausted.  It assumes nothing about the signs of weights or
+  coordinates.
 
 Both backends produce byte-identical emitted pairs (handles, float
 scores, units, order) — the property tests assert equality against
@@ -55,6 +58,7 @@ from bisect import bisect_right
 
 from repro.core.types import Matching
 from repro.data.instances import FunctionSet, ObjectSet, Point
+from repro.errors import InvalidProblemError
 from repro.kernels.dynamic import VectorizedChurnState
 from repro.ordering import PairKey, pair_key
 from repro.scoring import score
@@ -73,8 +77,10 @@ class DynamicStableMatching:
 
     ``backend`` selects the suffix-rematch engine (see the module
     docstring); both backends maintain byte-identical state.  The
-    vectorized backend additionally requires all weight/point tuples
-    of a side to share one dimensionality (``ValueError`` otherwise).
+    first arrival on either side fixes the dimensionality: a weight or
+    point tuple of another length raises
+    :class:`~repro.errors.InvalidProblemError` (a ``ValueError``)
+    before anything changes, on both backends.
     """
 
     def __init__(self, backend: str = "interp") -> None:
@@ -88,6 +94,9 @@ class DynamicStableMatching:
         self._f_caps: dict[int, int] = {}
         self._points: dict[int, Point] = {}
         self._o_caps: dict[int, int] = {}
+        #: Dimensionality of every weight and point tuple, fixed by the
+        #: first arrival on either side.
+        self._dims: int | None = None
         self._next_f = 0
         self._next_o = 0
         # Emitted pair sequence in canonical greedy order:
@@ -182,8 +191,8 @@ class DynamicStableMatching:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         fid = self._next_f
-        self._next_f += 1
         self._register_function(fid, tuple(weights), capacity)
+        self._next_f += 1
         self.events_applied += 1
         self._rematch_from(self._first_affected_by_function(fid))
         return fid
@@ -200,8 +209,8 @@ class DynamicStableMatching:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         oid = self._next_o
-        self._next_o += 1
         self._register_object(oid, tuple(point), capacity)
+        self._next_o += 1
         self.events_applied += 1
         self._rematch_from(self._first_affected_by_object(oid))
         return oid
@@ -219,9 +228,20 @@ class DynamicStableMatching:
     # Population registry (dicts + optional columnar mirror)
     # ------------------------------------------------------------------
 
+    def _check_dims(self, values: tuple[float, ...], what: str) -> None:
+        """Reject a tuple whose length differs from the fixed
+        dimensionality; the first tuple of either side fixes it."""
+        if self._dims is None:
+            self._dims = len(values)
+        elif len(values) != self._dims:
+            raise InvalidProblemError(
+                f"expected {self._dims}-dimensional {what}, got {len(values)}"
+            )
+
     def _register_function(
         self, fid: int, weights: tuple[float, ...], capacity: int
     ) -> None:
+        self._check_dims(weights, "weights")
         self._weights[fid] = weights
         self._f_caps[fid] = capacity
         if self._vec is not None:
@@ -234,6 +254,7 @@ class DynamicStableMatching:
             self._vec.functions.remove(fid)
 
     def _register_object(self, oid: int, point: Point, capacity: int) -> None:
+        self._check_dims(point, "point")
         self._points[oid] = point
         self._o_caps[oid] = capacity
         if self._vec is not None:

@@ -11,7 +11,11 @@ An :class:`ObjectIndex` can also start unloaded: its ``tree`` then
 bulk-loads on first access and cold-starts the storage right after,
 just as ``build_object_index`` does after its load.  Object I/O comes
 only from the tree, so a run that triggers the load is charged exactly
-what it would be on an eagerly loaded index.  The service's index
+what it would be on an eagerly loaded index.  The load is timed on its
+own, in an ``index.load`` span and in ``ObjectIndex.load_seconds``, and
+runs are timed by :meth:`ObjectIndex.run_clock`, which stands still
+while the tree loads, so neither a run's ``RunStats.cpu_seconds`` nor
+its phase timings include the load.  The service's index
 cache creates its indexes this way, so a catalogue served only by the
 columnar solvers (which read the catalogue's columns, never the tree)
 is never bulk-loaded.
@@ -23,10 +27,12 @@ disk-resident), pass ``memory=True``: the tree lives in a
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.data.instances import ObjectSet
+from repro.obs.trace import span
 from repro.rtree.store import DiskNodeStore, MemoryNodeStore
 from repro.rtree.tree import RTree
 from repro.storage.stats import IOStats
@@ -53,6 +59,8 @@ class ObjectIndex:
     #: over this index (:func:`repro.kernels.columnar.catalogue_columns`)
     #: and shared by every later one.
     columnar: CatalogueColumns | None = field(default=None, repr=False, compare=False)
+    #: Seconds spent bulk-loading the tree (see :meth:`run_clock`).
+    load_seconds: float = field(default=0.0, init=False, repr=False, compare=False)
     _tree: RTree | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -73,17 +81,26 @@ class ObjectIndex:
         """The object R-tree (STR bulk-loaded on first access)."""
         tree = self._tree
         if tree is None:
-            dims = self.objects.dims
-            store: DiskNodeStore | MemoryNodeStore
-            if self.is_memory:
-                store = MemoryNodeStore(dims, self.page_size, stats=self.stats)
-            else:
-                store = DiskNodeStore(
-                    dims, self.page_size, buffer_capacity=0, stats=self.stats
-                )
-            tree = self._tree = RTree.bulk_load(store, dims, self.objects.items())
-            self.reset_for_run()
+            with span("index.load", objects=len(self.objects)) as load:
+                dims = self.objects.dims
+                store: DiskNodeStore | MemoryNodeStore
+                if self.is_memory:
+                    store = MemoryNodeStore(dims, self.page_size, stats=self.stats)
+                else:
+                    store = DiskNodeStore(
+                        dims, self.page_size, buffer_capacity=0, stats=self.stats
+                    )
+                tree = RTree.bulk_load(store, dims, self.objects.items())
+                self._tree = tree
+                self.reset_for_run()
+            self.load_seconds += load.duration_seconds or 0.0
         return tree
+
+    def run_clock(self) -> float:
+        """``time.perf_counter()`` less the time spent loading the
+        tree: the clock runs over this index are timed by, so a lazy
+        load falls outside the run and the phase it happens in."""
+        return time.perf_counter() - self.load_seconds
 
     def reset_for_run(self, buffer_fraction: float | None = None) -> None:
         """Cold-start the storage layer before a measured run: resize

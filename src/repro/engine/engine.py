@@ -24,7 +24,6 @@ five copies.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable
 
@@ -96,9 +95,9 @@ class AssignmentEngine:
         round_strategy = self.config.build_round(ctx)
         commit = self.config.build_commit(ctx)
 
-        phase_start = time.perf_counter()
+        phase_start = inst.clock()
         skyline = maintenance.compute_initial()
-        inst.phase("skyline_initial", time.perf_counter() - phase_start)
+        inst.phase("skyline_initial", inst.clock() - phase_start)
         loops, skyline = self._round_loop(
             ctx, maintenance, round_strategy, commit, skyline, inst
         )
@@ -123,10 +122,10 @@ class AssignmentEngine:
         caps = ctx.caps
         loops = 0
         # Local accumulators, folded into ``inst.phases`` once at loop
-        # exit — two perf_counter reads per phase per round, no dict
+        # exit — two clock reads per phase per round, no dict
         # traffic on the hot path.
         search_seconds = commit_seconds = repair_seconds = 0.0
-        clock = time.perf_counter
+        clock = inst.clock
         while not caps.exhausted and skyline:
             loops += 1
             tick = clock()

@@ -13,8 +13,6 @@ each strategy's ``finalize`` hook.
 
 from __future__ import annotations
 
-import time
-
 from repro.core.index import ObjectIndex
 from repro.core.types import RunStats
 from repro.storage.stats import MemoryTracker
@@ -40,7 +38,10 @@ class Instrumentation:
 
     def __init__(self, index: ObjectIndex):
         self._index = index
-        self._start = time.perf_counter()
+        #: The run's clock: it stands still while a lazy tree load
+        #: runs, so the load is in neither CPU time nor any phase.
+        self.clock = index.run_clock
+        self._start = self.clock()
         self._io_before = index.stats.snapshot()
         self.mem = MemoryTracker()
         self.phases: dict[str, float] = {}
@@ -57,7 +58,7 @@ class Instrumentation:
         strategies add auxiliary traffic in their ``finalize``)."""
         return RunStats(
             io=self._index.stats.delta_since(self._io_before),
-            cpu_seconds=time.perf_counter() - self._start,
+            cpu_seconds=self.clock() - self._start,
             peak_memory_bytes=self.mem.peak_bytes,
             loops=loops,
             phases=dict(self.phases),

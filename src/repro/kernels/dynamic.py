@@ -4,21 +4,27 @@
 The interpreted dynamic maintainer re-runs a greedy pass over the
 *suffix* participants of each event (sorted Python tuples, one
 ``score()`` per candidate pair).  This module re-expresses that suffix
-rematch with the static kernels' machinery:
+rematch over numpy arrays:
 
 - a **mutable columnar instance** (:class:`MutableColumns` per side):
   preallocated float64 coordinate/weight matrices with amortized
   doubling growth and slot recycling, int64 residual-capacity vectors
   and alive masks, handles mapped to rows so arrays stay dense under
   arbitrary arrival/departure interleavings;
-- the **mutual-best matmul round** of
-  :class:`~repro.kernels.rounds.VectorizedMutualRound`: one
-  ``free-functions × skyline`` score matrix per round answers both
-  directions of the mutual-best test, with exact canonical
-  tie-resolution inside summed-term-magnitude tolerance bands;
-- the **reference-dominator skyline repair** of
-  :class:`~repro.kernels.skyline.MaskSkyline`: exhausted objects leave
-  the round skyline in O(orphans), not O(pool).
+- **mutual-best rounds over per-side best pointers**: each free
+  function points to its canonically best alive free object, and each
+  candidate object (one that some function points to) to its
+  canonically best alive free function.  A round commits every pair
+  whose two pointers meet — the greedy's next pairs, as in
+  :class:`~repro.kernels.rounds.VectorizedMutualRound`.  Within a
+  rematch rows and columns only die, so a pointer whose target is
+  still alive stays correct; only pointers whose target was exhausted
+  are recomputed, by scoring the stale rows against every alive
+  member of the other side in blocks bounded by
+  :data:`~repro.kernels.pareto.CELL_BUDGET` bytes.  No ``|F| × |O|``
+  matrix is held and no skyline is kept, so nothing assumes that a
+  preference rises with every coordinate: negative weights and
+  coordinates get the interpreted answer too.
 
 **Bit-identity discipline.**  The interpreted
 ``DynamicStableMatching`` stays the oracle: after every event the
@@ -37,11 +43,11 @@ bands (more exact resolutions, never a wrong winner).
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 
 import numpy as np
 
-from repro.kernels.skyline import MaskSkyline
+from repro.kernels.pareto import CELL_BUDGET
 from repro.ordering import PairKey, neg, pair_key
 from repro.scoring import SCORE_EPS, score
 
@@ -231,99 +237,125 @@ class VectorizedChurnState:
             return []
         fids = [h for h, _ in free_functions]
         oids = [h for h, _ in free_objects]
-        fcap = np.asarray([c for _, c in free_functions], dtype=np.int64)
-        ocap = np.asarray([c for _, c in free_objects], dtype=np.int64)
+        fcap = [c for _, c in free_functions]
+        ocap = [c for _, c in free_objects]
+        nf, no = len(fids), len(oids)
         weights = self.functions.data[self.functions.rows_for(fids)]
         points = self.objects.data[self.objects.rows_for(oids)]
-        f_alive = fcap > 0
-        sky = MaskSkyline(points)
-        sky.compute_initial()
-        max_abs_w = self.functions.max_abs
-        max_abs_p = self.objects.max_abs
+        row_tol = SCORE_EPS * np.maximum(
+            1.0, self.objects.max_abs * np.abs(weights).sum(axis=1)
+        )
+        col_tol = SCORE_EPS * np.maximum(
+            1.0, self.functions.max_abs * np.abs(points).sum(axis=1)
+        )
+        # One spare slot past each side stays dead, so a pointer that
+        # was never set (-1) reads as stale in the same lookup as one
+        # whose target was exhausted.
+        f_alive = np.zeros(nf + 1, dtype=bool)
+        f_alive[:nf] = True
+        o_alive = np.zeros(no + 1, dtype=bool)
+        o_alive[:no] = True
+        # Local row of each function's canonically best alive object, and
+        # of each candidate object's canonically best alive function.
+        obest = np.full(nf, -1, dtype=np.intp)
+        fbest = np.full(no, -1, dtype=np.intp)
 
-        emitted: list[tuple[int, int, float, int]] = []
+        def resolve_object(f: int, band: np.ndarray) -> int:
+            return self._resolve_object(
+                band, oids, exact_points, exact_weights[fids[f]]
+            )
+
+        def resolve_function(o: int, band: np.ndarray) -> int:
+            return self._resolve_function(
+                band, fids, exact_weights, exact_points[oids[o]]
+            )
+
+        emitted: list[tuple[int, int, int]] = []
         while True:
-            alive_rows = np.nonzero(f_alive)[0]
-            if alive_rows.size == 0:
+            live_f = np.nonzero(f_alive)[0]
+            live_o = np.nonzero(o_alive)[0]
+            if live_f.size == 0 or live_o.size == 0:
                 break
-            sky_loc = sky.sky_indices()
-            if sky_loc.size == 0:
-                break
-            sky_points = points[sky_loc]
-            scores = weights[alive_rows] @ sky_points.T
-            self.score_cells += int(scores.size)
-
-            # -- fbest: canonically best free function per sky object.
-            col_tol = SCORE_EPS * np.maximum(
-                1.0, max_abs_w * np.abs(sky_points).sum(axis=1)
-            )
-            col_band = scores >= (scores.max(axis=0) - col_tol)[None, :]
-            fbest = alive_rows[scores.argmax(axis=0)]
-            fbest_exact: dict[int, float] = {}
-            for j in np.nonzero(col_band.sum(axis=0) > 1)[0]:
-                j = int(j)
-                cand = alive_rows[np.nonzero(col_band[:, j])[0]]
-                floc, exact = self._resolve_function(
-                    cand, fids, exact_weights, exact_points[oids[int(sky_loc[j])]]
+            # Rows and columns only die within a rematch, so a pointer
+            # whose target is alive is still correct; rescan the rest.
+            stale = live_f[~o_alive[obest[live_f]]]
+            if stale.size:
+                obest[stale] = self._best_alive(
+                    weights, stale, row_tol, points, live_o, resolve_object
                 )
-                fbest[j] = floc
-                fbest_exact[j] = exact
-
-            # -- obest: canonically best sky object per candidate.
-            cand_rows = np.unique(fbest)
-            cand_scores = scores[np.searchsorted(alive_rows, cand_rows)]
-            row_tol = SCORE_EPS * np.maximum(
-                1.0, max_abs_p * np.abs(weights[cand_rows]).sum(axis=1)
-            )
-            row_band = cand_scores >= (cand_scores.max(axis=1) - row_tol)[:, None]
-            obest = sky_loc[cand_scores.argmax(axis=1)]
-            for t in np.nonzero(row_band.sum(axis=1) > 1)[0]:
-                t = int(t)
-                obest[t] = self._resolve_object(
-                    sky_loc[np.nonzero(row_band[t])[0]],
-                    oids,
-                    exact_points,
-                    exact_weights[fids[int(cand_rows[t])]],
+            candidates = obest[live_f]
+            stale = candidates[~f_alive[fbest[candidates]]]
+            if stale.size:
+                stale = np.unique(stale)
+                fbest[stale] = self._best_alive(
+                    points, stale, col_tol, weights, live_f, resolve_function
                 )
 
             # -- commit mutually-best pairs (vertex-disjoint within a
             #    round, so commit order cannot change the outcome).
-            committed = False
-            dead_objects: list[int] = []
-            for t in range(len(cand_rows)):
-                floc = int(cand_rows[t])
-                oloc = int(obest[t])
-                j = int(np.searchsorted(sky_loc, oloc))
-                if int(fbest[j]) != floc:
-                    continue
-                fid = fids[floc]
-                oid = oids[oloc]
-                exact = fbest_exact.get(j)
-                if exact is None:
-                    exact = score(exact_weights[fid], exact_points[oid])
-                units = int(min(fcap[floc], ocap[oloc]))
-                fcap[floc] -= units
-                ocap[oloc] -= units
-                emitted.append((fid, oid, exact, units))
-                committed = True
-                if fcap[floc] == 0:
-                    f_alive[floc] = False
-                if ocap[oloc] == 0:
-                    dead_objects.append(oloc)
-            if dead_objects:
-                sky.remove(np.asarray(dead_objects, dtype=np.intp))
+            committed = 0
+            for f in live_f[fbest[obest[live_f]] == live_f].tolist():
+                o = int(obest[f])
+                units = min(fcap[f], ocap[o])
+                committed += units
+                fcap[f] -= units
+                ocap[o] -= units
+                emitted.append((fids[f], oids[o], units))
+                if fcap[f] == 0:
+                    f_alive[f] = False
+                if ocap[o] == 0:
+                    o_alive[o] = False
             if not committed:
                 # Unreachable: with both sides non-empty the globally
-                # best pair is always mutual.  Guard the loop anyway.
+                # best pair is always mutual and commits a unit, which
+                # exhausts one side.  Guard the loop anyway.
                 raise RuntimeError("vectorized rematch round made no progress")
 
-        out = [
-            (pair_key(s, exact_weights[fid], fid, exact_points[oid], oid),
-             fid, oid, s, units)
-            for fid, oid, s, units in emitted
-        ]
+        out = []
+        for fid, oid, units in emitted:
+            w, p = exact_weights[fid], exact_points[oid]
+            s = score(w, p)
+            out.append((pair_key(s, w, fid, p, oid), fid, oid, s, units))
         out.sort(key=lambda item: item[0])
         return out
+
+    def _best_alive(
+        self,
+        queries: np.ndarray,
+        stale: np.ndarray,
+        tol: np.ndarray,
+        targets: np.ndarray,
+        live: np.ndarray,
+        resolve: Callable[[int, np.ndarray], int],
+    ) -> np.ndarray:
+        """The canonically best ``live`` target row of each ``stale``
+        query row.
+
+        Scores ``queries[stale]`` against ``targets[live]`` in blocks
+        of query rows, so no block exceeds :data:`CELL_BUDGET` bytes of
+        float64 scores.  A row's numpy argmax is trusted only when it
+        is alone inside the row's tolerance band ``tol``; a wider band
+        goes to ``resolve(query_row, band_rows)``.
+        """
+        cols = targets[live]
+        best = np.empty(stale.size, dtype=np.intp)
+        step = max(1, CELL_BUDGET // (queries.itemsize * live.size))
+        for start in range(0, stale.size, step):
+            rows = stale[start : start + step]
+            scores = queries[rows] @ cols.T
+            self.score_cells += int(scores.size)
+            top = scores.argmax(axis=1)
+            best[start : start + step] = live[top]
+            peak = scores[np.arange(rows.size), top]
+            band = scores >= (peak - tol[rows])[:, None]
+            # Every band holds its argmax, so a total above the row
+            # count means some band holds more than one candidate.
+            if np.count_nonzero(band) == rows.size:
+                continue
+            for t in np.nonzero(np.count_nonzero(band, axis=1) > 1)[0]:
+                t = int(t)
+                best[start + t] = resolve(int(rows[t]), live[np.nonzero(band[t])[0]])
+        return best
 
     # -- exact canonical tie resolution --------------------------------
 
@@ -333,9 +365,8 @@ class VectorizedChurnState:
         fids: list[int],
         exact_weights: Mapping[int, tuple[float, ...]],
         point: tuple[float, ...],
-    ) -> tuple[int, float]:
-        """Canonical winner of an fbest band (function_key order);
-        returns the local row and its exact score."""
+    ) -> int:
+        """Canonical winner of an fbest band (function_key order)."""
         self.tie_resolutions += 1
         best_key = None
         best_row = -1
@@ -346,8 +377,7 @@ class VectorizedChurnState:
             if best_key is None or key < best_key:
                 best_key = key
                 best_row = r
-        assert best_key is not None
-        return best_row, -best_key[0]
+        return best_row
 
     def _resolve_object(
         self,

@@ -23,11 +23,11 @@ the vectorized configs stay pair-identical to their interpreted twins
 regardless of maintenance algorithm.  I/O is 0 by construction: no
 page is ever read.
 
-:class:`MaskSkyline` is the context-free core (used both by the
-static solve twin below and by the incremental churn kernel in
-:mod:`repro.kernels.dynamic`); :class:`VectorizedSkylineMaintenance`
-adapts it to the engine's maintenance seam (``SkylineState`` dicts,
-memory gauges, member validation).  The static twin never runs the
+:class:`MaskSkyline` is the context-free core of the static solve
+twin below (the churn kernel in :mod:`repro.kernels.dynamic` keeps no
+skyline); :class:`VectorizedSkylineMaintenance` adapts it to the
+engine's maintenance seam (``SkylineState`` dicts, memory gauges,
+member validation).  The static twin never runs the
 initial Pareto pass itself: the catalogue's
 :class:`~repro.kernels.columnar.CatalogueColumns` runs it once, and
 each solve starts from a copy of its result.

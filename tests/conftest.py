@@ -6,11 +6,19 @@ import contextlib
 import random
 
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from repro.cluster import GatewayConfig, serve_gateway_in_thread
 from repro.data.instances import FunctionSet, ObjectSet
 from repro.server import ServerConfig, serve_in_thread
+
+#: The deep churn identity run:
+#: ``pytest --hypothesis-profile=churn-deep tests/test_dynamic_vec.py``
+#: runs the churn three-way property on 500 derandomized examples.
+settings.register_profile(
+    "churn-deep", max_examples=500, derandomize=True, deadline=None
+)
 
 # ---------------------------------------------------------------------------
 # Random instance builders (plain `random`, used by seeded loop tests)

@@ -2,6 +2,7 @@
 reuse, and per-job result fidelity."""
 
 import threading
+import time
 
 import pytest
 
@@ -147,6 +148,51 @@ def test_first_solve_on_an_unloaded_index_is_charged_like_an_eager_one():
         eager = build_object_index(os_, page_size=512, memory=job.wants_memory_index)
         direct = solve(fs, eager, method=method)
         assert run_signature(lazy.result) == run_signature(direct), method
+
+
+@pytest.mark.parametrize("method", ["sb", "chain", "brute-force"])
+def test_lazy_tree_load_stays_out_of_the_run_cpu_time(monkeypatch, method):
+    """The run that bulk-loads an unloaded cache index reports the load
+    in an ``index.load`` span and in ``load_seconds``; its
+    ``cpu_seconds`` and phase timings leave the load out."""
+    import repro.core.index
+    from repro.obs.trace import SpanCollector, collecting
+    from repro.rtree.tree import RTree
+
+    pause = 0.2
+
+    class SlowRTree:
+        """Slows the object index's load only: ``chain`` bulk-loads a
+        function tree inside its run, which is part of the solve."""
+
+        @staticmethod
+        def bulk_load(*args, **kwargs):
+            time.sleep(pause)
+            return RTree.bulk_load(*args, **kwargs)
+
+    monkeypatch.setattr(repro.core.index, "RTree", SlowRTree)
+    fs, os_ = random_instance(8, 60, 3, seed=91)
+    job = SolveJob(functions=fs, objects=os_, method=method, page_size=512)
+    solver = BatchSolver()
+    collector = SpanCollector()
+    with collecting(collector):
+        first = solver.solve_one(job)
+    index, _, _ = solver.cache.get(os_, 512, job.wants_memory_index)
+    assert index.loaded and index.load_seconds >= pause
+    # The job's wall time holds the run and the load; CPU time only
+    # the run, and the phases only parts of the run.
+    stats = first.result.stats
+    assert first.wall_seconds - stats.cpu_seconds >= pause
+    assert sum(stats.phases.values()) <= stats.cpu_seconds + 1e-6
+    spans = {s.name: s for s in collector.spans}
+    load, solve_span = spans["index.load"], spans["engine.solve"]
+    assert load.duration_seconds >= pause
+    assert load.parent_id == solve_span.span_id
+    assert solve_span.attributes["engine_cpu_seconds"] == stats.cpu_seconds
+    # The second, identical run loads nothing and pays the same I/O.
+    second = solver.solve_one(job)
+    assert index.load_seconds == load.duration_seconds
+    assert run_signature(second.result) == run_signature(first.result)
 
 
 def test_auto_session_leaves_the_cached_tree_unloaded():

@@ -15,7 +15,7 @@ from repro.api import (
 )
 from repro.core.dynamic import DynamicStableMatching
 from repro.data.generators import churn_stream, make_functions, make_objects
-from repro.errors import UnknownSolverError
+from repro.errors import InvalidProblemError, UnknownSolverError
 from repro.kernels.dynamic import INITIAL_ROWS, MutableColumns
 
 from .conftest import random_instance
@@ -85,7 +85,9 @@ def test_vec_backend_departing_both_sides_to_empty():
 @st.composite
 def churn_scenario(draw):
     dims = draw(st.integers(1, 3))
-    value = st.sampled_from([0.0, 0.25, 0.5, 1.0])  # tie-heavy on purpose
+    # Tie-heavy on purpose, and signed: the kernel may not assume that
+    # a preference rises with every coordinate.
+    value = st.sampled_from([-1.0, -0.5, 0.0, 0.25, 0.5, 1.0])
     coord = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0, 0.25])
     ops = draw(
         st.lists(
@@ -116,8 +118,17 @@ def churn_scenario(draw):
     return dims, ops
 
 
+#: Tier-1's budget.  CI's deep step selects the ``churn-deep`` profile
+#: (tests/conftest.py) on the pytest command line instead.
+CHURN_SETTINGS = (
+    settings()
+    if settings.get_current_profile_name() == "churn-deep"
+    else settings(max_examples=50, deadline=None)
+)
+
+
 @given(churn_scenario())
-@settings(max_examples=50, deadline=None)
+@CHURN_SETTINGS
 def test_random_event_sequences_three_way_identity(scenario):
     """Arrivals/departures with multi-unit capacities and priority
     scaling: vec == interp == from-scratch oracle after every step."""
@@ -145,11 +156,86 @@ def test_random_event_sequences_three_way_identity(scenario):
         assert_three_way(interp, vec)
 
 
+def population_state(dyn: DynamicStableMatching) -> tuple:
+    """Everything an event may change, columnar mirror included."""
+    mirror = None
+    if dyn._vec is not None:
+        mirror = (dict(dyn._vec.functions.row_of), dict(dyn._vec.objects.row_of))
+    return (
+        list(dyn._pairs),
+        dict(dyn._weights),
+        dict(dyn._points),
+        dyn._next_f,
+        dyn._next_o,
+        dyn.churn_info(),
+        mirror,
+    )
+
+
 def test_vec_backend_rejects_mixed_dims():
-    vec = DynamicStableMatching(backend="vec")
-    vec.add_object((1.0, 2.0))
-    with pytest.raises(ValueError):
-        vec.add_object((1.0, 2.0, 3.0))
+    """The first arrival on either side fixes d on both backends; an
+    arrival of another d raises before anything changes, and the next
+    valid event still matches the interpreted backend."""
+    arrive = {
+        "function": lambda dyn, d: dyn.add_function((0.5,) * d),
+        "object": lambda dyn, d: dyn.add_object((1.0,) * d),
+    }
+    for backend in ("interp", "vec"):
+        for first in arrive:
+            for bad in arrive:
+                dyn = DynamicStableMatching(backend=backend)
+                reference = DynamicStableMatching()
+                for d in (dyn, reference):
+                    arrive[first](d, 2)
+                    arrive["object" if first == "function" else "function"](d, 2)
+                before = population_state(dyn)
+                with pytest.raises(InvalidProblemError):
+                    arrive[bad](dyn, 3)
+                assert population_state(dyn) == before, (backend, first, bad)
+                for d in (dyn, reference):
+                    d.add_object((0.25, 1.0))
+                    d.add_function((0.75, 0.25))
+                    d.remove_object(0)
+                assert dyn._pairs == reference._pairs == from_scratch(reference)._pairs
+
+
+@pytest.mark.parametrize(
+    "arrivals,expected",
+    [
+        # (1, 1) dominates (0, 0.5), but a function that weighs the
+        # first coordinate negatively scores the dominated object higher.
+        pytest.param(
+            [("f", (-1.0, 1.0)), ("o", (1.0, 1.0)), ("o", (0.0, 0.5))],
+            (0, 1, 0.5, 1),
+            id="negative-weight",
+        ),
+        # (0.5, 0.5) scores (0, 1) and (1, 0) both 0.5: numpy's argmax
+        # picks object 0, the canonical order (lexicographically larger
+        # coordinates first) object 1.
+        pytest.param(
+            [("f", (0.5, 0.5)), ("o", (0.0, 1.0)), ("o", (1.0, 0.0))],
+            (0, 1, 0.5, 1),
+            id="object-tie",
+        ),
+        # (0.25, 0.75) and (0.75, 0.25) both score (1, 1) at 1.0: numpy's
+        # argmax picks function 0, the canonical order (lexicographically
+        # larger weights first) function 1.
+        pytest.param(
+            [("o", (1.0, 1.0)), ("f", (0.25, 0.75)), ("f", (0.75, 0.25))],
+            (1, 0, 1.0, 1),
+            id="function-tie",
+        ),
+    ],
+)
+def test_minimal_cases_match_on_both_backends(arrivals, expected):
+    for backend in ("interp", "vec"):
+        dyn = DynamicStableMatching(backend=backend)
+        for side, values in arrivals:
+            if side == "f":
+                dyn.add_function(values)
+            else:
+                dyn.add_object(values)
+        assert [pair[1:] for pair in dyn._pairs] == [expected], backend
 
 
 def test_unknown_backend_rejected():

@@ -187,7 +187,7 @@ def test_incremental_removal_matches_recompute(seed, path):
         core = maintenance._computed()
         remove = maintenance.remove
     else:
-        # The churn kernel's own use: a fresh pass, then bare removals.
+        # The bare core: a fresh pass, then removals without the adapter.
         core = MaskSkyline(np.asarray(objects.points, dtype=np.float64))
         core.compute_initial()
 
