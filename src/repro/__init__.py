@@ -46,7 +46,7 @@ from repro.data.instances import FunctionSet, ObjectSet
 from repro.engine import AssignmentEngine, EngineConfig, engine_config
 from repro.service import BatchSolver, JobResult, SolveJob
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "AssignedPair",

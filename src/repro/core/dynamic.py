@@ -54,7 +54,9 @@ event and measure that the suffix work is genuinely partial.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
+from collections.abc import Iterable
 
 from repro.core.types import Matching
 from repro.data.instances import FunctionSet, ObjectSet, Point
@@ -67,6 +69,18 @@ from repro.scoring import score
 CHURN_BACKENDS = ("interp", "vec")
 
 
+def _finite_tuple(values: Iterable[float], what: str) -> tuple[float, ...]:
+    """An arrival's values as finite floats, or
+    :class:`~repro.errors.InvalidProblemError` before anything changes."""
+    try:
+        out = tuple(map(float, values))
+    except (TypeError, ValueError):
+        raise InvalidProblemError(f"{what} must be numbers, got {values!r}") from None
+    if not all(map(math.isfinite, out)):
+        raise InvalidProblemError(f"{what} must be finite, got {values!r}")
+    return out
+
+
 class DynamicStableMatching:
     """Maintains the canonical stable matching under churn.
 
@@ -76,9 +90,10 @@ class DynamicStableMatching:
     pre-scaled (effective) weight vectors.
 
     ``backend`` selects the suffix-rematch engine (see the module
-    docstring); both backends maintain byte-identical state.  The
-    first arrival on either side fixes the dimensionality: a weight or
-    point tuple of another length raises
+    docstring); both backends maintain byte-identical state.  An
+    arrival's weights or point must be finite numbers, and the first
+    arrival on either side fixes the dimensionality: a non-numeric,
+    NaN or infinite value, or a tuple of another length, raises
     :class:`~repro.errors.InvalidProblemError` (a ``ValueError``)
     before anything changes, on both backends.
     """
@@ -191,7 +206,7 @@ class DynamicStableMatching:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         fid = self._next_f
-        self._register_function(fid, tuple(weights), capacity)
+        self._register_function(fid, _finite_tuple(weights, "weights"), capacity)
         self._next_f += 1
         self.events_applied += 1
         self._rematch_from(self._first_affected_by_function(fid))
@@ -209,7 +224,7 @@ class DynamicStableMatching:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         oid = self._next_o
-        self._register_object(oid, tuple(point), capacity)
+        self._register_object(oid, _finite_tuple(point, "point"), capacity)
         self._next_o += 1
         self.events_applied += 1
         self._rematch_from(self._first_affected_by_object(oid))

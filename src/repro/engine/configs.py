@@ -17,8 +17,10 @@ config                skyline              best-pair search     commit
 ``sb-two-skylines``   UpdateSkyline        exhaustive Fsky      multi-pair
                                            scan
 ``chain``             (none)               mutual top-1 chase   multi-pair
-``sb-vec``            columnar masks       one matmul/round     multi-pair
-``sb-deltasky-vec``   columnar masks       one matmul/round     single-pair
+``sb-vec``            (none)               per-side best        multi-pair
+                                           pointers
+``sb-deltasky-vec``   (none)               per-side best        single-pair
+                                           pointers
 ===================  ==================  ===================  ===========
 
 The two ``*-vec`` configs are the columnar twins of

@@ -32,7 +32,8 @@ if TYPE_CHECKING:
 
 Point = tuple[float, ...]
 #: ``{oid: point}`` — the engine's view of the current object skyline.
-#: Strategies that need no skyline (Chain) supply a truthy sentinel.
+#: Strategies that need no skyline (Chain, the columnar configs)
+#: supply a truthy sentinel.
 SkylineState = dict[int, Point]
 
 

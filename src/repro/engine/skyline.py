@@ -2,9 +2,9 @@
 
 The R-tree managers of :mod:`repro.skyline` already speak the
 protocol (``compute_initial`` / ``remove``); this module adds the
-engine-side factories plus the degenerate strategy used by Chain,
-which operates on the full alive object set and needs no skyline at
-all.
+engine-side factories plus the degenerate strategy used by Chain and
+the columnar configs, which operate on the full alive object set and
+need no skyline at all.
 """
 
 from __future__ import annotations
@@ -34,9 +34,11 @@ class NoSkyline:
     """Trivial maintenance for strategies that ignore the skyline.
 
     Chain answers best-partner queries with R-tree top-1 searches over
-    the full alive sets, so the engine's skyline state is a permanently
-    truthy sentinel and removals are no-ops (the loop terminates via
-    capacity exhaustion or pair-source exhaustion instead).
+    the full alive sets, and the columnar configs with per-side best
+    pointers over them (:class:`~repro.kernels.rounds.PointerRound`),
+    so the engine's skyline state is a permanently truthy sentinel and
+    removals are no-ops (the loop terminates via capacity exhaustion or
+    pair-source exhaustion instead).
     """
 
     class _Sentinel:

@@ -7,24 +7,21 @@ This package rewrites the engine's inner loops over flat float64
 arrays.  Catalogue-only state is built once per catalogue and held by
 its cached :class:`~repro.core.index.ObjectIndex`
 (:class:`~repro.kernels.columnar.CatalogueColumns`: the read-only
-coordinate matrix, object capacities, ``max_abs_point`` and the initial
-skyline mask with its reference dominators, built on the first columnar
-solve over the index).  Cohort state is built once per solve
-(:class:`~repro.kernels.columnar.ColumnarInstance`: the weight matrix
-and function capacities).  So the ``skyline_initial`` phase reads near
-0 after a catalogue's first columnar solve: it copies two masks.  The
-kernels cover:
+coordinate matrix, object capacities and ``max_abs_point``, built on
+the first columnar solve over the index).  Cohort state is built once
+per solve (:class:`~repro.kernels.columnar.ColumnarInstance`: the
+weight matrix and function capacities).  The kernels cover:
 
-- batch Pareto filtering and incremental skyline-membership
-  maintenance (:mod:`repro.kernels.pareto`,
-  :class:`~repro.kernels.skyline.VectorizedSkylineMaintenance`);
-- one matmul per round answering *both* mutual-best directions
-  (fbest and obest) with exact canonical tie-resolution inside a
-  rounding-error tolerance band
-  (:class:`~repro.kernels.rounds.VectorizedMutualRound`);
-- array capacity/alive vectors seeding the masks the kernels filter
-  by (per-pair commit bookkeeping stays engine-owned — it is O(pairs),
-  not O(|F|·|O|)).
+- mutual-best rounds over per-side best pointers
+  (:class:`~repro.kernels.rounds.PointerRound`): each alive function
+  points to its canonically best alive object, each candidate object
+  to its canonically best alive function, and a round proposes every
+  pair whose two pointers meet.  No skyline is kept: a function's
+  stale pointer advances along the runner-up list of its last full
+  row scan, or the row is scanned again;
+- the churn kernel behind ``DynamicStableMatching(backend="vec")``
+  (:mod:`repro.kernels.dynamic`), whose suffix rematches run the same
+  kind of pointer rounds over mutable columns.
 
 **The oracle discipline.**  Every vectorized config is a *bit-identical
 twin* of an interpreted config: same pairs in the same order with the
@@ -38,12 +35,13 @@ approximate maximum), and the canonical winner is resolved
 inside the band with :func:`repro.scoring.score` and the canonical
 tuple orders of :mod:`repro.ordering`.
 
-**Instrumentation.**  ``loops`` and ``skyline_final_size`` are exact
-(the round structure is the scalar one).  ``io_accesses`` is 0 by
-construction — the kernels never touch the object R-tree — and peak
-memory gauges the columnar arrays plus the round score matrix instead
-of TA states and BBS heaps; both divergences are documented in the
-README's "Columnar kernels" section.
+**Instrumentation.**  ``loops`` is exact (the round structure is the
+scalar one).  ``io_accesses`` is 0 by construction — the kernels never
+touch the object R-tree — and peak memory gauges the columnar arrays,
+the runner-up lists and one block of scores instead of TA states and
+BBS heaps; ``kernel_score_cells`` and ``kernel_tie_resolutions`` count
+the scores computed and the bands resolved exactly.  The README's
+"Columnar kernels" section documents these divergences.
 """
 
 from repro.kernels.columnar import CatalogueColumns, ColumnarInstance
@@ -55,21 +53,15 @@ from repro.kernels.configs import (
     sb_vec_config,
 )
 from repro.kernels.dynamic import MutableColumns, VectorizedChurnState
-from repro.kernels.pareto import dominated_mask, pareto_mask
-from repro.kernels.rounds import VectorizedMutualRound
-from repro.kernels.skyline import MaskSkyline, VectorizedSkylineMaintenance
+from repro.kernels.rounds import PointerRound
 
 __all__ = [
     "CatalogueColumns",
     "ColumnarInstance",
-    "MaskSkyline",
     "MutableColumns",
+    "PointerRound",
     "VECTORIZED_CONFIGS",
     "VectorizedChurnState",
-    "VectorizedMutualRound",
-    "VectorizedSkylineMaintenance",
-    "dominated_mask",
-    "pareto_mask",
     "sb_deltasky_vec_assign",
     "sb_deltasky_vec_config",
     "sb_vec_assign",

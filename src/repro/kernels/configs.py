@@ -4,18 +4,15 @@
 ``sb-deltasky-vec`` the twin of ``sb-deltasky`` (single-pair commit,
 matching the unoptimized preset of its interpreted namesake).  Both
 run inside the ordinary :class:`~repro.engine.engine.AssignmentEngine`
-round loop — only the maintenance and round seams are columnar — so
-commit, capacity and loop accounting are literally the shared engine
-code, not re-implementations.
+round loop, so commit, capacity and loop accounting are literally the
+shared engine code, not re-implementations.
 
-The maintenance and round strategies share one per-solve
-:class:`~repro.kernels.columnar.ColumnarInstance` over the index's
-cached :class:`~repro.kernels.columnar.CatalogueColumns`, and the
-maintenance object itself (the round reads its skyline masks).
-Config builders may be reused across runs and threads, so the handoff
-between ``build_maintenance`` and ``build_round`` is keyed by the
-identity of the per-run :class:`~repro.engine.engine.EngineContext`
-rather than stored on the factory.
+Both configs run one :class:`~repro.kernels.rounds.PointerRound` over
+a per-solve :class:`~repro.kernels.columnar.ColumnarInstance` on the
+index's cached :class:`~repro.kernels.columnar.CatalogueColumns`.  The
+round keeps no skyline, so the maintenance seam is the engine's
+:class:`~repro.engine.skyline.NoSkyline`, as for Chain, and the round
+learns of exhausted objects from the commit hook.
 """
 
 from __future__ import annotations
@@ -24,27 +21,20 @@ from repro.core.types import AssignmentResult
 from repro.data.instances import FunctionSet
 from repro.engine.commit import build_commit_policy
 from repro.engine.engine import AssignmentEngine, EngineConfig, EngineContext
+from repro.engine.skyline import NoSkyline
 from repro.kernels.columnar import ColumnarInstance, catalogue_columns
-from repro.kernels.rounds import VectorizedMutualRound
-from repro.kernels.skyline import VectorizedSkylineMaintenance
+from repro.kernels.rounds import PointerRound
 
 
 def _vectorized_config(name: str, multi_pair: bool) -> EngineConfig:
-    pending: dict[int, VectorizedSkylineMaintenance] = {}
-
-    def build_maintenance(ctx: EngineContext) -> VectorizedSkylineMaintenance:
-        maintenance = VectorizedSkylineMaintenance(
+    def build_round(ctx: EngineContext) -> PointerRound:
+        return PointerRound(
             ctx, ColumnarInstance(ctx.functions, catalogue_columns(ctx.index))
         )
-        pending[id(ctx)] = maintenance
-        return maintenance
-
-    def build_round(ctx: EngineContext) -> VectorizedMutualRound:
-        return VectorizedMutualRound(ctx, pending.pop(id(ctx)))
 
     return EngineConfig(
         name=name,
-        build_maintenance=build_maintenance,
+        build_maintenance=lambda ctx: NoSkyline(),
         build_round=build_round,
         build_commit=lambda ctx: build_commit_policy(ctx, multi_pair),
     )

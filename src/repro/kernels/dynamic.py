@@ -16,12 +16,12 @@ rematch over numpy arrays:
   candidate object (one that some function points to) to its
   canonically best alive free function.  A round commits every pair
   whose two pointers meet — the greedy's next pairs, as in
-  :class:`~repro.kernels.rounds.VectorizedMutualRound`.  Within a
+  :class:`~repro.kernels.rounds.PointerRound`.  Within a
   rematch rows and columns only die, so a pointer whose target is
   still alive stays correct; only pointers whose target was exhausted
   are recomputed, by scoring the stale rows against every alive
   member of the other side in blocks bounded by
-  :data:`~repro.kernels.pareto.CELL_BUDGET` bytes.  No ``|F| × |O|``
+  :data:`~repro.kernels.rounds.CELL_BUDGET` bytes.  No ``|F| × |O|``
   matrix is held and no skyline is kept, so nothing assumes that a
   preference rises with every coordinate: negative weights and
   coordinates get the interpreted answer too.
@@ -47,7 +47,7 @@ from collections.abc import Callable, Mapping, Sequence
 
 import numpy as np
 
-from repro.kernels.pareto import CELL_BUDGET
+from repro.kernels.rounds import CELL_BUDGET
 from repro.ordering import PairKey, neg, pair_key
 from repro.scoring import SCORE_EPS, score
 

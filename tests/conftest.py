@@ -13,12 +13,23 @@ from repro.cluster import GatewayConfig, serve_gateway_in_thread
 from repro.data.instances import FunctionSet, ObjectSet
 from repro.server import ServerConfig, serve_in_thread
 
-#: The deep churn identity run:
-#: ``pytest --hypothesis-profile=churn-deep tests/test_dynamic_vec.py``
-#: runs the churn three-way property on 500 derandomized examples.
+#: The deep identity run: ``pytest --hypothesis-profile=churn-deep``
+#: runs every property that takes its budget from :func:`deep_settings`
+#: on 500 derandomized examples (the churn three-way property and the
+#: static solver properties; a CI step).
+DEEP_PROFILE = "churn-deep"
 settings.register_profile(
-    "churn-deep", max_examples=500, derandomize=True, deadline=None
+    DEEP_PROFILE, max_examples=500, derandomize=True, deadline=None
 )
+
+
+def deep_settings(max_examples: int, **fixed) -> settings:
+    """Tier-1's budget of ``max_examples`` without a deadline, or the
+    deep profile's budget when pytest selected that profile; ``fixed``
+    settings apply to both."""
+    if settings.get_current_profile_name() == DEEP_PROFILE:
+        return settings(**fixed)
+    return settings(max_examples=max_examples, deadline=None, **fixed)
 
 # ---------------------------------------------------------------------------
 # Random instance builders (plain `random`, used by seeded loop tests)

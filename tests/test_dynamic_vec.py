@@ -3,7 +3,7 @@ interpreted == from-scratch) after every event, the per-side partner
 indexes, the cumulative churn counters, and ``churn_backend`` routing."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.api import (
@@ -18,7 +18,7 @@ from repro.data.generators import churn_stream, make_functions, make_objects
 from repro.errors import InvalidProblemError, UnknownSolverError
 from repro.kernels.dynamic import INITIAL_ROWS, MutableColumns
 
-from .conftest import random_instance
+from .conftest import deep_settings, random_instance
 
 
 def from_scratch(source: DynamicStableMatching) -> DynamicStableMatching:
@@ -120,11 +120,7 @@ def churn_scenario(draw):
 
 #: Tier-1's budget.  CI's deep step selects the ``churn-deep`` profile
 #: (tests/conftest.py) on the pytest command line instead.
-CHURN_SETTINGS = (
-    settings()
-    if settings.get_current_profile_name() == "churn-deep"
-    else settings(max_examples=50, deadline=None)
-)
+CHURN_SETTINGS = deep_settings(max_examples=50)
 
 
 @given(churn_scenario())
@@ -196,6 +192,42 @@ def test_vec_backend_rejects_mixed_dims():
                     d.add_object((0.25, 1.0))
                     d.add_function((0.75, 0.25))
                     d.remove_object(0)
+                assert dyn._pairs == reference._pairs == from_scratch(reference)._pairs
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [("a", "b"), (None, 0.5), (float("nan"), 0.5), (0.5, float("inf"))],
+    ids=["strings", "none", "nan", "inf"],
+)
+def test_malformed_arrival_rejected_before_any_change(bad):
+    """A non-numeric or non-finite weight or point raises
+    InvalidProblemError before anything changes, on both backends and
+    both sides, also as the very first arrival (so it does not fix d);
+    the next valid events still match interp and a from-scratch solve."""
+    arrive = {
+        "function": lambda dyn, values: dyn.add_function(values),
+        "object": lambda dyn, values: dyn.add_object(values),
+    }
+    for backend in ("interp", "vec"):
+        for side in arrive:
+            for seeded in (False, True):
+                dyn = DynamicStableMatching(backend=backend)
+                reference = DynamicStableMatching()
+                if seeded:
+                    for d in (dyn, reference):
+                        d.add_function((0.5, 0.5))
+                        d.add_object((1.0, 0.25))
+                before = population_state(dyn), dyn._dims
+                with pytest.raises(InvalidProblemError):
+                    arrive[side](dyn, bad)
+                assert (population_state(dyn), dyn._dims) == before, (
+                    backend, side, seeded,
+                )
+                dims = 2 if seeded else 3
+                for d in (dyn, reference):
+                    d.add_object((0.25,) * (dims - 1) + (1.0,))
+                    d.add_function((1.0 / dims,) * dims)
                 assert dyn._pairs == reference._pairs == from_scratch(reference)._pairs
 
 

@@ -1,22 +1,21 @@
 """The columnar kernels of :mod:`repro.kernels`.
 
-Three layers of coverage:
+Four layers of coverage:
 
-- **batch Pareto kernels vs the scalar oracle** — hypothesis property
-  tests check :func:`~repro.kernels.pareto.pareto_mask`,
-  :func:`~repro.kernels.pareto.dominated_mask` and
-  :func:`~repro.kernels.pareto.dominator_index` against
-  :func:`repro.skyline.reference.naive_skyline` /
-  :func:`repro.rtree.geometry.dominates` on mixed-sign coordinates,
-  exact float ties and duplicate points, at the shipped block sizes and
-  at tiny ones that cross many blocks;
 - **bit-identity against the interpreted twins** — ``sb-vec`` must
   reproduce ``sb`` (and ``sb-deltasky-vec`` must reproduce
   ``sb-deltasky``) pair for pair: same (fid, oid, score, units)
   sequence, same loop count, on plain / tie-heavy / capacitated /
-  prioritized instances and through the batch solver;
+  prioritized instances, at a served size and through the batch
+  solver;
+- **the runner-up lists** of :class:`~repro.kernels.rounds.PointerRound`
+  — deterministic cases for each way a stale pointer is refreshed, and
+  a hypothesis property against the greedy oracle, at list lengths of
+  1–4 so that a few dozen objects cross every path, and at score-block
+  budgets down to one row per block;
 - **stability certificates** — the vectorized solvers' matchings pass
-  :meth:`repro.api.Solution.verify` (no blocking pair).
+  :meth:`repro.api.Solution.verify` (no blocking pair);
+- **catalogue state** — built once per cached index and read-only.
 """
 
 from __future__ import annotations
@@ -25,206 +24,17 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given
 from hypothesis import strategies as st
 
 from repro.api import AssignmentSession, Problem
-from repro.core import build_object_index, solve
+from repro.core import build_object_index, greedy_assign, solve
+from repro.data.generators import make_objects, random_priorities, uniform_weights
 from repro.data.instances import FunctionSet, ObjectSet
-from repro.kernels import (
-    CatalogueColumns,
-    ColumnarInstance,
-    MaskSkyline,
-    VectorizedSkylineMaintenance,
-    dominated_mask,
-    pareto,
-    pareto_mask,
-)
-from repro.kernels.pareto import dominator_index
-from repro.rtree.geometry import dominates
+from repro.kernels import PointerRound, rounds
 from repro.service import BatchSolver, SolveJob
-from repro.skyline.reference import naive_skyline
 
-from .conftest import random_instance
-
-# ---------------------------------------------------------------------------
-# Batch Pareto kernels vs the scalar oracle
-# ---------------------------------------------------------------------------
-
-# Mixed signs, exact-tie magnets (including negative ones and a
-# signed zero) and full floats: maximizes duplicate rows, tied sums and
-# tied coordinates.
-mixed_coord = st.one_of(
-    st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0]),
-    st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, width=32),
-)
-
-# The shipped kernel blocking, or tiny blocks and cell budgets, so that
-# a few dozen points cross many Pareto blocks and dominance row blocks.
-kernel_blocking = st.fixed_dictionaries({
-    "BLOCK": st.one_of(st.just(pareto.BLOCK), st.integers(1, 9)),
-    "CELL_BUDGET": st.one_of(st.just(pareto.CELL_BUDGET), st.integers(1, 40)),
-})
-
-
-def mixed_points(dims: int, max_size: int = 60):
-    return st.lists(
-        st.tuples(*([mixed_coord] * dims)), min_size=0, max_size=max_size
-    ).map(lambda pts: (dims, pts))
-
-
-def as_matrix(dims: int, points: list) -> np.ndarray:
-    return np.asarray(points, dtype=np.float64).reshape(len(points), dims)
-
-
-@given(st.integers(2, 5).flatmap(mixed_points), kernel_blocking)
-@settings(max_examples=120, deadline=None)
-def test_pareto_mask_matches_naive_skyline(case, blocking):
-    dims, points = case
-    with mock.patch.multiple(pareto, **blocking):
-        mask = pareto_mask(as_matrix(dims, points))
-    expected = naive_skyline(list(enumerate(points)))
-    assert set(np.nonzero(mask)[0]) == set(expected)
-
-
-@given(st.integers(2, 4).flatmap(lambda d: st.tuples(
-    mixed_points(d, max_size=25), mixed_points(d, max_size=25),
-)), kernel_blocking)
-@settings(max_examples=100, deadline=None)
-def test_dominated_mask_matches_scalar_dominates(pair, blocking):
-    (dims, points), (_, dominators) = pair
-    p = as_matrix(dims, points)
-    w = as_matrix(dims, dominators)
-    with mock.patch.multiple(pareto, **blocking):
-        mask = dominated_mask(p, w)
-        witness = dominator_index(p, w)
-    for i, point in enumerate(points):
-        expected = any(dominates(d, point) for d in dominators)
-        assert mask[i] == expected
-        assert (witness[i] >= 0) == expected
-        if expected:
-            assert dominates(dominators[witness[i]], point)
-
-
-@given(st.integers(2, 4).flatmap(lambda d: mixed_points(d, max_size=40)))
-@settings(max_examples=60, deadline=None)
-def test_duplicates_are_all_skyline_members(case):
-    # Duplicating every row must not evict anyone: coincident points
-    # never dominate each other (Section 2.2).
-    dims, points = case
-    doubled = points + points
-    mask = pareto_mask(as_matrix(dims, doubled))
-    half = len(points)
-    assert (mask[:half] == mask[half:]).all()
-    expected = naive_skyline(list(enumerate(doubled)))
-    assert set(np.nonzero(mask)[0]) == set(expected)
-
-
-def test_empty_and_single_point_edges():
-    empty = np.zeros((0, 3))
-    assert pareto_mask(empty).shape == (0,)
-    assert dominated_mask(empty, np.ones((2, 3))).shape == (0,)
-    assert dominated_mask(np.ones((2, 3)), empty).tolist() == [False, False]
-    assert dominator_index(np.ones((2, 3)), empty).tolist() == [-1, -1]
-    one = np.asarray([[0.5, 0.5]])
-    assert pareto_mask(one).tolist() == [True]
-
-
-# ---------------------------------------------------------------------------
-# Incremental mask repair vs recompute-from-scratch
-# ---------------------------------------------------------------------------
-
-
-class _Ctx:
-    """Minimal stand-in for EngineContext (maintenance only reads
-    ``objects`` and ``mem``)."""
-
-    def __init__(self, objects):
-        from repro.storage.stats import MemoryTracker
-
-        self.objects = objects
-        self.mem = MemoryTracker()
-
-
-def removal_catalogue(seed: int) -> ObjectSet:
-    if seed < 5:
-        return random_instance(4, 120, 3, seed=seed, tie_heavy=seed % 2 == 0)[1]
-    # 600 rows, more than one Pareto block: mixed signs, tied
-    # coordinates, and a quarter of the rows duplicate others.
-    rng = np.random.default_rng(seed)
-    rows = rng.uniform(-1.0, 1.0, (450, 3)).round(2)
-    rows = np.concatenate([rows, rows[rng.integers(0, 450, 150)]])
-    rng.shuffle(rows)
-    return ObjectSet([tuple(row) for row in rows.tolist()])
-
-
-def assert_references_hold(core: MaskSkyline) -> None:
-    """Each alive non-member's ``ref`` is a member (hence alive) that
-    dominates it; members and dead rows carry ``-1``, which the orphan
-    lookup of :meth:`MaskSkyline.remove` relies on."""
-    assert (core.ref[core.sky_mask | ~core.alive] == -1).all()
-    rows = np.nonzero(core.alive & ~core.sky_mask)[0]
-    refs = core.ref[rows]
-    assert (refs >= 0).all() and core.sky_mask[refs].all()
-    for row, ref in zip(rows, refs):
-        assert dominates(core.points[ref], core.points[row])
-
-
-@pytest.mark.parametrize(
-    "seed,path",
-    [pytest.param(seed, "engine", id=str(seed)) for seed in range(6)]
-    + [pytest.param(seed, "churn", id=f"churn-{seed}") for seed in range(6)],
-)
-def test_incremental_removal_matches_recompute(seed, path):
-    objects = removal_catalogue(seed)
-    if path == "engine":
-        # The static solves' adapter over the catalogue's initial pass.
-        maintenance = VectorizedSkylineMaintenance(
-            _Ctx(objects),
-            ColumnarInstance(FunctionSet([(0.5, 0.5, 0.0)]), CatalogueColumns(objects)),
-        )
-        maintenance.compute_initial()
-        core = maintenance._computed()
-        remove = maintenance.remove
-    else:
-        # The bare core: a fresh pass, then removals without the adapter.
-        core = MaskSkyline(np.asarray(objects.points, dtype=np.float64))
-        core.compute_initial()
-
-        def remove(rows):
-            core.remove(np.asarray(rows, dtype=np.intp))
-
-    alive = dict(enumerate(objects.points))
-    rng = np.random.default_rng(seed)
-    while True:
-        expected = naive_skyline(list(alive.items()))
-        members = core.sky_indices()
-        assert set(members.tolist()) == set(expected)
-        if path == "engine":
-            assert maintenance.skyline == expected
-        assert_references_hold(core)
-        if members.size <= 1:
-            break
-        most = min(members.size, max(3, members.size // 4))
-        take = int(rng.integers(1, most + 1))
-        removed = [int(o) for o in rng.choice(members, size=take, replace=False)]
-        remove(removed)
-        for oid in removed:
-            del alive[oid]
-
-
-def test_remove_nonmember_raises():
-    functions, objects = random_instance(3, 20, 2, seed=9)
-    maintenance = VectorizedSkylineMaintenance(
-        _Ctx(objects), ColumnarInstance(functions, CatalogueColumns(objects))
-    )
-    with pytest.raises(RuntimeError):
-        maintenance.remove([0])  # before compute_initial
-    skyline = maintenance.compute_initial()
-    non_member = next(i for i in range(len(objects)) if i not in skyline)
-    with pytest.raises(KeyError):
-        maintenance.remove([non_member])
-
+from .conftest import deep_settings, random_instance
 
 # ---------------------------------------------------------------------------
 # Bit-identity: vectorized configs vs their interpreted twins
@@ -246,24 +56,50 @@ def run_signature(functions, objects, method):
         functions, build_object_index(objects, page_size=512), method=method
     )
     return (
-        [(p.fid, p.oid, p.score, p.count) for p in result.matching.pairs],
+        [(p.fid, p.oid, p.score.hex(), p.count) for p in result.matching.pairs],
         result.stats.loops,
     )
 
 
-#: (|F|, |O|, family) per twin case.  The last one's catalogue spans
-#: several Pareto blocks, so the interpreted maintenance algorithms
-#: check the block-vectorized passes.
-TWIN_CASES = [(11, 40, family) for family in range(len(FAMILIES))] + [(24, 600, 4)]
+def served_instance(nf: int, no: int, seed: int, object_capacities: bool):
+    """The served shape: anti-correlated objects (the benchmark's
+    catalogues) and uniform weights with priorities and capacities of
+    1–3, as in the benchmark's prioritized cohorts."""
+    rng = np.random.default_rng(seed)
+    caps = [int(c) for c in rng.integers(1, 4, no)] if object_capacities else None
+    objects = make_objects(no, 3, "anti-correlated", seed=rng, capacities=caps)
+    functions = FunctionSet(
+        [tuple(w) for w in uniform_weights(nf, 3, seed=rng).tolist()],
+        gammas=random_priorities(nf, 3, seed=rng),
+        capacities=[int(c) for c in rng.integers(1, 4, nf)],
+    )
+    return functions, objects
+
+
+#: (|F|, |O|, family) per twin case: a :data:`FAMILIES` index, or
+#: ``"served"`` / ``"served-capacities"`` for :func:`served_instance`
+#: without / with object capacities.  The served cases hold the
+#: columnar configs to their interpreted twins at the size the
+#: benchmark serves, where runner-up lists answer most refreshes.
+TWIN_CASES = [(11, 40, family) for family in range(len(FAMILIES))] + [
+    (24, 600, 4),
+    (64, 2048, "served"),
+    (64, 2048, "served-capacities"),
+]
 
 
 @pytest.mark.parametrize("scalar,vectorized", TWINS)
 @pytest.mark.parametrize("case", range(len(TWIN_CASES)))
 def test_vectorized_twin_is_pair_identical(scalar, vectorized, case):
     nf, no, family = TWIN_CASES[case]
-    functions, objects = random_instance(
-        nf, no, 3, seed=case * 7 + 1, **FAMILIES[family]
-    )
+    if isinstance(family, str):
+        functions, objects = served_instance(
+            nf, no, seed=case, object_capacities=family == "served-capacities"
+        )
+    else:
+        functions, objects = random_instance(
+            nf, no, 3, seed=case * 7 + 1, **FAMILIES[family]
+        )
     assert run_signature(functions, objects, scalar) == run_signature(
         functions, objects, vectorized
     ), f"{vectorized} diverged from {scalar}"
@@ -297,6 +133,114 @@ def test_vectorized_twins_identical_through_batch_solver():
             (p.fid, p.oid, p.score, p.count)
             for p in got_vec.result.matching.pairs
         ], vectorized
+
+
+# ---------------------------------------------------------------------------
+# Runner-up lists: every refresh path at tiny list lengths
+# ---------------------------------------------------------------------------
+
+
+def traced_solve(functions, objects, method, length):
+    """Solve with runner-up lists of ``length``; returns the pairs as
+    ``(fid, oid, score bits, units)``, the run's stats and the function
+    ids of each full row scan, in order."""
+    scans = []
+    scan = PointerRound._scan
+
+    def spy(self, fids):
+        scans.append(fids.tolist())
+        return scan(self, fids)
+
+    with mock.patch.object(rounds, "RUNNERS_UP", length), mock.patch.object(
+        PointerRound, "_scan", spy
+    ):
+        result = solve(functions, build_object_index(objects), method=method)
+    pairs = [(p.fid, p.oid, p.score.hex(), p.count) for p in result.matching.pairs]
+    return pairs, result.stats, scans
+
+
+#: One function ``(0.5, 0.5)`` of capacity ``units`` takes objects one
+#: per round, so its pointer goes stale after every commit.
+#: ``(points, units, list length, expected oids in commit order,
+#: expected full scans, expected exact tie resolutions)``.
+LIST_CASES = {
+    # Round 1 scans and lists objects 0 and 1 (threshold 0.8); round 2
+    # advances to object 1; round 3 finds the list exhausted, rescans
+    # and lists objects 2 and 3 (threshold 0.6); round 4 advances
+    # within that rebuilt list.
+    "advance-exhaust-advance": (
+        [(1.0, 1.0), (0.9, 0.9), (0.8, 0.8), (0.7, 0.7), (0.6, 0.6), (0.5, 0.5)],
+        4, 2, [0, 1, 2, 3], 2, 0,
+    ),
+    # Objects 1 and 2 tie exactly at 0.5, so the list of length 2 holds
+    # one of them and the threshold is the other's 0.5: after object 0
+    # dies the band reaches the threshold and the row is rescanned,
+    # which resolves the tie canonically (larger coordinates first).
+    "band-reaches-threshold": (
+        [(1.0, 1.0), (0.25, 0.75), (0.75, 0.25), (0.1, 0.1)],
+        2, 2, [0, 2], 2, 1,
+    ),
+    # A list of one holds only the function's current object, so every
+    # refresh finds it exhausted and rescans.
+    "list-of-one": (
+        [(1.0, 1.0), (0.9, 0.9), (0.8, 0.8), (0.7, 0.7)],
+        3, 1, [0, 1, 2], 3, 0,
+    ),
+    # Both tied objects are listed (threshold 0.1): the pointer advances
+    # within the list, and the exact tie inside it is resolved
+    # canonically without a rescan.
+    "tie-inside-list": (
+        [(1.0, 1.0), (0.25, 0.75), (0.75, 0.25), (0.1, 0.1), (0.05, 0.05)],
+        2, 3, [0, 2], 1, 1,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIST_CASES))
+@pytest.mark.parametrize("method", ["sb-vec", "sb-deltasky-vec"])
+def test_runner_up_list_paths(case, method):
+    points, units, length, oids, scans, ties = LIST_CASES[case]
+    functions = FunctionSet([(0.5, 0.5)], capacities=[units])
+    objects = ObjectSet(points)
+    pairs, stats, scanned = traced_solve(functions, objects, method, length)
+    assert [oid for _, oid, _, _ in pairs] == oids
+    assert scanned == [[0]] * scans
+    assert stats.counters["kernel_tie_resolutions"] == ties
+    reference = solve(functions, build_object_index(objects), method="sb")
+    assert pairs == [
+        (p.fid, p.oid, p.score.hex(), p.count) for p in reference.matching.pairs
+    ]
+
+
+listed_instances = st.builds(
+    random_instance,
+    nf=st.integers(1, 12),
+    no=st.integers(1, 60),
+    dims=st.integers(2, 4),
+    seed=st.integers(0, 10**6),
+    capacities=st.booleans(),
+    priorities=st.booleans(),
+    tie_heavy=st.booleans(),
+)
+
+
+#: The shipped score-block budget, or budgets small enough that every
+#: scan runs in blocks of one or a few rows.
+block_budgets = st.one_of(st.just(rounds.CELL_BUDGET), st.integers(1, 2000))
+
+
+@given(listed_instances, st.integers(1, 4), block_budgets)
+@deep_settings(40, suppress_health_check=[HealthCheck.too_slow])
+def test_property_runner_up_lists_match_greedy(pair, length, budget):
+    functions, objects = pair
+    expected = sorted(
+        (p.fid, p.oid, p.score.hex(), p.count)
+        for p in greedy_assign(functions, objects).matching.pairs
+    )
+    for method in ("sb-vec", "sb-deltasky-vec"):
+        with mock.patch.object(rounds, "CELL_BUDGET", budget):
+            pairs, _, _ = traced_solve(functions, objects, method, length)
+        assert sorted(pairs) == expected, method
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +328,7 @@ def test_catalogue_state_is_built_once_and_read_only():
     assert index.columnar is None  # built lazily, by a columnar solve
     first = solver.solve_one(job)
     columns = index.columnar
-    assert columns is not None and columns.initial is not None
+    assert columns is not None
     for other in ("sb-deltasky-vec", "sb-vec"):
         job.method = other
         solver.solve_one(job)
@@ -393,6 +337,6 @@ def test_catalogue_state_is_built_once_and_read_only():
     assert solve_record(first.matching.pairs, first.stats) == solve_record(
         again.matching.pairs, again.stats
     )
-    for array in (columns.points, columns.capacities, *columns.initial):
+    for array in (columns.points, columns.capacities):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = array[1]

@@ -9,7 +9,7 @@ from repro.core import SOLVERS, build_object_index, solve
 
 
 def test_version():
-    assert repro.__version__ == "3.0.0"
+    assert repro.__version__ == "4.0.0"
 
 
 def test_top_level_exports():

@@ -8,7 +8,7 @@ unit.
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, given
 from hypothesis import strategies as st
 
 from repro.core import (
@@ -21,7 +21,7 @@ from repro.core import (
 from repro.data.instances import FunctionSet, ObjectSet
 from repro.planner import REGISTRY
 
-from .conftest import random_instance
+from .conftest import deep_settings, random_instance
 
 ALL_METHODS = REGISTRY.names()
 
@@ -165,11 +165,7 @@ inst = st.builds(
 
 
 @given(inst)
-@settings(
-    max_examples=25,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+@deep_settings(25, suppress_health_check=[HealthCheck.too_slow])
 def test_property_all_solvers_agree(pair):
     fs, os_ = pair
     run_all(fs, os_)
