@@ -80,7 +80,8 @@ def served_instance(nf: int, no: int, seed: int, object_capacities: bool):
 #: ``"served"`` / ``"served-capacities"`` for :func:`served_instance`
 #: without / with object capacities.  The served cases hold the
 #: columnar configs to their interpreted twins at the size the
-#: benchmark serves, where runner-up lists answer most refreshes.
+#: benchmark serves, where the runner-up lists answer every refresh
+#: after the first scans (the list tests below cover rescans).
 TWIN_CASES = [(11, 40, family) for family in range(len(FAMILIES))] + [
     (24, 600, 4),
     (64, 2048, "served"),
