@@ -55,10 +55,11 @@ class ObjectIndex:
     buffer_fraction: float = 0.02
     is_memory: bool = False
     stats: IOStats = field(default_factory=IOStats)
-    #: The catalogue's columnar state (coordinate matrix, capacities and
-    #: coordinate maximum), built by the first columnar solve over this
-    #: index (:func:`repro.kernels.columnar.catalogue_columns`) and
-    #: shared by every later one.  It holds no skyline.
+    #: The catalogue's columnar state (coordinate matrix, capacities,
+    #: coordinate maximum and tiling), built by the first columnar
+    #: solve over this index
+    #: (:func:`repro.kernels.columnar.catalogue_columns`) and shared by
+    #: every later one.  It holds no skyline.
     columnar: CatalogueColumns | None = field(default=None, repr=False, compare=False)
     #: Seconds spent bulk-loading the tree (see :meth:`run_clock`).
     load_seconds: float = field(default=0.0, init=False, repr=False, compare=False)

@@ -31,6 +31,27 @@ band.  Otherwise, and when no listed object is alive, the row is
 scanned again and its list rebuilt.  Candidate objects keep no list;
 a stale one is scored against every alive function.
 
+**Tile-pruned scans.**  A full row scan reads the catalogue's tiling
+(:class:`~repro.kernels.columnar.CatalogueColumns`): a tile's bound is
+the row's score of its upper corner, and a tile whose members are all
+dead is skipped outright.  Pass 1 scores the row's best tiles by bound
+(with those of the rows scanned beside it).  From those scores, ``kth``
+is the (``RUNNERS_UP`` + 1)-th best and ``top`` the best; every object
+the row lists, its threshold and every member of its band score at
+least ``need = min(kth, top - tol)``, because the whole row's
+(``RUNNERS_UP`` + 1)-th best and best score at least ``kth`` and
+``top``.  Pass 2 scores each other tile whose bound reaches
+``need - tol``.  A skipped tile's members score below ``need``: with
+non-negative weights a member's exact score is at most its tile's
+exact bound, and the two numpy dot products (the bound and the pass
+score, summed in whatever order BLAS chooses) each err by at most
+``D·2⁻⁵³·max|coord|·sum|weight|``, far less than the ``tol`` margin of
+``SCORE_EPS·max(1, max|coord|·sum|weight|)``.  So the list, the
+threshold and the band are those of a scan of every alive object, and
+the band rule below resolves the band exactly as before.  A catalogue
+of one tile, or a row whose pass 1 holds too few alive objects to fill
+a list, scores every alive tile.
+
 **Exactness.**  A numpy argmax is trusted only when it is alone inside
 the row's rounding-error band, which is scaled by the summed term
 magnitudes (the ``MatrixView`` rule).  A wider band is resolved with
@@ -39,13 +60,17 @@ emitted score is computed with :func:`~repro.scoring.score`, so pairs
 and score bits equal the interpreted twins'.
 
 **Memory.**  Rows are scored in blocks of at most :data:`CELL_BUDGET`
-bytes of float64 scores, and the lists take ``|F| × RUNNERS_UP``
-entries; no ``|F| × |O|`` array is held.
+bytes of float64 scores (one row at least), and the lists take
+``|F| × RUNNERS_UP`` entries; no ``|F| × |O|`` array is held.  Each
+solve keeps a tiles × slots penalty (0, or -inf for a dead object and
+an unused slot) and an alive count per tile, which the commit hook
+updates.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+import math
+from collections.abc import Callable
 
 import numpy as np
 
@@ -60,6 +85,9 @@ CELL_BUDGET = 1 << 20
 
 #: Runner-up objects a full row scan keeps per function.
 RUNNERS_UP = 64
+
+#: Most rows of a full scan scored together against one set of tiles.
+SCAN_CHUNK = 8
 
 
 class PointerRound(RoundStrategy):
@@ -84,11 +112,20 @@ class PointerRound(RoundStrategy):
         self.row_tol = SCORE_EPS * np.maximum(
             1.0, columnar.max_abs_point * np.abs(columnar.weights).sum(axis=1)
         )
+        tile_ids = columnar.catalogue.tile_ids
+        # Added to every score of a tile slot: 0 for an alive object,
+        # -inf for a dead one and for a slot past a tile's last member.
+        self.penalty = np.where(self.o_alive[tile_ids], 0.0, -np.inf)
+        self.tile_alive = np.count_nonzero(self.o_alive[tile_ids], axis=1)
         self.score_cells = 0
         self.tie_resolutions = 0
         ctx.mem.set_gauge(
             "columnar_arrays",
-            columnar.nbytes() + self.listed.nbytes + self.listed_scores.nbytes,
+            columnar.nbytes()
+            + self.listed.nbytes
+            + self.listed_scores.nbytes
+            + self.penalty.nbytes
+            + self.tile_alive.nbytes,
         )
 
     def propose(self, skyline: SkylineState) -> list[StablePair] | None:
@@ -132,63 +169,149 @@ class PointerRound(RoundStrategy):
             self._scan(stale[~answered])
 
     def _scan(self, fids: np.ndarray) -> None:
-        """Score each function against every alive object; set its
-        pointer and rebuild its runner-up list from the same scores."""
-        col = self.col
-        live = np.nonzero(self.o_alive[:-1])[0]
-        cut = live.size - self.listed.shape[1] - 1
-        for block, scores in self._blocks(col.weights, fids, col.points, live):
-            floor = scores.max(axis=1) - self.row_tol[block]
-            ids = np.broadcast_to(live, scores.shape)
-            self.obest[block] = self._winners(
-                scores, ids, floor, block, self._resolve_object
-            )
-            if cut < 0:
-                # Every alive object fits in the list.
-                self.listed[block, : live.size] = live
-                self.listed[block, live.size :] = -1
-                self.listed_scores[block, : live.size] = scores
-                self.threshold[block] = -np.inf
-                continue
-            order = np.argpartition(scores, cut, axis=1)
-            top = order[:, cut + 1 :]
-            self.listed[block] = live[top]
-            self.listed_scores[block] = np.take_along_axis(scores, top, axis=1)
-            self.threshold[block] = scores[np.arange(block.size), order[:, cut]]
+        """Score each function against the alive objects of the tiles
+        that can reach its runner-up list or its band; set its pointer
+        and rebuild its list from the same scores.
+
+        Rows are sorted by their two best tiles by bound and scored in
+        chunks of up to :data:`SCAN_CHUNK` rows, so that a chunk's rows
+        mostly want the same tiles.  Pass 1 scores the union of the
+        chunk rows' best tiles.  Pass 2 scores every other alive tile
+        whose bound reaches some row's cut (see the module docstring)."""
+        catalogue = self.col.catalogue
+        live = np.nonzero(self.tile_alive)[0]
+        upper = catalogue.tile_upper[live].T
+        weights = self.col.weights[fids]
+        length = self.listed.shape[1]
+        width = catalogue.tile_ids.shape[1]
+        # Pass 1 takes each row's best tiles: enough slots for three
+        # lists with their thresholds, and one tile more.  Fewer leave
+        # kth far below the row's true one when the chunk's rows share
+        # few tiles, and pass 2 then scores most of a large catalogue.
+        first = min(live.size, 3 * -(-(length + 1) // width) + 1)
+        best = self._best_tiles(weights, upper, first)
+        order = np.lexsort((best[:, -min(2, first)], best[:, -1]))
+        # A chunk of k rows scores at most k * first tiles in pass 1.
+        cells = CELL_BUDGET // (upper.itemsize * first * width)
+        step = max(1, min(SCAN_CHUNK, math.isqrt(cells)))
+        for start in range(0, fids.size, step):
+            rows = order[start : start + step]
+            tol = self.row_tol[fids[rows]]
+            in_pass1 = np.zeros(live.size, dtype=bool)
+            in_pass1[best[rows]] = True
+            pass1 = live[in_pass1]
+            scores = self._tile_scores(weights[rows], pass1)
+            need = self._need(scores, tol, length)
+            reached = self._bounds(weights[rows], upper) >= (need - tol)[:, None]
+            pass2 = live[reached.any(axis=0) & ~in_pass1]
+            ids = catalogue.tile_ids[np.concatenate((pass1, pass2))].reshape(-1)
+            # Both passes' scores of a block of rows fit the budget.
+            sub = max(1, CELL_BUDGET // (upper.itemsize * ids.size))
+            for at in range(0, rows.size, sub):
+                part = rows[at : at + sub]
+                block = scores[at : at + sub]
+                if pass2.size:
+                    block = np.concatenate(
+                        (block, self._tile_scores(weights[part], pass2)), axis=1
+                    )
+                self.ctx.mem.set_gauge("score_matrix", block.nbytes)
+                # Only the columns that some row needs can be listed, be
+                # a threshold or sit in a band.
+                wanted = np.flatnonzero(block.max(axis=0) >= need[at : at + sub].min())
+                self._rebuild_lists(
+                    fids[part], block.take(wanted, axis=1), ids.take(wanted)
+                )
+
+    def _best_tiles(
+        self, weights: np.ndarray, upper: np.ndarray, first: int
+    ) -> np.ndarray:
+        """Each row's ``first`` best alive tiles by bound (indices into
+        the columns of ``upper``): its best last, its second best
+        before it, and its other best tiles before those."""
+        tiles = upper.shape[1]
+        positions = sorted({tiles - first, max(tiles - 2, 0), tiles - 1})
+        best = np.empty((weights.shape[0], first), dtype=np.intp)
+        step = max(1, CELL_BUDGET // (upper.itemsize * tiles))
+        for start in range(0, weights.shape[0], step):
+            bounds = self._bounds(weights[start : start + step], upper)
+            ranked = np.argpartition(bounds, positions, axis=1)
+            best[start : start + step] = ranked[:, tiles - first :]
+        return best
+
+    def _bounds(self, weights: np.ndarray, upper: np.ndarray) -> np.ndarray:
+        """Each row's score of each alive tile's upper corner."""
+        bounds = weights @ upper
+        self.score_cells += bounds.size
+        return bounds
+
+    def _tile_scores(self, weights: np.ndarray, tiles: np.ndarray) -> np.ndarray:
+        """Each row's score of every slot of ``tiles``, tile after tile;
+        a dead object's or an unused slot's score is -inf."""
+        points = self.col.catalogue.tile_points[tiles]
+        scores = weights @ points.reshape(-1, points.shape[2]).T
+        scores += self.penalty[tiles].reshape(-1)
+        self.score_cells += scores.size
+        return scores
+
+    @staticmethod
+    def _need(scores: np.ndarray, tol: np.ndarray, length: int) -> np.ndarray:
+        """Per row, the score below which an object can be neither
+        listed, nor the threshold, nor in the band, from the scores of
+        some of the row's alive objects: the lower of their
+        (``length`` + 1)-th best and their best less ``tol``.  -inf
+        when they are too few to fill a list."""
+        kth = scores.shape[1] - length - 1
+        if kth < 0:
+            return np.full(scores.shape[0], -np.inf)
+        kth_score = np.partition(scores, kth, axis=1)[:, kth]
+        return np.minimum(kth_score, scores.max(axis=1) - tol)
+
+    def _rebuild_lists(
+        self, block: np.ndarray, scores: np.ndarray, ids: np.ndarray
+    ) -> None:
+        """Point each row of ``block`` at the canonical winner of its
+        ``scores`` over the objects ``ids`` and list its best ones."""
+        floor = scores.max(axis=1) - self.row_tol[block]
+        self.obest[block] = self._winners(
+            scores, ids, floor, block, self._resolve_object
+        )
+        cut = ids.size - self.listed.shape[1] - 1
+        if cut < 0:
+            # Every alive object fits in the list.
+            self.listed[block, : ids.size] = ids
+            self.listed[block, ids.size :] = -1
+            self.listed_scores[block, : ids.size] = scores
+            self.threshold[block] = -np.inf
+            return
+        # Each row's threshold column, then its listed columns.
+        kept = np.argpartition(scores, cut, axis=1)[:, cut:]
+        values = scores[np.arange(block.size)[:, None], kept]
+        self.threshold[block] = values[:, 0]
+        self.listed_scores[block] = values[:, 1:]
+        self.listed[block] = ids[kept[:, 1:]]
 
     def _point_objects(self, oids: np.ndarray, live_f: np.ndarray) -> None:
         """Score each stale candidate object against every alive
-        function and point it at the canonically best one."""
+        function, in blocks of at most :data:`CELL_BUDGET` bytes, and
+        point it at the canonically best one."""
         col = self.col
-        for block, scores in self._blocks(col.points, oids, col.weights, live_f):
+        weights = col.weights[live_f].T
+        step = max(1, CELL_BUDGET // (weights.itemsize * live_f.size))
+        for start in range(0, oids.size, step):
+            block = oids[start : start + step]
+            scores = col.points[block] @ weights
+            self.score_cells += scores.size
+            self.ctx.mem.set_gauge("score_matrix", scores.nbytes)
             tol = SCORE_EPS * np.maximum(
                 1.0, col.max_abs_weight * np.abs(col.points[block]).sum(axis=1)
             )
             self.fbest[block] = self._winners(
                 scores,
-                np.broadcast_to(live_f, scores.shape),
+                live_f,
                 scores.max(axis=1) - tol,
                 block,
                 self._resolve_function,
             )
-
-    def _blocks(
-        self,
-        queries: np.ndarray,
-        rows: np.ndarray,
-        targets: np.ndarray,
-        live: np.ndarray,
-    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """``(block, scores)`` pairs: ``queries[block]`` scored against
-        ``targets[live]``, in blocks of at most :data:`CELL_BUDGET` bytes."""
-        cols = targets[live].T
-        step = max(1, CELL_BUDGET // (cols.itemsize * live.size))
-        for start in range(0, rows.size, step):
-            block = rows[start : start + step]
-            scores = queries[block] @ cols
-            self.score_cells += scores.size
-            self.ctx.mem.set_gauge("score_matrix", scores.nbytes)
-            yield block, scores
 
     def _winners(
         self,
@@ -200,14 +323,17 @@ class PointerRound(RoundStrategy):
     ) -> np.ndarray:
         """Per row, the id of its best score: the numpy argmax when it
         is alone at or above the row's band ``floor``, else the
-        canonical winner of the band, by ``resolve(band_ids, row)``."""
+        canonical winner of the band, by ``resolve(band_ids, row)``.
+        ``ids`` names the columns, one row for all rows or one each."""
         band = scores >= floor[:, None]
-        best = ids[np.arange(ids.shape[0]), scores.argmax(axis=1)]
+        at = scores.argmax(axis=1)
+        best = ids[at] if ids.ndim == 1 else ids[np.arange(ids.shape[0]), at]
         # Every band holds its argmax, so a total above the row count
         # means some band holds more than one candidate.
         if np.count_nonzero(band) > band.shape[0]:
             for t in np.nonzero(np.count_nonzero(band, axis=1) > 1)[0]:
-                best[t] = resolve(ids[t][band[t]], int(rows[t]))
+                row_ids = ids if ids.ndim == 1 else ids[t]
+                best[t] = resolve(row_ids[band[t]], int(rows[t]))
         return best
 
     # -- exact canonical tie resolution -------------------------------------
@@ -245,6 +371,9 @@ class PointerRound(RoundStrategy):
             self.f_alive[fid] = False
         if o_died:
             self.o_alive[oid] = False
+            slot = self.col.catalogue.tile_slot[oid]
+            self.penalty.flat[slot] = -np.inf
+            self.tile_alive[slot // self.penalty.shape[1]] -= 1
 
     def finalize(self, stats, skyline) -> None:
         stats.counters["kernel_score_cells"] = self.score_cells

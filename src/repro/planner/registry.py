@@ -220,14 +220,20 @@ SPECS: tuple[SolverSpec, ...] = (
     ),
     SolverSpec(
         name="sb-vec",
-        summary="columnar twin of sb: batch Pareto, one matmul per round",
+        summary=(
+            "columnar twin of sb: pointer rounds, runner-up lists,"
+            " tile-pruned row scans"
+        ),
         options=frozenset({"multi_pair"}),
         solve=_solve_sb_vec,
         config_factory=_config_sb_vec,
     ),
     SolverSpec(
         name="sb-deltasky-vec",
-        summary="columnar twin of sb-deltasky: incremental mask repair",
+        summary=(
+            "columnar twin of sb-deltasky: sb-vec's pointer rounds,"
+            " single-pair commit"
+        ),
         options=frozenset({"multi_pair"}),
         solve=_solve_sb_deltasky_vec,
         config_factory=_config_sb_deltasky_vec,

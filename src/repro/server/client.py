@@ -68,6 +68,13 @@ def _retry_after_seconds(response) -> float:
         return 1.0
 
 
+def _error_message(decoded, default: str) -> str:
+    """The ``error`` string of an error envelope, or ``default`` when
+    the body is no envelope or its ``error`` is not a string."""
+    message = decoded.get("error") if isinstance(decoded, dict) else None
+    return message if isinstance(message, str) else default
+
+
 class Client:
     """Blocking client bound to one server base URL."""
 
@@ -213,34 +220,32 @@ class Client:
             try:
                 decoded = json.loads(data)
             except ValueError as exc:
+                # A success status with a body that is no answer is a
+                # bad gateway, so no caller reads it as a success.
                 raise ServerError(
                     f"non-JSON response body from {method} {path}: {exc}"
                     f"{trace_suffix}",
-                    status=response.status,
+                    status=502 if response.status < 300 else response.status,
                     trace_id=trace_id,
                 ) from exc
         if response.status == 429:
             raise ServerBusyError(
-                (decoded or {}).get("error", "server busy") + trace_suffix,
+                _error_message(decoded, "server busy") + trace_suffix,
                 retry_after=_retry_after_seconds(response),
                 payload=decoded,
                 trace_id=trace_id,
             )
         if response.status == 503:
             raise ServerUnavailableError(
-                (decoded or {}).get("error", "service unavailable") + trace_suffix,
+                _error_message(decoded, "service unavailable") + trace_suffix,
                 retry_after=_retry_after_seconds(response),
                 payload=decoded,
                 trace_id=trace_id,
             )
         if response.status >= 400:
-            message = (
-                decoded.get("error")
-                if isinstance(decoded, dict) and "error" in decoded
-                else f"{method} {path} -> HTTP {response.status}"
-            )
             raise ServerError(
-                message + trace_suffix,
+                _error_message(decoded, f"{method} {path} -> HTTP {response.status}")
+                + trace_suffix,
                 status=response.status,
                 payload=decoded,
                 trace_id=trace_id,

@@ -9,15 +9,17 @@ to ring successors with bit-identical results.
 """
 
 import concurrent.futures
+import http.server
 import json
 import socket
+import threading
 import time
 
 import pytest
 
 from repro.api import AssignmentSession, Problem
 from repro.cluster import GatewayConfig, serve_gateway_in_thread
-from repro.errors import ServerError, ServerUnavailableError
+from repro.errors import ServerBusyError, ServerError, ServerUnavailableError
 from repro.server import Client, ServerConfig, serve_in_thread
 
 from .conftest import random_instance
@@ -636,3 +638,92 @@ def test_only_a_stalled_backend_is_a_typed_503_not_a_hang():
             assert time.monotonic() - started < 10.0
             assert excinfo.value.status == 503
             assert client.metrics()["backends"][stalled_address]["alive"] is False
+
+
+class _Malformed:
+    """Stops a live backend and serves on its port one fixed response
+    to every request: ``status`` with the raw ``body``."""
+
+    def __init__(self, handle, status: int, body: bytes):
+        port = handle.port
+        handle.close()
+
+        class Handler(http.server.BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+
+            def _answer(self) -> None:
+                self.rfile.read(int(self.headers.get("Content-Length") or 0))
+                self.send_response(status)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            do_GET = do_POST = _answer
+
+            def log_message(self, *args) -> None:
+                pass
+
+        http.server.ThreadingHTTPServer.allow_reuse_address = True
+        self.server = http.server.ThreadingHTTPServer(("127.0.0.1", port), Handler)
+        self.server.daemon_threads = True
+        self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
+        self.thread.start()
+        self.base_url = f"http://127.0.0.1:{port}"
+
+    def __enter__(self) -> "_Malformed":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.server.shutdown()
+        self.server.server_close()
+        self.thread.join(timeout=5.0)
+        assert not self.thread.is_alive()
+
+
+#: ``(backend status, backend body, expected error type, expected
+#: status at the client, expected message)`` per malformed answer.
+MALFORMED_ANSWERS = {
+    "2xx-non-json": (200, b"not json", ServerError, 502, "non-JSON response body"),
+    "error-not-a-string": (500, b'{"error": 123}', ServerError, 500, "-> HTTP 500"),
+    "429-json-list": (429, b"[1, 2]", ServerBusyError, 429, "server busy"),
+    "503-error-not-a-string": (
+        503,
+        b'{"error": {"nested": true}}',
+        ServerUnavailableError,
+        503,
+        "service unavailable",
+    ),
+}
+
+
+@pytest.mark.parametrize("via", ["direct", "gateway"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_ANSWERS))
+def test_malformed_backend_answers_are_typed_errors(case, via):
+    """A backend answer that is not a well-formed envelope ends in the
+    typed error of its status, called directly or through a gateway
+    that owns the problem's shard there, never in a bare
+    ``KeyError``/``TypeError``/``AttributeError``."""
+    status, body, error, client_status, message = MALFORMED_ANSWERS[case]
+    live = serve_in_thread(ServerConfig(port=0))
+    doomed = serve_in_thread(ServerConfig(port=0))
+    address = f"127.0.0.1:{doomed.port}"
+    config = _stall_config([f"127.0.0.1:{live.port}", address])
+    try:
+        with serve_gateway_in_thread(config) as gw:
+            problem = _owned_by(gw, address)
+            with _Malformed(doomed, status, body) as fake:
+                url = fake.base_url if via == "direct" else gw.base_url
+                with Client(url) as client:
+                    with pytest.raises(error) as excinfo:
+                        client.request(
+                            "POST", "/v1/solve", {"problem": problem.to_dict()}
+                        )
+                    assert excinfo.value.status == client_status
+                    assert message in str(excinfo.value)
+                    if error is ServerError:
+                        with pytest.raises(ServerError) as excinfo:
+                            client.solve(problem, timeout=0.5)
+                        assert excinfo.value.status == client_status
+    finally:
+        live.close()

@@ -11,8 +11,13 @@ Four layers of coverage:
 - **the runner-up lists** of :class:`~repro.kernels.rounds.PointerRound`
   — deterministic cases for each way a stale pointer is refreshed, and
   a hypothesis property against the greedy oracle, at list lengths of
-  1–4 so that a few dozen objects cross every path, and at score-block
-  budgets down to one row per block;
+  1–4 so that a few dozen objects cross every path, at score-block
+  budgets down to one row per block, and at tile sizes of 1–4 so that
+  the scans' tile pruning skips tiles;
+- **the tile pruning** — deterministic cases at tile sizes of 1–2: a
+  catalogue smaller than a tile, a tile whose members all die, exact
+  ties split across tiles, and a rounding inversion that only the
+  cut's tolerance margin survives;
 - **stability certificates** — the vectorized solvers' matchings pass
   :meth:`repro.api.Solution.verify` (no blocking pair);
 - **catalogue state** — built once per cached index and read-only.
@@ -31,7 +36,8 @@ from repro.api import AssignmentSession, Problem
 from repro.core import build_object_index, greedy_assign, solve
 from repro.data.generators import make_objects, random_priorities, uniform_weights
 from repro.data.instances import FunctionSet, ObjectSet
-from repro.kernels import PointerRound, rounds
+from repro.kernels import CatalogueColumns, PointerRound, columnar, rounds
+from repro.scoring import score
 from repro.service import BatchSolver, SolveJob
 
 from .conftest import deep_settings, random_instance
@@ -141,10 +147,11 @@ def test_vectorized_twins_identical_through_batch_solver():
 # ---------------------------------------------------------------------------
 
 
-def traced_solve(functions, objects, method, length):
-    """Solve with runner-up lists of ``length``; returns the pairs as
-    ``(fid, oid, score bits, units)``, the run's stats and the function
-    ids of each full row scan, in order."""
+def traced_solve(functions, objects, method, length, tile=columnar.TILE_SIZE):
+    """Solve with runner-up lists of ``length`` over tiles of at most
+    ``tile`` objects; returns the pairs as ``(fid, oid, score bits,
+    units)``, the run's stats and the function ids of each full row
+    scan, in order."""
     scans = []
     scan = PointerRound._scan
 
@@ -153,8 +160,8 @@ def traced_solve(functions, objects, method, length):
         return scan(self, fids)
 
     with mock.patch.object(rounds, "RUNNERS_UP", length), mock.patch.object(
-        PointerRound, "_scan", spy
-    ):
+        columnar, "TILE_SIZE", tile
+    ), mock.patch.object(PointerRound, "_scan", spy):
         result = solve(functions, build_object_index(objects), method=method)
     pairs = [(p.fid, p.oid, p.score.hex(), p.count) for p in result.matching.pairs]
     return pairs, result.stats, scans
@@ -230,18 +237,170 @@ listed_instances = st.builds(
 block_budgets = st.one_of(st.just(rounds.CELL_BUDGET), st.integers(1, 2000))
 
 
-@given(listed_instances, st.integers(1, 4), block_budgets)
+def signed(objects: ObjectSet) -> ObjectSet:
+    """``objects`` moved from [0, 1] to [-1, 1], ties kept."""
+    return ObjectSet(
+        [tuple(2.0 * x - 1.0 for x in p) for p in objects.points],
+        capacities=objects.capacities,
+    )
+
+
+@given(
+    listed_instances,
+    st.integers(1, 4),
+    block_budgets,
+    st.integers(1, 4),
+    st.booleans(),
+)
 @deep_settings(40, suppress_health_check=[HealthCheck.too_slow])
-def test_property_runner_up_lists_match_greedy(pair, length, budget):
+def test_property_runner_up_lists_match_greedy(pair, length, budget, tile, both_signs):
     functions, objects = pair
+    if both_signs:
+        objects = signed(objects)
     expected = sorted(
         (p.fid, p.oid, p.score.hex(), p.count)
         for p in greedy_assign(functions, objects).matching.pairs
     )
     for method in ("sb-vec", "sb-deltasky-vec"):
         with mock.patch.object(rounds, "CELL_BUDGET", budget):
-            pairs, _, _ = traced_solve(functions, objects, method, length)
+            pairs, _, _ = traced_solve(functions, objects, method, length, tile)
         assert sorted(pairs) == expected, method
+
+
+# ---------------------------------------------------------------------------
+# Tile pruning: the cases a cut must get right
+# ---------------------------------------------------------------------------
+
+
+def reference_pairs(functions, objects, method="sb-vec"):
+    """The pairs of ``method``'s interpreted twin, in commit order."""
+    twin = dict((v, s) for s, v in TWINS)[method]
+    result = solve(functions, build_object_index(objects), method=twin)
+    return [(p.fid, p.oid, p.score.hex(), p.count) for p in result.matching.pairs]
+
+
+def scored_tiles(functions, objects, length, tile):
+    """Solve ``sb-vec`` as :func:`traced_solve` does and record the
+    tiles of every pass of every scan, in order; returns the pairs and
+    those tile lists."""
+    passes = []
+    tile_scores = PointerRound._tile_scores
+
+    def spy(self, weights, tiles):
+        passes.append(tiles.tolist())
+        return tile_scores(self, weights, tiles)
+
+    with mock.patch.object(PointerRound, "_tile_scores", spy):
+        pairs, _, _ = traced_solve(functions, objects, "sb-vec", length, tile)
+    return pairs, passes
+
+
+@pytest.mark.parametrize("tile", [1, 2, columnar.TILE_SIZE])
+@pytest.mark.parametrize("length", [1, 3])
+def test_catalogue_smaller_than_a_tile(tile, length):
+    no = 1 if tile < 4 else 20
+    functions, objects = random_instance(4, no, 3, seed=tile, capacities=True)
+    for method in ("sb-vec", "sb-deltasky-vec"):
+        pairs, _, _ = traced_solve(functions, objects, method, length, tile)
+        assert pairs == reference_pairs(functions, objects, method), method
+
+
+def test_a_tile_whose_members_all_die_is_not_scored_again():
+    """Tiles of two: function 0 takes both members of the best tile,
+    (1, 1) and (0.95, 0.95), one per round, and function 1, whose list
+    of one holds (0.9, 0.9), rescans afterwards.  No pass after the
+    second member dies scores that tile, and the answer is the
+    interpreted one."""
+    points = [(1.0, 1.0), (0.95, 0.95), (0.9, 0.9), (0.85, 0.85)]
+    points += [(0.1 * i, 0.05) for i in range(8)]
+    functions = FunctionSet([(0.5, 0.5), (0.6, 0.4)], capacities=[2, 2])
+    objects = ObjectSet(points)
+    pairs, passes = scored_tiles(functions, objects, 1, 2)
+    assert pairs == reference_pairs(functions, objects)
+    with mock.patch.object(columnar, "TILE_SIZE", 2):
+        catalogue = CatalogueColumns(objects)
+    width = catalogue.tile_ids.shape[1]
+    dead_tile = catalogue.tile_slot[0] // width
+    assert catalogue.tile_slot[1] // width == dead_tile
+    # Function 0 commits (1, 1), then (0.95, 0.95): after that commit
+    # every later pass leaves the tile out.
+    commits = [oid for fid, oid, _, _ in pairs]
+    assert commits.index(1) < len(commits) - 1
+    last_use = max(i for i, tiles in enumerate(passes) if dead_tile in tiles)
+    assert last_use < len(passes) - 1
+    assert all(dead_tile not in tiles for tiles in passes[last_use + 1 :])
+
+
+@pytest.mark.parametrize("tile", [1, 2])
+@pytest.mark.parametrize("length", [1, 2, 4])
+def test_exact_ties_split_across_tiles(tile, length):
+    """Mirror-image points tie exactly under the symmetric function and
+    land in different tiles; the canonical order (larger coordinates
+    first, then the smaller id) must decide, whichever tile a pass
+    scores first."""
+    points = []
+    for a, b in [(0.9, 0.1), (0.7, 0.3), (0.6, 0.4), (0.8, 0.2)]:
+        points += [(a, b), (b, a)]
+    points += [(0.5, 0.5)] * 3 + [(0.2, 0.1), (0.1, 0.2)]
+    functions = FunctionSet(
+        [(0.5, 0.5), (0.5, 0.5), (0.75, 0.25), (0.25, 0.75)], capacities=[3, 2, 2, 2]
+    )
+    objects = ObjectSet(points, capacities=[1, 2] * 6 + [1])
+    for method in ("sb-vec", "sb-deltasky-vec"):
+        pairs, stats, _ = traced_solve(functions, objects, method, length, tile)
+        assert pairs == reference_pairs(functions, objects, method), method
+        assert stats.counters["kernel_tie_resolutions"] > 0
+
+
+def rounding_inversion():
+    """``(functions, objects)``: one function ``w``, seven objects at a
+    point ``p`` (ids 0–6), one at ``q`` (id 7) and low fillers, such
+    that at tile size 1 and lists of one ``score(w, q) > score(w, p)``,
+    yet the scan's bound of ``q``'s tile is below both the bounds of
+    ``p``'s tiles and pass 1's scores of ``p`` (numpy dot products,
+    which BLAS may sum with fused multiply-adds).  ``None`` when this
+    platform's matmul rounds every candidate like ``score()``."""
+    rng = np.random.default_rng(9)
+    fillers = [(0.001 * i, 0.0) for i in range(1, 57)]
+    for _ in range(20000):
+        w0 = float(rng.uniform(0.1, 0.9))
+        w = (w0, 1.0 - w0)
+        p = tuple(rng.uniform(0.5, 1.0, 2).tolist())
+        q1 = float(rng.uniform(0.0, 1.0))
+        q = ((score(w, p) - w[1] * q1) / w[0], q1)
+        if not score(w, q) > score(w, p):
+            continue
+        objects = ObjectSet([p] * 7 + [q] + fillers)
+        with mock.patch.object(columnar, "TILE_SIZE", 1):
+            catalogue = CatalogueColumns(objects)
+        # The expressions of PointerRound._bounds and _tile_scores.
+        tiles = np.arange(catalogue.tile_upper.shape[0])
+        bounds = (np.asarray([w]) @ catalogue.tile_upper[tiles].T)[0]
+        p_tiles = np.sort(catalogue.tile_slot[:7])
+        pass1 = np.asarray([w]) @ catalogue.tile_points[p_tiles].reshape(-1, 2).T
+        q_bound = bounds[catalogue.tile_slot[7]]
+        if q_bound < min(bounds[p_tiles].min(), pass1.min()):
+            return FunctionSet([w]), objects
+    return None
+
+
+def test_rounding_inversion_needs_the_cut_margin():
+    """Pass 1 holds the seven copies of ``p`` (the scan's seven best
+    tiles by bound at lists of one), so its second-best score ``kth``
+    and its best both read ``p``'s.  ``q``'s tile bounds below them by
+    rounding, yet ``q`` is the function's winner: a cut at ``kth``, or
+    at ``min(kth, best - tol) + tol``, loses ``q``; the margin keeps
+    it."""
+    case = rounding_inversion()
+    if case is None:
+        pytest.skip("this platform's matmul rounds like score(): no inversion")
+    functions, objects = case
+    pairs, passes = scored_tiles(functions, objects, 1, 1)
+    assert pairs == reference_pairs(functions, objects)
+    assert pairs[0][1] == 7
+    with mock.patch.object(columnar, "TILE_SIZE", 1):
+        q_tile = CatalogueColumns(objects).tile_slot[7]
+    assert q_tile not in passes[0] and q_tile in passes[1]
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +497,13 @@ def test_catalogue_state_is_built_once_and_read_only():
     assert solve_record(first.matching.pairs, first.stats) == solve_record(
         again.matching.pairs, again.stats
     )
-    for array in (columns.points, columns.capacities):
+    for array in (
+        columns.points,
+        columns.capacities,
+        columns.tile_ids,
+        columns.tile_points,
+        columns.tile_upper,
+        columns.tile_slot,
+    ):
         with pytest.raises(ValueError, match="read-only"):
-            array[0] = array[1]
+            array[0] = array[-1]

@@ -38,7 +38,9 @@ def test_empty_function_set():
 
 
 class TestCostRelationships:
-    """The measurable claims behind Figure 8, asserted at test scale."""
+    """The measurable claims behind Figure 8, asserted at test scale.
+    Each variant runs once per class, on its own fresh zero-buffer
+    index, and every claim reads those runs."""
 
     @pytest.fixture(scope="class")
     def medium(self):
@@ -46,49 +48,50 @@ class TestCostRelationships:
         functions = make_functions(150, 3, seed=12)
         return functions, objects
 
-    def _run(self, functions, objects, variant):
-        idx = build_object_index(objects, buffer_fraction=0.0)
-        return sb_assign(functions, idx, variant=variant)
+    @pytest.fixture(scope="class")
+    def runs(self, medium):
+        """``{variant: (result, index)}`` for sb, sb-update and
+        sb-deltasky."""
+        functions, objects = medium
+        out = {}
+        for variant in ("sb", "sb-update", "sb-deltasky"):
+            idx = build_object_index(objects, buffer_fraction=0.0)
+            out[variant] = (sb_assign(functions, idx, variant=variant), idx)
+        return out
 
-    def test_sb_and_sb_update_share_io(self, medium):
+    def test_sb_and_sb_update_share_io(self, runs):
         """The 5.1/5.3 optimizations are CPU-only: SB and
         SB-UpdateSkyline must read identical page counts
         (paper: "SB and SB-UpdateSkyline have the same I/O cost")."""
-        functions, objects = medium
-        io_sb = self._run(functions, objects, "sb").stats.io_accesses
-        io_up = self._run(functions, objects, "sb-update").stats.io_accesses
+        io_sb = runs["sb"][0].stats.io_accesses
+        io_up = runs["sb-update"][0].stats.io_accesses
         assert io_sb == io_up
 
-    def test_deltasky_costs_more_io(self, medium):
+    def test_deltasky_costs_more_io(self, runs):
         """UpdateSkyline saves an order of magnitude of I/O vs
         DeltaSky (Figure 8(a))."""
-        functions, objects = medium
-        io_up = self._run(functions, objects, "sb-update").stats.io_accesses
-        io_ds = self._run(functions, objects, "sb-deltasky").stats.io_accesses
+        io_up = runs["sb-update"][0].stats.io_accesses
+        io_ds = runs["sb-deltasky"][0].stats.io_accesses
         assert io_ds > 2 * io_up
 
-    def test_multi_pair_reduces_loops(self, medium):
+    def test_multi_pair_reduces_loops(self, runs):
         """Section 5.3: emitting multiple stable pairs per loop cuts
         the number of skyline-maintenance rounds."""
-        functions, objects = medium
-        loops_multi = self._run(functions, objects, "sb").stats.loops
-        loops_single = self._run(functions, objects, "sb-update").stats.loops
+        loops_multi = runs["sb"][0].stats.loops
+        loops_single = runs["sb-update"][0].stats.loops
         assert loops_multi < loops_single
 
-    def test_sb_ta_work_is_lower(self, medium):
+    def test_sb_ta_work_is_lower(self, runs):
         """Resume + bias must reduce total sorted-list accesses vs
         fresh round-robin searches (the 5.1 CPU claim)."""
-        functions, objects = medium
-        opt = self._run(functions, objects, "sb").stats.counters
-        base = self._run(functions, objects, "sb-update").stats.counters
+        opt = runs["sb"][0].stats.counters
+        base = runs["sb-update"][0].stats.counters
         assert opt["ta_sorted_accesses"] < base["ta_sorted_accesses"]
 
-    def test_read_once_no_page_reread(self, medium):
+    def test_read_once_no_page_reread(self, runs):
         """Theorem 1 at the solver level: with a zero buffer, SB's
         logical reads equal physical reads equal <= pages in the tree."""
-        functions, objects = medium
-        idx = build_object_index(objects, buffer_fraction=0.0)
-        result = sb_assign(functions, idx)
+        result, idx = runs["sb"]
         io = result.stats.io
         assert io.physical_reads == io.logical_reads
         assert io.physical_reads <= idx.tree.store.num_pages
