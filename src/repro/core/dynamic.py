@@ -299,7 +299,7 @@ class DynamicStableMatching:
         """Greedy steps strictly better than the new object's best
         conceivable pair are unaffected by its arrival."""
         if self._vec is not None:
-            best = self._vec.best_key_for_object(oid, self._weights)
+            best = self._vec.best_key_for(oid, self._vec.objects, self._weights)
         else:
             p = self._points[oid]
             best = None
@@ -313,7 +313,7 @@ class DynamicStableMatching:
 
     def _first_affected_by_function(self, fid: int) -> int:
         if self._vec is not None:
-            best = self._vec.best_key_for_function(fid, self._points)
+            best = self._vec.best_key_for(fid, self._vec.functions, self._points)
         else:
             w = self._weights[fid]
             best = None

@@ -1,35 +1,158 @@
-"""Vectorized canonical argmax over a set of rows.
+"""Exact canonical argmax over numpy score rows.
 
-The BestPair step scans the (in-memory) skyline for each candidate
-function — "find object f.obest ∈ Osky that maximizes f(o)" — and the
-two-skyline variant scans Fsky per object.  Both are dot-product
-argmaxes with canonical tie-breaking.  ``MatrixView`` computes the
-scores with one numpy matmul, then resolves the winner *exactly*
-(via :func:`repro.scoring.score` and the canonical tuple order) among
-the rows inside a small tolerance band around the numpy maximum — the
-band scales with the summed term magnitudes (max|coord|·sum|weight|)
-and stays orders of magnitude wider than matmul's rounding error, so
-the exact winner is always inside it and results are bit-identical to
-the scalar scan.
+Every vectorized solver asks, for a row of scores, which column is
+canonically best: the least ``(-score(row, query), neg(row), id)``,
+which is :func:`repro.ordering.object_key` when the rows are object
+points and :func:`repro.ordering.function_key` when they are effective
+weight vectors (:func:`repro.scoring.score` commutes bit for bit).
+numpy scores a whole block with one matmul, but its float64 sums round
+differently from ``score()``'s left-to-right order.  This module owns
+the rule that makes its argmax exact, and every step built on it; the
+interpreted engine (:class:`MatrixView`) and the columnar kernels of
+:mod:`repro.kernels` all call it.
 
-The float64 matrix is the *canonical* representation: Python tuples
-are derived from it lazily (and cached) only when a tolerance band
-holds more than one row and exact tie-resolution has to compare
-canonical keys.  The view is also incrementally editable —
-:meth:`append` / :meth:`remove` (swap-remove into a doubling buffer)
-and the diff-based :meth:`sync` — so the per-round skyline churn of
-the engine's mutual-best rounds updates the matrix in place instead
-of rebuilding it from scratch every round.
+**The band rule.**  A dot product's rounding error is proportional to
+its summed *term* magnitudes (a few ulps of ``sum_i |w_i·x_i|``, at most
+``max|x|·sum|w|``), not to the final score, which cancellation can make
+orders of magnitude smaller.  So a row's *band* is every column that
+scores within :func:`band_tolerance`, ``SCORE_EPS·max(1, scale·sum|q|)``,
+of the row's numpy maximum, where ``q`` is the query row and ``scale``
+bounds every absolute coordinate of the other side.  The band is far
+wider than the rounding error, so the exact winner is always inside
+it.  A numpy argmax is trusted only when it is alone in its band; a
+wider band is resolved by :func:`canonical_best` with ``score()`` and
+the canonical keys, and every emitted score is computed with
+``score()``, so answers are bit-identical to a scalar scan.  A
+``scale`` kept as a running maximum over every row ever added only
+widens bands: more exact resolutions, never another winner.
+
+The steps:
+
+- :func:`band_tolerance`: the band width of each query row;
+- :func:`canonical_best`: the scalar resolver, for both sides;
+- :meth:`CanonicalArgmax.winners`: argmax-or-resolve over a block of
+  score rows;
+- :meth:`CanonicalArgmax.scan`: stale rows against every alive row of
+  the other side, scored in blocks of at most :data:`CELL_BUDGET`
+  bytes (read at call time), with the counters both kernels report;
+- :class:`MatrixView`: an incrementally editable row set answering one
+  query at a time.  Its float64 matrix is the canonical
+  representation: Python tuples are derived from it lazily (and
+  cached) only for rows that fall in a band, and :meth:`MatrixView.append`
+  / :meth:`MatrixView.remove` (swap-remove into a doubling buffer) and
+  the diff-based :meth:`MatrixView.sync` let the engine's per-round
+  skyline churn update the matrix in place.
 """
+
+# repro-lint: deterministic-module
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from repro.ordering import neg
 from repro.scoring import SCORE_EPS, score
+
+#: Bytes of float64 scores one block of rows may take.
+CELL_BUDGET = 1 << 20
+
+
+def band_tolerance(scale: float, queries: np.ndarray) -> np.ndarray:
+    """The band width of each query row (a scalar for one 1-D query):
+    ``SCORE_EPS·max(1, scale·sum|q|)``, where ``scale`` bounds every
+    absolute coordinate of the rows scored against it.  The floor of
+    1.0 keeps an absolute margin for small instances."""
+    return SCORE_EPS * np.maximum(1.0, scale * np.abs(queries).sum(axis=-1))
+
+
+def canonical_best(
+    query: Sequence[float], candidates: Iterable[tuple[int, int, Sequence[float]]]
+) -> tuple[int, float]:
+    """The canonically best of ``candidates`` for ``query``: its label
+    and its exact score.
+
+    Each candidate is ``(label, id, row)``, where the label is the
+    caller's name for the candidate (a column or a buffer row) and
+    ``row`` its exact tuple.  The best is the least
+    ``(-score(row, query), neg(row), id)``; ids are unique, so the
+    label never decides."""
+    key = min(
+        (-score(row, query), neg(row), ident, label) for label, ident, row in candidates
+    )
+    return key[3], -key[0]
+
+
+class CanonicalArgmax:
+    """The band rule over blocks of score rows, with its counters.
+
+    ``score_cells`` counts the scores computed and ``tie_resolutions``
+    the bands resolved exactly.  A resolver, ``resolve(row, band)``,
+    receives a query row's label and the labels of its band's columns
+    and returns the canonical winner's label, by :func:`canonical_best`
+    over the caller's exact tuples.
+    """
+
+    def __init__(self) -> None:
+        self.score_cells = 0
+        self.tie_resolutions = 0
+
+    def winners(
+        self,
+        scores: np.ndarray,
+        ids: np.ndarray,
+        tol: np.ndarray,
+        rows: np.ndarray,
+        resolve: Callable[[int, np.ndarray], int],
+    ) -> np.ndarray:
+        """Per row of ``scores``, the label of its best column: the
+        numpy argmax when it is alone in the row's band, the columns
+        within ``tol`` of it, else ``resolve(rows[t], band)``.  ``ids``
+        labels the columns, one row for all rows or one row each."""
+        at = scores.argmax(axis=1)
+        every = np.arange(at.size)
+        band = scores >= (scores[every, at] - tol)[:, None]
+        best = ids[at] if ids.ndim == 1 else ids[every, at]
+        # Every band holds its argmax, so a total above the row count
+        # means some band holds more than one candidate.
+        if np.count_nonzero(band) > band.shape[0]:
+            for t in np.nonzero(np.count_nonzero(band, axis=1) > 1)[0]:
+                self.tie_resolutions += 1
+                row_ids = ids if ids.ndim == 1 else ids[t]
+                best[t] = resolve(int(rows[t]), row_ids[band[t]])
+        return best
+
+    def scan(
+        self,
+        queries: np.ndarray,
+        stale: np.ndarray,
+        tol: np.ndarray,
+        targets: np.ndarray,
+        live: np.ndarray,
+        resolve: Callable[[int, np.ndarray], int],
+    ) -> np.ndarray:
+        """The canonically best ``live`` row of ``targets`` for each
+        ``stale`` row of ``queries``, as a row of ``targets``; ``tol``
+        holds each stale row's band width.
+
+        Blocks of query rows are scored so that no block exceeds
+        :data:`CELL_BUDGET` bytes of float64 scores (one row at least)."""
+        columns = targets[live].T
+        best = np.empty(stale.size, dtype=np.intp)
+        step = max(1, CELL_BUDGET // (columns.itemsize * live.size))
+        for start in range(0, stale.size, step):
+            rows = stale[start : start + step]
+            scores = queries[rows] @ columns
+            self.scored(scores)
+            best[start : start + step] = self.winners(
+                scores, live, tol[start : start + step], rows, resolve
+            )
+        return best
+
+    def scored(self, scores: np.ndarray) -> None:
+        """Count one block of scores that :meth:`scan` computed."""
+        self.score_cells += scores.size
 
 
 class MatrixView:
@@ -56,17 +179,9 @@ class MatrixView:
         self._pos = {ident: i for i, ident in enumerate(self.ids)}
         # Lazy canonical-tuple cache, aligned with the buffer rows.
         self._tuples: list[tuple[float, ...] | None] = [None] * self._n
-        # Largest |coordinate| *ever seen*: the tolerance band in
-        # :meth:`best_for` scales with the *term* magnitudes
-        # (sum_i |w_i·x_i| ≤ max|x| · sum|w|), not with the final dot
-        # product — cancellation can make |f(o)| tiny while rounding
-        # error stays proportional to the huge intermediate terms.
-        # Kept as a monotone upper bound across removals: a wider band
-        # only adds rows to the exact-resolution pass, never changes
-        # its winner.
-        self._max_abs_coord = (
-            float(np.abs(self._buf).max()) if self._n else 0.0
-        )
+        # Largest |coordinate| *ever seen*: the band's scale, kept as a
+        # monotone upper bound across removals.
+        self._max_abs_coord = float(np.abs(self._buf).max()) if self._n else 0.0
 
     def __len__(self) -> int:
         return self._n
@@ -149,23 +264,9 @@ class MatrixView:
             raise ValueError("best_for on an empty MatrixView")
         query_vector = np.asarray(query, dtype=np.float64)
         approx = self.matrix @ query_vector
-        approx_max = float(approx.max())
-        # Matmul rounding error is relative to the summed *term*
-        # magnitudes (~dims ulps of sum|w_i·x_i|), which cancellation
-        # can leave orders of magnitude above the final score — a band
-        # scaled by the score itself (or a fixed one) silently drops
-        # the exact winner on high-magnitude mixed-sign rows.  Bound
-        # the terms by max|coord|·sum|w|; the floor of 1.0 keeps the
-        # original absolute margin for small instances.
-        term_scale = self._max_abs_coord * float(np.abs(query_vector).sum())
-        tolerance = SCORE_EPS * max(1.0, term_scale)
-        band = np.nonzero(approx >= approx_max - tolerance)[0]
-        best_key = None
-        best_i = -1
-        for i in band:
-            row = self._row_tuple(int(i))
-            key = (-score(row, query), neg(row), self.ids[i])
-            if best_key is None or key < best_key:
-                best_key = key
-                best_i = int(i)
-        return self.ids[best_i], -best_key[0]
+        floor = approx.max() - band_tolerance(self._max_abs_coord, query_vector)
+        band = np.nonzero(approx >= floor)[0].tolist()
+        best, best_score = canonical_best(
+            query, ((i, self.ids[i], self._row_tuple(i)) for i in band)
+        )
+        return self.ids[best], best_score

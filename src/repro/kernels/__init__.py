@@ -31,11 +31,8 @@ same float scores, same loop count.  The interpreted configs remain
 the ground truth — ``tests/test_kernels.py`` verifies each twin
 pair-for-pair (and the planner identity suite exercises the vectorized
 configs through batch/session/server).  Exactness comes from the
-MatrixView pattern generalized: numpy produces a *candidate band*
-(everything within a term-magnitude-scaled tolerance of the
-approximate maximum), and the canonical winner is resolved
-inside the band with :func:`repro.scoring.score` and the canonical
-tuple orders of :mod:`repro.ordering`.
+band rule of :mod:`repro.core.vectorized`, which both kernels call
+for every argmax.
 
 **Instrumentation.**  ``loops`` is exact (the round structure is the
 scalar one).  ``io_accesses`` is 0 by construction — the kernels never

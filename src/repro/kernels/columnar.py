@@ -12,10 +12,8 @@
   (γ-scaled) weight matrix, the function-capacity vector and the
   absolute weight maximum, next to the catalogue half it reads.
 
-The absolute maxima scale every exact-winner tolerance band (the
-PR 4 ``MatrixView`` discipline: rounding error of a dot product is
-proportional to the summed *term* magnitudes, max|coord|·sum|weight|,
-not to the final — possibly cancelled — score).
+The absolute maxima are the ``scale`` of every tolerance band (see
+the band rule of :mod:`repro.core.vectorized`).
 
 **The tiling.**  The objects are split at the median of one dimension,
 then each half again at the median of the next dimension (cycling

@@ -19,37 +19,32 @@ rematch over numpy arrays:
   :class:`~repro.kernels.rounds.PointerRound`.  Within a
   rematch rows and columns only die, so a pointer whose target is
   still alive stays correct; only pointers whose target was exhausted
-  are recomputed, by scoring the stale rows against every alive
-  member of the other side in blocks bounded by
-  :data:`~repro.kernels.rounds.CELL_BUDGET` bytes.  No ``|F| × |O|``
-  matrix is held and no skyline is kept, so nothing assumes that a
-  preference rises with every coordinate: negative weights and
-  coordinates get the interpreted answer too.
+  are recomputed, by the block scan of :mod:`repro.core.vectorized`:
+  the stale rows against every alive member of the other side.  No
+  ``|F| × |O|`` matrix is held and no skyline is kept, so nothing
+  assumes that a preference rises with every coordinate: negative
+  weights and coordinates get the interpreted answer too.
 
 **Bit-identity discipline.**  The interpreted
 ``DynamicStableMatching`` stays the oracle: after every event the
 emitted suffix — pair handles, float scores, units, and the canonical
 pair-key order — is byte-equal to the interpreted rematch (and hence
-to a from-scratch static re-solve).  Exactness comes from the PR 6
-band rule: numpy argmaxes are trusted only when a single candidate
-sits inside the rounding-error band; ambiguous bands (and every
-emitted score) are resolved with scalar :func:`repro.scoring.score`
-over the original Python tuples and the canonical orders of
-:mod:`repro.ordering`.  Tolerance bands scale with *monotone running
-maxima* of the absolute coordinates/weights ever admitted — an upper
-bound of the live population's maxima, so departures can only widen
-bands (more exact resolutions, never a wrong winner).
+to a from-scratch static re-solve).  Exactness comes from the band
+rule of :mod:`repro.core.vectorized`, over the original Python tuples,
+and every emitted score is computed with :func:`repro.scoring.score`.
+A band's scale is the other side's *monotone running maximum* of the
+absolute values ever admitted, so departures can only widen bands.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 import numpy as np
 
-from repro.kernels.rounds import CELL_BUDGET
-from repro.ordering import PairKey, neg, pair_key
-from repro.scoring import SCORE_EPS, score
+from repro.core.vectorized import CanonicalArgmax, band_tolerance, canonical_best
+from repro.ordering import PairKey, pair_key
+from repro.scoring import score
 
 #: Initial row allocation of a side's columnar arrays.
 INITIAL_ROWS = 8
@@ -142,7 +137,7 @@ class MutableColumns:
         )
 
 
-class VectorizedChurnState:
+class VectorizedChurnState(CanonicalArgmax):
     """The ``backend="vec"`` engine behind ``DynamicStableMatching``.
 
     Owns the two mutable columnar sides and runs the vectorized suffix
@@ -150,71 +145,49 @@ class VectorizedChurnState:
     pair log, position indexes and cut computation (shared with the
     interpreted backend), so the two backends differ *only* in how a
     suffix is re-matched and in how the event's best-key probe is
-    evaluated.
+    evaluated.  ``score_cells`` counts the scores that rematches and
+    probes computed (the churn analogue of the static kernels'
+    ``kernel_score_cells``), ``tie_resolutions`` the bands resolved
+    exactly; both are cumulative.
     """
 
     def __init__(self) -> None:
+        super().__init__()
         self.functions = MutableColumns()
         self.objects = MutableColumns()
-        #: Cumulative score-matrix cells materialized by rematches and
-        #: best-key probes (the churn analogue of the static kernels'
-        #: ``kernel_score_cells`` counter).
-        self.score_cells = 0
-        #: Cumulative ambiguous tolerance bands resolved exactly.
-        self.tie_resolutions = 0
 
-    # -- event best-key probes -----------------------------------------
+    # -- the event best-key probe --------------------------------------
 
-    def best_key_for_object(
-        self, oid: int, exact_weights: Mapping[int, tuple[float, ...]]
+    def best_key_for(
+        self,
+        handle: int,
+        arrived: MutableColumns,
+        exact: Mapping[int, tuple[float, ...]],
     ) -> PairKey | None:
-        """The best conceivable pair key of one object, over every live
-        function — the arrival cut probe, one matvec instead of a
-        Python loop."""
-        rows = self.functions.live_rows()
-        if rows.size == 0:
+        """The best conceivable pair key of ``handle``, a member of the
+        ``arrived`` side, over every live member of the other side,
+        whose exact tuples ``exact`` holds: the arrival cut probe, one
+        matvec instead of a Python loop."""
+        other = self.objects if arrived is self.functions else self.functions
+        live = other.live_rows()
+        if live.size == 0:
             return None
-        point = self.objects.data[self.objects.row_of[oid]]
-        scores = self.functions.data[rows] @ point
-        self.score_cells += int(scores.size)
-        tol = SCORE_EPS * max(1.0, self.functions.max_abs * float(np.abs(point).sum()))
-        band = np.nonzero(scores >= scores.max() - tol)[0]
-        if band.size > 1:
-            self.tie_resolutions += 1
-        exact_point = tuple(float(x) for x in point)
-        best: PairKey | None = None
-        for r in band:
-            fid = int(self.functions.handle_at[rows[int(r)]])
-            w = exact_weights[fid]
-            key = pair_key(score(w, exact_point), w, fid, exact_point, oid)
-            if best is None or key < best:
-                best = key
-        return best
+        stale = np.array([arrived.row_of[handle]])
+        query = tuple(arrived.data[stale[0]].tolist())
+        tol = band_tolerance(other.max_abs, arrived.data[stale])
+        handles = other.handle_at
 
-    def best_key_for_function(
-        self, fid: int, exact_points: Mapping[int, tuple[float, ...]]
-    ) -> PairKey | None:
-        """The best conceivable pair key of one function over every
-        live object (the symmetric arrival probe)."""
-        rows = self.objects.live_rows()
-        if rows.size == 0:
-            return None
-        weights = self.functions.data[self.functions.row_of[fid]]
-        scores = self.objects.data[rows] @ weights
-        self.score_cells += int(scores.size)
-        tol = SCORE_EPS * max(1.0, self.objects.max_abs * float(np.abs(weights).sum()))
-        band = np.nonzero(scores >= scores.max() - tol)[0]
-        if band.size > 1:
-            self.tie_resolutions += 1
-        exact_w = tuple(float(x) for x in weights)
-        best: PairKey | None = None
-        for r in band:
-            oid = int(self.objects.handle_at[rows[int(r)]])
-            p = exact_points[oid]
-            key = pair_key(score(exact_w, p), exact_w, fid, p, oid)
-            if best is None or key < best:
-                best = key
-        return best
+        def pick(_: int, band: np.ndarray) -> int:
+            members = zip(band.tolist(), handles[band].tolist())
+            return canonical_best(query, ((r, h, exact[h]) for r, h in members))[0]
+
+        [found] = self.scan(arrived.data, stale, tol, other.data, live, pick)
+        partner = int(handles[found])
+        ends = [(query, handle), (exact[partner], partner)]
+        if arrived is self.objects:
+            ends.reverse()
+        (w, fid), (p, oid) = ends
+        return pair_key(score(w, p), w, fid, p, oid)
 
     # -- the vectorized suffix rematch ---------------------------------
 
@@ -242,12 +215,8 @@ class VectorizedChurnState:
         nf, no = len(fids), len(oids)
         weights = self.functions.data[self.functions.rows_for(fids)]
         points = self.objects.data[self.objects.rows_for(oids)]
-        row_tol = SCORE_EPS * np.maximum(
-            1.0, self.objects.max_abs * np.abs(weights).sum(axis=1)
-        )
-        col_tol = SCORE_EPS * np.maximum(
-            1.0, self.functions.max_abs * np.abs(points).sum(axis=1)
-        )
+        row_tol = band_tolerance(self.objects.max_abs, weights)
+        col_tol = band_tolerance(self.functions.max_abs, points)
         # One spare slot past each side stays dead, so a pointer that
         # was never set (-1) reads as stale in the same lookup as one
         # whose target was exhausted.
@@ -260,15 +229,13 @@ class VectorizedChurnState:
         obest = np.full(nf, -1, dtype=np.intp)
         fbest = np.full(no, -1, dtype=np.intp)
 
-        def resolve_object(f: int, band: np.ndarray) -> int:
-            return self._resolve_object(
-                band, oids, exact_points, exact_weights[fids[f]]
-            )
+        def pick_object(f: int, band: np.ndarray) -> int:
+            candidates = ((r, oids[r], exact_points[oids[r]]) for r in band.tolist())
+            return canonical_best(exact_weights[fids[f]], candidates)[0]
 
-        def resolve_function(o: int, band: np.ndarray) -> int:
-            return self._resolve_function(
-                band, fids, exact_weights, exact_points[oids[o]]
-            )
+        def pick_function(o: int, band: np.ndarray) -> int:
+            candidates = ((r, fids[r], exact_weights[fids[r]]) for r in band.tolist())
+            return canonical_best(exact_points[oids[o]], candidates)[0]
 
         emitted: list[tuple[int, int, int]] = []
         while True:
@@ -280,15 +247,15 @@ class VectorizedChurnState:
             # whose target is alive is still correct; rescan the rest.
             stale = live_f[~o_alive[obest[live_f]]]
             if stale.size:
-                obest[stale] = self._best_alive(
-                    weights, stale, row_tol, points, live_o, resolve_object
+                obest[stale] = self.scan(
+                    weights, stale, row_tol[stale], points, live_o, pick_object
                 )
             candidates = obest[live_f]
             stale = candidates[~f_alive[fbest[candidates]]]
             if stale.size:
                 stale = np.unique(stale)
-                fbest[stale] = self._best_alive(
-                    points, stale, col_tol, weights, live_f, resolve_function
+                fbest[stale] = self.scan(
+                    points, stale, col_tol[stale], weights, live_f, pick_function
                 )
 
             # -- commit mutually-best pairs (vertex-disjoint within a
@@ -318,86 +285,6 @@ class VectorizedChurnState:
             out.append((pair_key(s, w, fid, p, oid), fid, oid, s, units))
         out.sort(key=lambda item: item[0])
         return out
-
-    def _best_alive(
-        self,
-        queries: np.ndarray,
-        stale: np.ndarray,
-        tol: np.ndarray,
-        targets: np.ndarray,
-        live: np.ndarray,
-        resolve: Callable[[int, np.ndarray], int],
-    ) -> np.ndarray:
-        """The canonically best ``live`` target row of each ``stale``
-        query row.
-
-        Scores ``queries[stale]`` against ``targets[live]`` in blocks
-        of query rows, so no block exceeds :data:`CELL_BUDGET` bytes of
-        float64 scores.  A row's numpy argmax is trusted only when it
-        is alone inside the row's tolerance band ``tol``; a wider band
-        goes to ``resolve(query_row, band_rows)``.
-        """
-        cols = targets[live]
-        best = np.empty(stale.size, dtype=np.intp)
-        step = max(1, CELL_BUDGET // (queries.itemsize * live.size))
-        for start in range(0, stale.size, step):
-            rows = stale[start : start + step]
-            scores = queries[rows] @ cols.T
-            self.score_cells += int(scores.size)
-            top = scores.argmax(axis=1)
-            best[start : start + step] = live[top]
-            peak = scores[np.arange(rows.size), top]
-            band = scores >= (peak - tol[rows])[:, None]
-            # Every band holds its argmax, so a total above the row
-            # count means some band holds more than one candidate.
-            if np.count_nonzero(band) == rows.size:
-                continue
-            for t in np.nonzero(np.count_nonzero(band, axis=1) > 1)[0]:
-                t = int(t)
-                best[start + t] = resolve(int(rows[t]), live[np.nonzero(band[t])[0]])
-        return best
-
-    # -- exact canonical tie resolution --------------------------------
-
-    def _resolve_function(
-        self,
-        cand_rows: np.ndarray,
-        fids: list[int],
-        exact_weights: Mapping[int, tuple[float, ...]],
-        point: tuple[float, ...],
-    ) -> int:
-        """Canonical winner of an fbest band (function_key order)."""
-        self.tie_resolutions += 1
-        best_key = None
-        best_row = -1
-        for r in cand_rows:
-            r = int(r)
-            w = exact_weights[fids[r]]
-            key = (-score(w, point), neg(w), fids[r])
-            if best_key is None or key < best_key:
-                best_key = key
-                best_row = r
-        return best_row
-
-    def _resolve_object(
-        self,
-        cand_locs: np.ndarray,
-        oids: list[int],
-        exact_points: Mapping[int, tuple[float, ...]],
-        weights: tuple[float, ...],
-    ) -> int:
-        """Canonical winner of an obest band (object_key order)."""
-        self.tie_resolutions += 1
-        best_key = None
-        best_loc = -1
-        for loc in cand_locs:
-            loc = int(loc)
-            p = exact_points[oids[loc]]
-            key = (-score(weights, p), neg(p), oids[loc])
-            if best_key is None or key < best_key:
-                best_key = key
-                best_loc = loc
-        return best_loc
 
     def nbytes(self) -> int:
         """Resident size of the mutable columnar arrays."""

@@ -29,7 +29,8 @@ object, provided that object's score exceeds the threshold by more
 than the row's tolerance: then no unlisted object can sit inside its
 band.  Otherwise, and when no listed object is alive, the row is
 scanned again and its list rebuilt.  Candidate objects keep no list;
-a stale one is scored against every alive function.
+a stale one is scored against every alive function by the block scan
+of :mod:`repro.core.vectorized`.
 
 **Tile-pruned scans.**  A full row scan reads the catalogue's tiling
 (:class:`~repro.kernels.columnar.CatalogueColumns`): a tile's bound is
@@ -45,22 +46,21 @@ least ``need = min(kth, top - tol)``, because the whole row's
 non-negative weights a member's exact score is at most its tile's
 exact bound, and the two numpy dot products (the bound and the pass
 score, summed in whatever order BLAS chooses) each err by at most
-``D·2⁻⁵³·max|coord|·sum|weight|``, far less than the ``tol`` margin of
-``SCORE_EPS·max(1, max|coord|·sum|weight|)``.  So the list, the
-threshold and the band are those of a scan of every alive object, and
-the band rule below resolves the band exactly as before.  A catalogue
-of one tile, or a row whose pass 1 holds too few alive objects to fill
-a list, scores every alive tile.
+``D·2⁻⁵³·max|coord|·sum|weight|``, far less than the ``tol`` margin,
+the row's band width (:func:`~repro.core.vectorized.band_tolerance`).
+So the list, the threshold and the band are those of a scan of every
+alive object, and the band rule resolves the band exactly as before.
+A catalogue of one tile, or a row whose pass 1 holds too few alive
+objects to fill a list, scores every alive tile.
 
-**Exactness.**  A numpy argmax is trusted only when it is alone inside
-the row's rounding-error band, which is scaled by the summed term
-magnitudes (the ``MatrixView`` rule).  A wider band is resolved with
-:func:`repro.scoring.score` and the canonical tuple orders, and every
-emitted score is computed with :func:`~repro.scoring.score`, so pairs
-and score bits equal the interpreted twins'.
+**Exactness.**  Every pointer is set by the band rule of
+:mod:`repro.core.vectorized`, and every emitted score is computed with
+:func:`~repro.scoring.score`, so pairs and score bits equal the
+interpreted twins'.
 
-**Memory.**  Rows are scored in blocks of at most :data:`CELL_BUDGET`
-bytes of float64 scores (one row at least), and the lists take
+**Memory.**  Rows are scored in blocks of at most
+:data:`~repro.core.vectorized.CELL_BUDGET` bytes of float64 scores
+(one row at least), and the lists take
 ``|F| × RUNNERS_UP`` entries; no ``|F| × |O|`` array is held.  Each
 solve keeps a tiles × slots penalty (0, or -inf for a dead object and
 an unused slot) and an alive count per tile, which the commit hook
@@ -70,18 +70,15 @@ updates.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 
 import numpy as np
 
+from repro.core import vectorized
+from repro.core.vectorized import CanonicalArgmax, band_tolerance, canonical_best
 from repro.engine.engine import EngineContext
 from repro.engine.protocols import RoundStrategy, SkylineState, StablePair
 from repro.kernels.columnar import ColumnarInstance
-from repro.ordering import neg
-from repro.scoring import SCORE_EPS, score
-
-#: Bytes of float64 scores one block of rows may take.
-CELL_BUDGET = 1 << 20
+from repro.scoring import score
 
 #: Runner-up objects a full row scan keeps per function.
 RUNNERS_UP = 64
@@ -90,10 +87,11 @@ RUNNERS_UP = 64
 SCAN_CHUNK = 8
 
 
-class PointerRound(RoundStrategy):
+class PointerRound(RoundStrategy, CanonicalArgmax):
     """fbest ∩ obest from per-side best pointers and runner-up lists."""
 
     def __init__(self, ctx: EngineContext, columnar: ColumnarInstance):
+        super().__init__()
         self.ctx = ctx
         self.col = columnar
         nf, no = columnar.num_functions, columnar.num_objects
@@ -109,16 +107,12 @@ class PointerRound(RoundStrategy):
         self.listed_scores = np.empty((nf, length))
         # An infinite threshold: no row has a list yet.
         self.threshold = np.full(nf, np.inf)
-        self.row_tol = SCORE_EPS * np.maximum(
-            1.0, columnar.max_abs_point * np.abs(columnar.weights).sum(axis=1)
-        )
+        self.row_tol = band_tolerance(columnar.max_abs_point, columnar.weights)
         tile_ids = columnar.catalogue.tile_ids
         # Added to every score of a tile slot: 0 for an alive object,
         # -inf for a dead one and for a slot past a tile's last member.
         self.penalty = np.where(self.o_alive[tile_ids], 0.0, -np.inf)
         self.tile_alive = np.count_nonzero(self.o_alive[tile_ids], axis=1)
-        self.score_cells = 0
-        self.tie_resolutions = 0
         ctx.mem.set_gauge(
             "columnar_arrays",
             columnar.nbytes()
@@ -158,12 +152,9 @@ class PointerRound(RoundStrategy):
         answered = self.threshold[stale] < floor
         if answered.any():
             rows = np.nonzero(answered)[0]
-            self.obest[stale[rows]] = self._winners(
-                scores[rows],
-                listed[rows],
-                floor[rows],
-                stale[rows],
-                self._resolve_object,
+            fids = stale[rows]
+            self.obest[fids] = self.winners(
+                scores[rows], listed[rows], self.row_tol[fids], fids, self._pick_object
             )
         if not answered.all():
             self._scan(stale[~answered])
@@ -192,7 +183,7 @@ class PointerRound(RoundStrategy):
         best = self._best_tiles(weights, upper, first)
         order = np.lexsort((best[:, -min(2, first)], best[:, -1]))
         # A chunk of k rows scores at most k * first tiles in pass 1.
-        cells = CELL_BUDGET // (upper.itemsize * first * width)
+        cells = vectorized.CELL_BUDGET // (upper.itemsize * first * width)
         step = max(1, min(SCAN_CHUNK, math.isqrt(cells)))
         for start in range(0, fids.size, step):
             rows = order[start : start + step]
@@ -206,7 +197,7 @@ class PointerRound(RoundStrategy):
             pass2 = live[reached.any(axis=0) & ~in_pass1]
             ids = catalogue.tile_ids[np.concatenate((pass1, pass2))].reshape(-1)
             # Both passes' scores of a block of rows fit the budget.
-            sub = max(1, CELL_BUDGET // (upper.itemsize * ids.size))
+            sub = max(1, vectorized.CELL_BUDGET // (upper.itemsize * ids.size))
             for at in range(0, rows.size, sub):
                 part = rows[at : at + sub]
                 block = scores[at : at + sub]
@@ -231,7 +222,7 @@ class PointerRound(RoundStrategy):
         tiles = upper.shape[1]
         positions = sorted({tiles - first, max(tiles - 2, 0), tiles - 1})
         best = np.empty((weights.shape[0], first), dtype=np.intp)
-        step = max(1, CELL_BUDGET // (upper.itemsize * tiles))
+        step = max(1, vectorized.CELL_BUDGET // (upper.itemsize * tiles))
         for start in range(0, weights.shape[0], step):
             bounds = self._bounds(weights[start : start + step], upper)
             ranked = np.argpartition(bounds, positions, axis=1)
@@ -271,10 +262,8 @@ class PointerRound(RoundStrategy):
     ) -> None:
         """Point each row of ``block`` at the canonical winner of its
         ``scores`` over the objects ``ids`` and list its best ones."""
-        floor = scores.max(axis=1) - self.row_tol[block]
-        self.obest[block] = self._winners(
-            scores, ids, floor, block, self._resolve_object
-        )
+        tol = self.row_tol[block]
+        self.obest[block] = self.winners(scores, ids, tol, block, self._pick_object)
         cut = ids.size - self.listed.shape[1] - 1
         if cut < 0:
             # Every alive object fits in the list.
@@ -291,76 +280,31 @@ class PointerRound(RoundStrategy):
         self.listed[block] = ids[kept[:, 1:]]
 
     def _point_objects(self, oids: np.ndarray, live_f: np.ndarray) -> None:
-        """Score each stale candidate object against every alive
-        function, in blocks of at most :data:`CELL_BUDGET` bytes, and
-        point it at the canonically best one."""
+        """Point each stale candidate object at its canonically best
+        alive function."""
         col = self.col
-        weights = col.weights[live_f].T
-        step = max(1, CELL_BUDGET // (weights.itemsize * live_f.size))
-        for start in range(0, oids.size, step):
-            block = oids[start : start + step]
-            scores = col.points[block] @ weights
-            self.score_cells += scores.size
-            self.ctx.mem.set_gauge("score_matrix", scores.nbytes)
-            tol = SCORE_EPS * np.maximum(
-                1.0, col.max_abs_weight * np.abs(col.points[block]).sum(axis=1)
-            )
-            self.fbest[block] = self._winners(
-                scores,
-                live_f,
-                scores.max(axis=1) - tol,
-                block,
-                self._resolve_function,
-            )
+        tol = band_tolerance(col.max_abs_weight, col.points[oids])
+        self.fbest[oids] = self.scan(
+            col.points, oids, tol, col.weights, live_f, self._pick_function
+        )
 
-    def _winners(
-        self,
-        scores: np.ndarray,
-        ids: np.ndarray,
-        floor: np.ndarray,
-        rows: np.ndarray,
-        resolve: Callable[[np.ndarray, int], int],
-    ) -> np.ndarray:
-        """Per row, the id of its best score: the numpy argmax when it
-        is alone at or above the row's band ``floor``, else the
-        canonical winner of the band, by ``resolve(band_ids, row)``.
-        ``ids`` names the columns, one row for all rows or one each."""
-        band = scores >= floor[:, None]
-        at = scores.argmax(axis=1)
-        best = ids[at] if ids.ndim == 1 else ids[np.arange(ids.shape[0]), at]
-        # Every band holds its argmax, so a total above the row count
-        # means some band holds more than one candidate.
-        if np.count_nonzero(band) > band.shape[0]:
-            for t in np.nonzero(np.count_nonzero(band, axis=1) > 1)[0]:
-                row_ids = ids if ids.ndim == 1 else ids[t]
-                best[t] = resolve(row_ids[band[t]], int(rows[t]))
-        return best
+    def _pick_object(self, fid: int, oids: np.ndarray) -> int:
+        """The canonical winner among the objects ``oids`` for ``fid``."""
+        points = self.ctx.objects.points
+        candidates = ((oid, oid, points[oid]) for oid in oids.tolist())
+        return canonical_best(self.ctx.functions.effective_weights(fid), candidates)[0]
 
-    # -- exact canonical tie resolution -------------------------------------
+    def _pick_function(self, oid: int, fids: np.ndarray) -> int:
+        """The canonical winner among the functions ``fids`` for ``oid``."""
+        weights = self.ctx.functions.effective_weights
+        candidates = ((fid, fid, weights(fid)) for fid in fids.tolist())
+        return canonical_best(self.ctx.objects.points[oid], candidates)[0]
 
-    def _resolve_function(self, band_fids: np.ndarray, oid: int) -> int:
-        """Canonical winner of an fbest band (function_key)."""
-        self.tie_resolutions += 1
-        point = self.ctx.objects.points[oid]
-        best_key = None
-        for fid in band_fids.tolist():
-            w = self.ctx.functions.effective_weights(fid)
-            key = (-score(w, point), neg(w), fid)
-            if best_key is None or key < best_key:
-                best_key = key
-        return best_key[2]
-
-    def _resolve_object(self, band_oids: np.ndarray, fid: int) -> int:
-        """Canonical winner of an obest band (object_key)."""
-        self.tie_resolutions += 1
-        w = self.ctx.functions.effective_weights(fid)
-        best_key = None
-        for oid in band_oids.tolist():
-            p = self.ctx.objects.points[oid]
-            key = (-score(p, w), neg(p), oid)
-            if best_key is None or key < best_key:
-                best_key = key
-        return best_key[2]
+    def scored(self, scores: np.ndarray) -> None:
+        """Count a block of the shared scan and gauge it as the solve's
+        score matrix."""
+        super().scored(scores)
+        self.ctx.mem.set_gauge("score_matrix", scores.nbytes)
 
     # -- engine hooks --------------------------------------------------------
 

@@ -165,8 +165,10 @@ class Client:
 
         Raises the typed :class:`~repro.errors.ServerError` hierarchy
         for non-success statuses (429 → :class:`ServerBusyError`,
-        503 → :class:`ServerUnavailableError`).  Reconnects once,
-        transparently, when a keep-alive connection went stale.
+        503 → :class:`ServerUnavailableError`), and a
+        :class:`ServerError` with status 502 for a success whose body
+        is not a JSON object.  Reconnects once, transparently, when a
+        keep-alive connection went stale.
         """
         with span(
             "http.request",
@@ -248,6 +250,15 @@ class Client:
                 + trace_suffix,
                 status=response.status,
                 payload=decoded,
+                trace_id=trace_id,
+            )
+        if not isinstance(decoded, dict):
+            # Every server and gateway endpoint answers an object, so an
+            # empty body or another JSON value is a bad gateway too.
+            raise ServerError(
+                f"response body from {method} {path} is not a JSON object"
+                f"{trace_suffix}",
+                status=502,
                 trace_id=trace_id,
             )
         return response.status, decoded

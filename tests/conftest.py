@@ -10,6 +10,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from repro.cluster import GatewayConfig, serve_gateway_in_thread
+from repro.core.vectorized import CELL_BUDGET
 from repro.data.instances import FunctionSet, ObjectSet
 from repro.server import ServerConfig, serve_in_thread
 
@@ -87,6 +88,13 @@ coord = st.one_of(
     st.sampled_from(TIE_VALUES),  # force ties/duplicates often
     st.floats(min_value=0.0, max_value=1.0, allow_nan=False, width=32),
 )
+
+
+#: The shipped score-block budget, or budgets small enough that every
+#: scan runs in blocks of one or a few rows.  Tests patch a drawn budget
+#: into ``repro.core.vectorized.CELL_BUDGET``, which both kernels read
+#: at call time.
+block_budgets = st.one_of(st.just(CELL_BUDGET), st.integers(1, 2000))
 
 
 def points_strategy(dims: int, min_size=1, max_size=40):

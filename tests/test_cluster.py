@@ -685,6 +685,8 @@ class _Malformed:
 #: status at the client, expected message)`` per malformed answer.
 MALFORMED_ANSWERS = {
     "2xx-non-json": (200, b"not json", ServerError, 502, "non-JSON response body"),
+    "2xx-json-list": (200, b"[1, 2]", ServerError, 502, "not a JSON object"),
+    "2xx-empty": (200, b"", ServerError, 502, "not a JSON object"),
     "error-not-a-string": (500, b'{"error": 123}', ServerError, 500, "-> HTTP 500"),
     "429-json-list": (429, b"[1, 2]", ServerBusyError, 429, "server busy"),
     "503-error-not-a-string": (

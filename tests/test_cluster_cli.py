@@ -111,8 +111,18 @@ def test_gateway_console_smoke_survives_backend_kill():
             assert "@" in job_id
             client.result(job_id)
 
-            backends[0].send_signal(signal.SIGKILL)
-            backends[0].wait(timeout=10)
+            # Kill a backend that took forwards: the ring follows the
+            # random ports and may give every problem to one backend,
+            # and killing the other would leave only the prober to
+            # notice, after the assertions below.
+            forwards = client.metrics()["backends"]
+            victim = next(
+                process
+                for process, port in zip(backends, ports)
+                if forwards[f"127.0.0.1:{port}"]["forwards"] > 0
+            )
+            victim.send_signal(signal.SIGKILL)
+            victim.wait(timeout=10)
 
             # Every catalogue—including those owned by the dead
             # backend—still solves, re-sharded, with identical pairs.

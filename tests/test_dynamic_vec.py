@@ -2,6 +2,8 @@
 interpreted == from-scratch) after every event, the per-side partner
 indexes, the cumulative churn counters, and ``churn_backend`` routing."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -18,7 +20,7 @@ from repro.data.generators import churn_stream, make_functions, make_objects
 from repro.errors import InvalidProblemError, UnknownSolverError
 from repro.kernels.dynamic import INITIAL_ROWS, MutableColumns
 
-from .conftest import deep_settings, random_instance
+from .conftest import block_budgets, deep_settings, random_instance
 
 
 def from_scratch(source: DynamicStableMatching) -> DynamicStableMatching:
@@ -123,33 +125,35 @@ def churn_scenario(draw):
 CHURN_SETTINGS = deep_settings(max_examples=50)
 
 
-@given(churn_scenario())
+@given(churn_scenario(), block_budgets)
 @CHURN_SETTINGS
-def test_random_event_sequences_three_way_identity(scenario):
+def test_random_event_sequences_three_way_identity(scenario, budget):
     """Arrivals/departures with multi-unit capacities and priority
-    scaling: vec == interp == from-scratch oracle after every step."""
+    scaling: vec == interp == from-scratch oracle after every step,
+    with the rescans and probes scored in blocks of ``budget`` bytes."""
     _dims, ops = scenario
     interp = DynamicStableMatching()
     vec = DynamicStableMatching(backend="vec")
     live_f: list[int] = []
     live_o: list[int] = []
-    for kind, values, n, priority in ops:
-        if kind == "af":
-            w = tuple(x * priority for x in values)
-            assert interp.add_function(w, n) == vec.add_function(w, n)
-            live_f.append(interp._next_f - 1)
-        elif kind == "ao":
-            assert interp.add_object(values, n) == vec.add_object(values, n)
-            live_o.append(interp._next_o - 1)
-        elif kind == "rf" and live_f:
-            fid = live_f.pop(n % len(live_f))
-            interp.remove_function(fid)
-            vec.remove_function(fid)
-        elif kind == "ro" and live_o:
-            oid = live_o.pop(n % len(live_o))
-            interp.remove_object(oid)
-            vec.remove_object(oid)
-        assert_three_way(interp, vec)
+    with mock.patch("repro.core.vectorized.CELL_BUDGET", budget):
+        for kind, values, n, priority in ops:
+            if kind == "af":
+                w = tuple(x * priority for x in values)
+                assert interp.add_function(w, n) == vec.add_function(w, n)
+                live_f.append(interp._next_f - 1)
+            elif kind == "ao":
+                assert interp.add_object(values, n) == vec.add_object(values, n)
+                live_o.append(interp._next_o - 1)
+            elif kind == "rf" and live_f:
+                fid = live_f.pop(n % len(live_f))
+                interp.remove_function(fid)
+                vec.remove_function(fid)
+            elif kind == "ro" and live_o:
+                oid = live_o.pop(n % len(live_o))
+                interp.remove_object(oid)
+                vec.remove_object(oid)
+            assert_three_way(interp, vec)
 
 
 def population_state(dyn: DynamicStableMatching) -> tuple:

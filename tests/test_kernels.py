@@ -40,7 +40,7 @@ from repro.kernels import CatalogueColumns, PointerRound, columnar, rounds
 from repro.scoring import score
 from repro.service import BatchSolver, SolveJob
 
-from .conftest import deep_settings, random_instance
+from .conftest import block_budgets, deep_settings, random_instance
 
 # ---------------------------------------------------------------------------
 # Bit-identity: vectorized configs vs their interpreted twins
@@ -232,11 +232,6 @@ listed_instances = st.builds(
 )
 
 
-#: The shipped score-block budget, or budgets small enough that every
-#: scan runs in blocks of one or a few rows.
-block_budgets = st.one_of(st.just(rounds.CELL_BUDGET), st.integers(1, 2000))
-
-
 def signed(objects: ObjectSet) -> ObjectSet:
     """``objects`` moved from [0, 1] to [-1, 1], ties kept."""
     return ObjectSet(
@@ -262,7 +257,7 @@ def test_property_runner_up_lists_match_greedy(pair, length, budget, tile, both_
         for p in greedy_assign(functions, objects).matching.pairs
     )
     for method in ("sb-vec", "sb-deltasky-vec"):
-        with mock.patch.object(rounds, "CELL_BUDGET", budget):
+        with mock.patch("repro.core.vectorized.CELL_BUDGET", budget):
             pairs, _, _ = traced_solve(functions, objects, method, length, tile)
         assert sorted(pairs) == expected, method
 
