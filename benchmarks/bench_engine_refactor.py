@@ -8,7 +8,7 @@ and once after with ``--label post_refactor``; later PRs append
 further labelled snapshots so the repo carries its own perf
 trajectory.
 
-``--method`` accepts any registry name (see ``repro.planner.REGISTRY``)
+``--method`` accepts any registry name (see ``repro.core.registry.REGISTRY``)
 and comma-separated lists, so one invocation produces comparable
 scalar-vs-vectorized rows; ``--nf/--no/--dims`` override the Table 2
 shape for sweep points beyond the default cell.
@@ -30,7 +30,7 @@ from pathlib import Path
 
 from repro.bench.config import current_scale, defaults
 from repro.bench.harness import clear_caches, make_instance, run_cell
-from repro.planner import REGISTRY
+from repro.core.registry import REGISTRY
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 
@@ -90,7 +90,7 @@ def main() -> None:
 
     methods = [m.strip() for m in args.method.split(",") if m.strip()]
     for method in methods:
-        REGISTRY.validate(method, None)
+        REGISTRY.resolve(method)
 
     clear_caches()
     rows = []

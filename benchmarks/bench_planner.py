@@ -55,7 +55,7 @@ import numpy as np
 from repro.bench.config import _SCALES, current_scale
 from repro.bench.harness import clear_caches, make_instance, run_cell
 from repro.data.generators import make_functions, make_objects
-from repro.planner import AUTO_METHOD, AUTO_PLAN, REGISTRY
+from repro.core.registry import AUTO_METHOD, AUTO_PLAN, REGISTRY
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_planner.json"
 

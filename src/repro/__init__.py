@@ -42,11 +42,12 @@ from repro.core import (
     ObjectIndex,
     RunStats,
 )
+from repro.core.registry import engine_config
 from repro.data.instances import FunctionSet, ObjectSet
-from repro.engine import AssignmentEngine, EngineConfig, engine_config
+from repro.engine import AssignmentEngine, EngineConfig
 from repro.service import BatchSolver, JobResult, SolveJob
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 __all__ = [
     "AssignedPair",

@@ -1,16 +1,16 @@
 """``repro.analysis`` — AST-based invariant checker (``repro-lint``).
 
-Four rule families, each encoding a discipline earlier PRs introduced
+Three rule families, each encoding a discipline earlier PRs introduced
 in prose and this package makes machine-checked:
 
 ======  ==========================================================
 REP0xx  meta (parse failures, malformed suppression comments)
 REP1xx  lock discipline — guarded attributes accessed off-lock
 REP2xx  determinism — RNG / wall-clock / set-order / id() in the
-        bit-identical packages (engine, kernels, skyline, planner,
-        rtree)
-REP3xx  registry consistency — ENGINE_CONFIGS, derived dispatch
-        views
+        bit-identical packages (engine, kernels, skyline, rtree)
+        and marked modules
+REP3xx  retired — the registry checks compared dispatch tables
+        that ``repro.core.registry`` replaced with one table
 REP4xx  hot-path & error hygiene — spans/logs on never-traced
         paths, bare/swallowed except, hand-built error envelopes
 ======  ==========================================================
@@ -42,7 +42,6 @@ from repro.analysis.hotpath import (
     check_hotpath,
 )
 from repro.analysis.locks import check_locks
-from repro.analysis.registry_rules import RegistryView, check_registry
 from repro.analysis.runner import (
     LintResult,
     iter_python_files,
@@ -62,13 +61,11 @@ __all__ = [
     "Finding",
     "LintResult",
     "NEVER_TRACED_MARKER",
-    "RegistryView",
     "SuppressionIndex",
     "TAG_RULES",
     "check_determinism",
     "check_hotpath",
     "check_locks",
-    "check_registry",
     "is_deterministic_path",
     "iter_python_files",
     "lint_file",

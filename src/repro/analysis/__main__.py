@@ -29,8 +29,8 @@ def _parser() -> argparse.ArgumentParser:
         prog="repro-lint",
         description=(
             "AST-based invariant checker for the repro codebase: lock "
-            "discipline (REP1xx), determinism (REP2xx), registry "
-            "consistency (REP3xx), hot-path/error hygiene (REP4xx)."
+            "discipline (REP1xx), determinism (REP2xx), hot-path/error "
+            "hygiene (REP4xx)."
         ),
     )
     parser.add_argument(
@@ -78,11 +78,6 @@ def _parser() -> argparse.ArgumentParser:
         default=None,
         help="comma-separated rule ids to run (e.g. REP101,REP403)",
     )
-    parser.add_argument(
-        "--no-registry",
-        action="store_true",
-        help="skip the project-level registry consistency checks",
-    )
     return parser
 
 
@@ -117,7 +112,6 @@ def main(argv: list[str] | None = None) -> int:
         root=root,
         baseline=None if args.write_baseline else baseline,
         rules=rules,
-        registry_checks=not args.no_registry,
     )
 
     if args.write_baseline:

@@ -4,9 +4,9 @@ The engine's headline guarantee is that every engine config, serving
 layer and cluster topology returns *bit-identical* solutions, although
 the gateway, its backends and their clients each compute answers and
 digests in their own process.  The packages
-on that path (``engine``, ``kernels``, ``skyline``, ``planner``,
-``rtree``) therefore must not let run-to-run-varying state influence
-results:
+on that path (``engine``, ``kernels``, ``skyline``, ``rtree``, and
+marked modules such as the solver table in ``core/registry.py``)
+therefore must not let run-to-run-varying state influence results:
 
 - **REP201** — ``random`` / ``uuid`` / ``numpy.random`` usage: seeds
   differ across processes, so any RNG in a solve path breaks
@@ -40,7 +40,7 @@ RULE_SET_ITERATION = "REP203"
 RULE_ID_KEY = "REP204"
 
 #: Packages (relative to ``src/repro``) under determinism discipline.
-DETERMINISTIC_PACKAGES = ("engine", "kernels", "skyline", "planner", "rtree")
+DETERMINISTIC_PACKAGES = ("engine", "kernels", "skyline", "rtree")
 
 #: File-level marker opting any module into this rule family.
 DETERMINISTIC_MARKER = "# repro-lint: deterministic-module"

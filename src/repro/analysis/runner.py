@@ -3,8 +3,7 @@
 :func:`run_lint` is the library entry point (the CLI in
 ``__main__.py`` is a thin argparse shell over it).  Per file it parses
 once, builds the suppression index, and runs the applicable rule
-families; the project-level registry rules run once per invocation
-when the scanned tree contains the live registry.
+families.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from repro.analysis.determinism import (
 from repro.analysis.findings import Finding, sort_findings
 from repro.analysis.hotpath import check_hotpath, routed_classes
 from repro.analysis.locks import check_locks
-from repro.analysis.registry_rules import RegistryView, check_registry
 from repro.analysis.suppress import SuppressionIndex
 
 #: Directory names never descended into.
@@ -165,13 +163,11 @@ def run_lint(
     root: Path | None = None,
     baseline: Baseline | None = None,
     rules: frozenset[str] | None = None,
-    registry_checks: bool = True,
 ) -> LintResult:
     """Lint ``paths`` (files or directories) and fold in the baseline.
 
     ``root`` anchors the relative paths findings report (defaults to
-    the current directory); the registry rules run when the scanned
-    tree contains the live registry module.
+    the current directory).
     """
     root = (root or Path.cwd()).resolve()
     result = LintResult()
@@ -194,12 +190,6 @@ def run_lint(
         findings.extend(file_findings)
         result.suppressed += suppressed
         result.files_checked += 1
-
-    if registry_checks and (root / "src/repro/planner/registry.py").exists():
-        registry_findings = check_registry(RegistryView.live(root))
-        if rules is not None:
-            registry_findings = [f for f in registry_findings if f.rule in rules]
-        findings.extend(registry_findings)
 
     findings = sort_findings(findings)
     if baseline is None:

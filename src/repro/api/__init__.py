@@ -51,7 +51,7 @@ from repro.api.problem import (
 from repro.api.serde import canonical_digest
 from repro.api.session import AssignmentSession
 from repro.api.solution import Solution, SolutionDiff
-from repro.planner import AUTO_METHOD, Plan
+from repro.core.registry import AUTO_METHOD, Plan
 from repro.errors import (
     FrozenInstanceError,
     InvalidProblemError,

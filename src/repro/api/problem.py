@@ -43,10 +43,9 @@ from repro.api.serde import (
     from_json,
     to_canonical_json,
 )
-from repro.core import validate_solver_options
+from repro.core.registry import REGISTRY, Plan
 from repro.data.instances import FunctionSet, ObjectSet, Point, object_set_fingerprint
 from repro.errors import InvalidProblemError, SerdeError, UnknownCatalogueError
-from repro.planner import AUTO_METHOD, AUTO_PLAN, Plan, explicit_plan
 
 _OPTION_TYPES = (bool, int, float, str, type(None))
 
@@ -182,8 +181,9 @@ def _validated_options(method: str, options: Mapping[str, Any]) -> Mapping[str, 
             raise InvalidProblemError(
                 f"solver option {name!r}={value!r} is not a finite JSON scalar"
             )
-    # Raises UnknownSolverError / InvalidSolverOptionError.
-    validate_solver_options(method, items)
+    # Raises UnknownSolverError / InvalidSolverOptionError /
+    # InvalidProblemError.
+    REGISTRY.resolve(method, items)
     return MappingProxyType(dict(sorted(items.items())))
 
 
@@ -561,17 +561,16 @@ class Problem:
     def plan(self) -> Plan:
         """The planner's decision for this problem (memoized).
 
-        For ``method="auto"`` this is :data:`~repro.planner.AUTO_PLAN`
-        (``sb-vec``, whatever the instance); for an explicit method it
-        is the trivial plan (``explain()`` works either way).
+        For ``method="auto"`` this is
+        :data:`~repro.core.registry.AUTO_PLAN` (``sb-vec``, whatever
+        the instance); for an explicit method it is the trivial plan
+        (``explain()`` works either way).
         """
         cached = self.__dict__.get("_plan")
         if cached is None:
-            if self.method == AUTO_METHOD:
-                cached = AUTO_PLAN
-            else:
-                cached = explicit_plan(self.method, dict(self.options))
-            self.__dict__["_plan"] = cached
+            cached = self.__dict__["_plan"] = REGISTRY.resolve(
+                self.method, self.options
+            )
         return cached
 
     @property

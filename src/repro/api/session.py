@@ -29,13 +29,13 @@ from repro.api.events import (
 from repro.api.problem import Problem, validated_functions, validated_objects
 from repro.api.solution import Solution, SolutionDiff
 from repro.core.dynamic import CHURN_BACKENDS, DynamicStableMatching
+from repro.core.registry import AUTO_METHOD as _AUTO
+from repro.core.registry import Plan
 from repro.core.types import RunStats
 from repro.core.validate import assert_stable
 from repro.data.instances import FunctionSet, ObjectSet
 from repro.errors import InvalidProblemError, SessionClosedError, UnknownSolverError
 from repro.obs.trace import span
-from repro.planner import AUTO_METHOD as _AUTO
-from repro.planner import Plan
 from repro.service.batch import BatchSolver, SolveJob
 
 _DYNAMIC_METHOD = "dynamic"
@@ -152,7 +152,7 @@ class AssignmentSession:
 
         The returned :attr:`Solution.method` is the *resolved* method
         that ran — ``sb-vec`` for ``method="auto"`` problems, with the
-        :class:`~repro.planner.Plan` attached as :attr:`Solution.plan`.
+        :class:`~repro.core.registry.Plan` attached as :attr:`Solution.plan`.
         """
         self._check_open()
         target = problem if problem is not None else self._problem
@@ -181,7 +181,7 @@ class AssignmentSession:
         ]
 
     def explain(self, problem: Problem | None = None) -> Plan:
-        """The planner's :class:`~repro.planner.Plan` for a problem
+        """The planner's :class:`~repro.core.registry.Plan` for a problem
         (see :meth:`Problem.plan <repro.api.problem.Problem.plan>`)."""
         self._check_open()
         target = problem if problem is not None else self._problem

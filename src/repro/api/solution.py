@@ -22,11 +22,11 @@ from repro.api.serde import (
     from_json,
     to_canonical_json,
 )
+from repro.core.registry import Plan
 from repro.core.types import AssignedPair, AssignmentResult, Matching, RunStats
 from repro.core.validate import assert_stable
 from repro.data.instances import FunctionSet, ObjectSet
 from repro.errors import ReproError, SerdeError
-from repro.planner import Plan, explicit_plan
 from repro.storage.stats import IOStats
 
 
@@ -55,7 +55,7 @@ class Solution:
     """An immutable solved assignment.
 
     Equality compares the assignment itself (``pairs`` and ``method``);
-    the run statistics, the planner's :class:`~repro.planner.Plan`
+    the run statistics, the planner's :class:`~repro.core.registry.Plan`
     (present when the solve was routed via ``method="auto"``) and the
     back-reference to the solved problem are carried but not compared.
     ``method`` is always the *resolved* concrete method that ran — a
@@ -87,10 +87,7 @@ class Solution:
 
     def explain(self) -> str:
         """One line saying which method ran and why."""
-        plan = self.plan
-        if plan is None:
-            plan = explicit_plan(self.method)
-        return plan.explain()
+        return (self.plan or Plan(self.method, self.method)).explain()
 
     # -- lookups -------------------------------------------------------
 

@@ -15,13 +15,12 @@ in :mod:`repro.core`:
 - :mod:`repro.engine.rounds` — the shared mutual-best round and
   Chain's top-1 chase;
 - :mod:`repro.engine.configs` — every solver (and every Figure 8
-  ablation variant) as a named, declarative config.
+  ablation variant) as a declarative config factory; the registry of
+  :mod:`repro.core.registry` names them.
 """
 
 from repro.engine.configs import (
-    ENGINE_CONFIGS,
     chain_config,
-    engine_config,
     sb_alt_config,
     sb_config,
     two_skyline_config,
@@ -37,7 +36,6 @@ from repro.engine.protocols import (
 )
 
 __all__ = [
-    "ENGINE_CONFIGS",
     "AssignmentEngine",
     "BestPairSearch",
     "CommitPolicy",
@@ -48,7 +46,6 @@ __all__ = [
     "SkylineMaintenance",
     "StablePair",
     "chain_config",
-    "engine_config",
     "sb_alt_config",
     "sb_config",
     "two_skyline_config",

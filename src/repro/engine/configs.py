@@ -25,9 +25,12 @@ config                skyline              best-pair search     commit
 
 The two ``*-vec`` configs are the columnar twins of
 :mod:`repro.kernels` — bit-identical pairs, vectorized inner loops.
+:data:`repro.core.registry.REGISTRY` maps each name to its factory
+here, and :func:`repro.core.registry.engine_config` builds one by
+name.
 
 Individual keyword arguments override a preset (for the ablation
-benchmarks), exactly as the pre-refactor solver signatures did.
+benchmarks).
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from repro.engine.engine import EngineConfig, EngineContext
 from repro.engine.rounds import ChainRound, MutualBestRound
 from repro.engine.search import BatchTASearch, FskySearch, ReverseTASearch
 from repro.engine.skyline import NoSkyline, build_object_skyline
-from repro.errors import UnknownSolverError
 
 SB_VARIANTS = ("sb", "sb-update", "sb-deltasky")
 
@@ -52,13 +54,44 @@ def sb_config(
     maintenance: str | None = None,
     paged_function_lists: int | None = None,
 ) -> EngineConfig:
-    """SB and its Figure 8 ablation variants.
+    """SB — the paper's Skyline-Based stable assignment (Sections
+    4.2–5.3) — and its Figure 8 ablation variants.
 
-    ``variant`` presets the optimization toggles; individual keyword
-    arguments override the preset.  ``omega_fraction`` is the paper's
-    ω (default 2.5%, Section 7); ``None`` disables the Ω bound.
+    SB maintains the skyline of the remaining objects (only skyline
+    objects can appear in stable pairs) and, per loop:
+
+    1. finds for every skyline object its best alive function via the
+       resumable reverse top-1 searches of :mod:`repro.topk.reverse`
+       (Section 5.1: TA over sorted coefficient lists,
+       fractional-knapsack threshold, biased probing, Ω-bounded heaps);
+    2. finds for every candidate function its best skyline object (a
+       scan of the in-memory skyline);
+    3. emits every mutually-best pair (Property 2; Section 5.3's
+       multiple-pairs-per-loop enhancement), honoring capacities
+       (Section 6.1) and priorities (Section 6.2, via effective weights
+       and the ``B = max γ`` knapsack budget);
+    4. removes assigned objects and repairs the skyline with the
+       I/O-optimal UpdateSkyline (Section 5.2) — or with DeltaSky when
+       running the Figure 8 ablation.
+
+    ``variant`` presets the optimization toggles:
+
+    =================  ========================================
+    ``sb``             everything on (the paper's SB)
+    ``sb-update``      Algorithm 1 + UpdateSkyline only (fresh
+                       round-robin TA per loop, one pair per loop)
+                       — "SB-UpdateSkyline"
+    ``sb-deltasky``    Algorithm 1 + DeltaSky maintenance
+    =================  ========================================
+
+    Individual keyword arguments override the preset (for ablation
+    benchmarks).  ``omega_fraction`` is the paper's ω (default 2.5%,
+    Section 7); ``None`` disables the Ω bound.
     ``paged_function_lists`` materializes the coefficient lists on
-    simulated disk pages of the given size (Section 7.6).
+    simulated disk pages of the given size (the Section 7.6 setting
+    where F does not fit in memory); the per-object TA searches then
+    charge list-page I/O, which is reported alongside the object-tree
+    I/O (compare with :func:`sb_alt_config`).
     """
     if variant not in SB_VARIANTS:
         raise ValueError(
@@ -95,7 +128,22 @@ def sb_config(
 def sb_alt_config(
     *, page_size: int = 4096, multi_pair: bool = True
 ) -> EngineConfig:
-    """SB-alt: batch best-pair search over disk-resident lists (7.6)."""
+    """SB-alt — batch best-pair search for disk-resident functions
+    (Section 7.6).
+
+    When ``F`` does not fit in memory, the sorted coefficient lists are
+    materialized on disk and per-object TA searches (each randomly
+    probing the lists) would thrash.  SB-alt instead runs *one* batch
+    TA per skyline version (:class:`~repro.engine.search.BatchTASearch`),
+    so each function coefficient is accessed at most once per skyline
+    version — the I/O saving of Figure 17.  Search resumption is *not*
+    applied ("the best functions are identified from scratch for each
+    version of the skyline").
+
+    The object set is assumed memory-resident in this setting (build
+    the index with ``memory=True``); the reported I/O is the
+    function-list page traffic.
+    """
     return EngineConfig(
         name="sb-alt",
         build_maintenance=lambda ctx: build_object_skyline(ctx, "update-skyline"),
@@ -107,7 +155,16 @@ def sb_alt_config(
 
 
 def two_skyline_config(*, multi_pair: bool = True) -> EngineConfig:
-    """The prioritized two-skyline variant (Section 6.2)."""
+    """Prioritized assignment — the two-skyline variant (Section 6.2).
+
+    With per-function priorities γ the effective coefficients
+    ``α'_i = γ·α_i`` no longer sum to 1, which loosens the plain TA
+    threshold (``B`` must be initialized to ``max γ``).  The paper's
+    stronger alternative: also maintain a skyline ``Fsky`` over the
+    effective coefficient vectors and search best pairs *exhaustively*
+    between the two skylines
+    (:class:`~repro.engine.search.FskySearch`).
+    """
     return EngineConfig(
         name="sb-two-skylines",
         build_maintenance=lambda ctx: build_object_skyline(ctx, "update-skyline"),
@@ -117,7 +174,23 @@ def two_skyline_config(*, multi_pair: bool = True) -> EngineConfig:
 
 
 def chain_config(*, disk_function_tree: bool = False) -> EngineConfig:
-    """The adapted Chain of Wong et al. [25] (Section 7)."""
+    """Chain stable assignment — adaptation of Wong et al. [25]
+    (Section 7).
+
+    As in the paper's experimental setup, the nearest-neighbor module
+    of the original spatial Chain is replaced by top-1 search (BRS) in
+    the corresponding R-tree (:class:`~repro.engine.rounds.ChainRound`,
+    one chase step per engine round).  Chain repeatedly takes an item
+    ``x`` (from its queue, else the lowest alive function id), finds
+    its top-1 partner ``y``, and checks whether ``x`` is also ``y``'s
+    top-1; if so ``(x, y)`` is stable (Property 1), otherwise ``y`` is
+    enqueued and the chase continues.
+
+    ``disk_function_tree`` puts the function R-tree on simulated disk
+    pages (with a 2% LRU buffer) instead of in memory — the Section 7.6
+    setting where ``F`` does not fit in memory; its page reads are then
+    included in the reported I/O.
+    """
     return EngineConfig(
         name="chain",
         build_maintenance=lambda ctx: NoSkyline(),
@@ -126,38 +199,3 @@ def chain_config(*, disk_function_tree: bool = False) -> EngineConfig:
         ),
         build_commit=lambda ctx: build_commit_policy(ctx, True),
     )
-
-
-def _vectorized_factory(name: str):
-    """Lazy factory for the columnar configs of :mod:`repro.kernels`
-    (imported on first use — the kernels package imports the engine)."""
-
-    def factory(**kw):
-        from repro.kernels.configs import VECTORIZED_CONFIGS
-
-        return VECTORIZED_CONFIGS[name](**kw)
-
-    return factory
-
-
-#: Every engine-backed solver by name; values are config factories so
-#: callers can pass per-run keyword overrides.
-ENGINE_CONFIGS = {
-    "sb": lambda **kw: sb_config("sb", **kw),
-    "sb-update": lambda **kw: sb_config("sb-update", **kw),
-    "sb-deltasky": lambda **kw: sb_config("sb-deltasky", **kw),
-    "sb-alt": sb_alt_config,
-    "sb-two-skylines": two_skyline_config,
-    "chain": chain_config,
-    "sb-vec": _vectorized_factory("sb-vec"),
-    "sb-deltasky-vec": _vectorized_factory("sb-deltasky-vec"),
-}
-
-
-def engine_config(name: str, **kwargs) -> EngineConfig:
-    """Build a named engine configuration (with keyword overrides)."""
-    try:
-        factory = ENGINE_CONFIGS[name]
-    except KeyError:
-        raise UnknownSolverError(name, ENGINE_CONFIGS, kind="engine config") from None
-    return factory(**kwargs)

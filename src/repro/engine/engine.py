@@ -78,7 +78,7 @@ class AssignmentEngine:
         matching = Matching()
         # Degenerate instances short-circuit with zeroed stats and no
         # strategy-specific counters, uniformly for every config (the
-        # pre-refactor chain_assign instead crashed on an empty
+        # pre-refactor Chain solver instead crashed on an empty
         # FunctionSet while reading functions.dims).
         if len(functions) == 0 or len(index.objects) == 0:
             return AssignmentResult(matching, RunStats())

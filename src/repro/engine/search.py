@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.vectorized import MatrixView
+from repro.core.vectorized import MatrixView, band_tolerance
 from repro.engine.engine import EngineContext
 from repro.engine.instrumentation import fold_auxiliary_io
 from repro.engine.protocols import SkylineState
@@ -123,7 +123,11 @@ class BatchTASearch:
     alive function is random-accessed once and scored against *all*
     not-yet-finished skyline objects, and objects retire individually
     as their incumbents beat their thresholds — so every function
-    coefficient is accessed at most once per skyline version.
+    coefficient is accessed at most once per skyline version.  A new
+    function is scored against the active objects by one matmul, and
+    only the objects whose numpy score lies within its
+    :func:`~repro.core.vectorized.band_tolerance` of their incumbent's
+    are scored exactly.
     """
 
     def __init__(self, ctx: EngineContext, *, page_size: int = 4096):
@@ -156,6 +160,7 @@ class BatchTASearch:
         # Vectorized view of the active objects; rebuilt when some retire.
         active_matrix = np.asarray([points[oid] for oid in active])
         inc_scores = np.full(len(active), -np.inf)
+        scale = float(np.abs(active_matrix).max(initial=0.0))
 
         def exhausted() -> bool:
             return all(positions[d] >= lists.length(d) for d in range(dims))
@@ -189,10 +194,12 @@ class BatchTASearch:
                         lists.random_access(fid, j)
                 w = lists.effective_weights(fid)
                 # One matmul scores the function against every active
-                # object; only objects within the rounding band of their
+                # object; only objects within the band of their
                 # incumbent need exact canonical treatment.
-                approx = active_matrix @ lists.weights_np[fid]
-                for i in np.nonzero(approx >= inc_scores - SCORE_EPS)[0]:
+                query = lists.weights_np[fid]
+                approx = active_matrix @ query
+                tol = band_tolerance(scale, query)
+                for i in np.nonzero(approx >= inc_scores - tol)[0]:
                     oid = active[i]
                     s = score(w, points[oid])
                     key = function_key(s, w, fid)
@@ -247,10 +254,15 @@ class FskySearch:
     instead of TA (Fsky is small and sees frequent updates that would
     invalidate TA states).
 
-    That restriction holds only for non-negative objects: on a
-    negative coordinate a dominating coefficient vector scores
-    *lower*.  A catalogue with any negative coordinate therefore scans
-    every alive function instead.
+    Correctness of restricting to Fsky: if f' dominates f
+    coefficient-wise then ``f'(o) >= f(o)`` for every non-negative
+    object, and the canonical function order of :mod:`repro.ordering`
+    breaks score ties toward the dominator, so the canonical best
+    function for any object is always on the function skyline.  That
+    restriction holds only for non-negative objects: on a negative
+    coordinate a dominating coefficient vector scores *lower*.  A
+    catalogue with any negative coordinate therefore scans every alive
+    function instead.
     """
 
     def __init__(self, ctx: EngineContext):

@@ -46,13 +46,7 @@ resolved exactly.  The README's
 """
 
 from repro.kernels.columnar import CatalogueColumns, ColumnarInstance
-from repro.kernels.configs import (
-    VECTORIZED_CONFIGS,
-    sb_deltasky_vec_assign,
-    sb_deltasky_vec_config,
-    sb_vec_assign,
-    sb_vec_config,
-)
+from repro.kernels.configs import sb_deltasky_vec_config, sb_vec_config
 from repro.kernels.dynamic import MutableColumns, VectorizedChurnState
 from repro.kernels.rounds import PointerRound
 
@@ -61,10 +55,7 @@ __all__ = [
     "ColumnarInstance",
     "MutableColumns",
     "PointerRound",
-    "VECTORIZED_CONFIGS",
     "VectorizedChurnState",
-    "sb_deltasky_vec_assign",
     "sb_deltasky_vec_config",
-    "sb_vec_assign",
     "sb_vec_config",
 ]

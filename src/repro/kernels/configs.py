@@ -1,4 +1,4 @@
-"""Vectorized engine configs and their solve entry points.
+"""The vectorized engine configs.
 
 ``sb-vec`` is the columnar twin of ``sb`` (multi-pair commit) and
 ``sb-deltasky-vec`` the twin of ``sb-deltasky`` (single-pair commit,
@@ -17,10 +17,8 @@ learns of exhausted objects from the commit hook.
 
 from __future__ import annotations
 
-from repro.core.types import AssignmentResult
-from repro.data.instances import FunctionSet
 from repro.engine.commit import build_commit_policy
-from repro.engine.engine import AssignmentEngine, EngineConfig, EngineContext
+from repro.engine.engine import EngineConfig, EngineContext
 from repro.engine.skyline import NoSkyline
 from repro.kernels.columnar import ColumnarInstance, catalogue_columns
 from repro.kernels.rounds import PointerRound
@@ -49,21 +47,3 @@ def sb_deltasky_vec_config(*, multi_pair: bool = False) -> EngineConfig:
     """Columnar twin of ``sb-deltasky`` (single-pair commit by default,
     the unoptimized preset of the interpreted variant)."""
     return _vectorized_config("sb-deltasky-vec", multi_pair)
-
-
-def sb_vec_assign(functions: FunctionSet, index, **kwargs) -> AssignmentResult:
-    return AssignmentEngine(sb_vec_config(**kwargs)).run(functions, index)
-
-
-def sb_deltasky_vec_assign(
-    functions: FunctionSet, index, **kwargs
-) -> AssignmentResult:
-    return AssignmentEngine(sb_deltasky_vec_config(**kwargs)).run(functions, index)
-
-
-#: Vectorized config factories by name, mirroring
-#: :data:`repro.engine.configs.ENGINE_CONFIGS`.
-VECTORIZED_CONFIGS = {
-    "sb-vec": sb_vec_config,
-    "sb-deltasky-vec": sb_deltasky_vec_config,
-}

@@ -39,7 +39,6 @@ from repro.api.solution import Solution
 from repro.errors import ReproError, SerdeError
 from repro.obs.log import get_logger
 from repro.obs.trace import SpanCollector, collecting, span
-from repro.planner import AUTO_METHOD
 from repro.server.base import (
     Conflict,
     HttpService,
@@ -196,9 +195,8 @@ class ReproServer(HttpService):
         decision) plan and count a planner pick; an explicit request
         replaying an auto-populated entry must carry neither.
         """
-        request_plan = (
-            problem.plan() if problem.method == AUTO_METHOD else None
-        )
+        plan = problem.plan()
+        request_plan = plan if plan.auto else None
         if (solution.plan is None) != (request_plan is None):
             solution = dataclasses.replace(solution, plan=request_plan)
         # Latency histograms key on the *resolved* method, so auto-

@@ -37,10 +37,10 @@ from dataclasses import dataclass, field
 
 from repro.core import solve
 from repro.core.index import ObjectIndex
+from repro.core.registry import REGISTRY, Plan
 from repro.core.types import AssignmentResult
 from repro.data.instances import FunctionSet, ObjectSet, object_set_fingerprint
 from repro.obs.trace import attach_engine_spans, span
-from repro.planner import AUTO_METHOD, AUTO_PLAN, Plan
 
 
 @dataclass
@@ -77,20 +77,22 @@ class SolveJob:
     def resolve(self) -> "ResolvedJob":
         """The concrete ``(method, options, plan)`` this job will run.
 
-        ``method="auto"`` resolves to :data:`~repro.planner.AUTO_PLAN`
-        (``sb-vec``); every other method passes through.  The solve
-        reads the *resolved* method, so an ``auto`` job is
+        A method name and its options resolve through
+        :meth:`~repro.core.registry.SolverRegistry.resolve`, which
+        checks them: ``method="auto"`` resolves to
+        :data:`~repro.core.registry.AUTO_PLAN` (``sb-vec``), every
+        other name to itself, and an ``EngineConfig`` passes through.
+        The solve reads the *resolved* method, so an ``auto`` job is
         indistinguishable from an explicitly routed one by the time an
         engine runs.
         """
-        if self.method == AUTO_METHOD:
-            return ResolvedJob(
-                method=AUTO_PLAN.method,
-                solve_kwargs=AUTO_PLAN.options_dict(),
-                plan=AUTO_PLAN,
-            )
+        if not isinstance(self.method, str):
+            return ResolvedJob(self.method, dict(self.solve_kwargs), plan=None)
+        plan = REGISTRY.resolve(self.method, self.solve_kwargs)
         return ResolvedJob(
-            method=self.method, solve_kwargs=dict(self.solve_kwargs), plan=None
+            method=plan.method,
+            solve_kwargs=plan.options_dict(),
+            plan=plan if plan.auto else None,
         )
 
 

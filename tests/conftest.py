@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import math
 import random
 
 import pytest
@@ -78,6 +79,33 @@ def random_instance(
         FunctionSet(weights, gammas=gammas, capacities=fcaps),
         ObjectSet(points, capacities=ocaps),
     )
+
+
+def near_tie_instance(seed: int) -> tuple[FunctionSet, ObjectSet]:
+    """Near-ties far from the origin: 2-6 objects within 1.0 of a base
+    point of about 1e12 per dimension (either sign), and 2-6 functions,
+    about 70% of them one weight vector perturbed by 0-3 ulps per
+    coefficient.  A matmul's rounding error there dwarfs ``SCORE_EPS``
+    while the exact scores still differ."""
+    rng = random.Random(seed)
+    dims = rng.randint(2, 4)
+    base = [
+        rng.choice((-1.0, 1.0)) * 1e12 * rng.uniform(0.5, 1.5) for _ in range(dims)
+    ]
+    points = [tuple(b + rng.random() for b in base) for _ in range(rng.randint(2, 6))]
+    shared = [rng.uniform(0.1, 1.0) for _ in range(dims)]
+    weights = []
+    for _ in range(rng.randint(2, 6)):
+        if rng.random() < 0.7:
+            w = list(shared)
+            for i in range(dims):
+                for _ in range(rng.randint(0, 3)):
+                    w[i] = math.nextafter(w[i], math.inf)
+        else:
+            w = [rng.uniform(0.1, 1.0) for _ in range(dims)]
+        total = sum(w)
+        weights.append(tuple(x / total for x in w))
+    return FunctionSet(weights), ObjectSet(points)
 
 
 # ---------------------------------------------------------------------------

@@ -15,12 +15,10 @@ from pathlib import Path
 from repro.analysis import (
     Baseline,
     Finding,
-    RegistryView,
     SuppressionIndex,
     check_determinism,
     check_hotpath,
     check_locks,
-    check_registry,
     is_deterministic_path,
     run_lint,
 )
@@ -372,34 +370,6 @@ def test_exact_rule_id_works_as_suppression_tag():
 
 
 # ---------------------------------------------------------------------------
-# REP30x — registry consistency (seeded inconsistent view)
-
-
-def test_registry_rules_on_seeded_inconsistencies(tmp_path):
-    core = tmp_path / "src" / "repro" / "core"
-    core.mkdir(parents=True)
-    (core / "__init__.py").write_text(
-        "SOLVERS = {'sb': None}\n"
-        "SOLVER_OPTIONS = REGISTRY.option_schema()\n"
-    )
-    view = RegistryView(
-        engine_backed=frozenset({"sb", "lost"}),
-        engine_configs=frozenset({"sb", "orphan"}),
-        root=tmp_path,
-    )
-    findings = check_registry(view)
-    assert sorted((f.rule, f.message.split("'")[1]) for f in findings) == [
-        ("REP302", "lost"),       # engine-backed, no ENGINE_CONFIGS entry
-        ("REP302", "orphan"),     # config entry no spec claims
-        ("REP304", "SOLVERS"),    # literal copy, not a registry view
-    ]
-
-
-def test_live_registry_is_consistent():
-    assert check_registry(RegistryView.live(REPO_ROOT)) == []
-
-
-# ---------------------------------------------------------------------------
 # baseline round-trip
 
 
@@ -408,7 +378,7 @@ def test_baseline_round_trip_accepts_then_goes_stale(tmp_path):
     bad.write_text(LOCK_FIXTURE)
     baseline_path = tmp_path / "baseline.json"
 
-    first = run_lint([bad], root=tmp_path, registry_checks=False)
+    first = run_lint([bad], root=tmp_path)
     assert [f.rule for f in first.new] == ["REP101", "REP102", "REP102"]
 
     Baseline().save(baseline_path, first.new)
@@ -423,7 +393,6 @@ def test_baseline_round_trip_accepts_then_goes_stale(tmp_path):
         [bad],
         root=tmp_path,
         baseline=Baseline.load(baseline_path),
-        registry_checks=False,
     )
     assert second.new == []
     assert len(second.accepted) == 3
@@ -437,7 +406,6 @@ def test_baseline_round_trip_accepts_then_goes_stale(tmp_path):
         [bad],
         root=tmp_path,
         baseline=Baseline.load(baseline_path),
-        registry_checks=False,
     )
     assert third.new == []
     assert len(third.accepted) == 2
@@ -448,10 +416,10 @@ def test_baseline_round_trip_accepts_then_goes_stale(tmp_path):
 def test_baseline_fingerprint_survives_line_drift(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text(LOCK_FIXTURE)
-    first = run_lint([bad], root=tmp_path, registry_checks=False)
+    first = run_lint([bad], root=tmp_path)
 
     bad.write_text("# a new leading comment\n\n" + LOCK_FIXTURE)
-    drifted = run_lint([bad], root=tmp_path, registry_checks=False)
+    drifted = run_lint([bad], root=tmp_path)
     assert [f.fingerprint for f in first.new] == [
         f.fingerprint for f in drifted.new
     ]
@@ -466,7 +434,7 @@ def test_suppressions_remove_findings_in_the_pipeline(tmp_path):
     )
     bad = tmp_path / "bad.py"
     bad.write_text(suppressed)
-    result = run_lint([bad], root=tmp_path, registry_checks=False)
+    result = run_lint([bad], root=tmp_path)
     assert [f.rule for f in result.new] == ["REP102", "REP102"]
     assert result.suppressed == 1
 
@@ -539,6 +507,5 @@ def test_analysis_package_self_check():
     result = run_lint(
         [REPO_ROOT / "src" / "repro" / "analysis"],
         root=REPO_ROOT,
-        registry_checks=False,
     )
     assert result.new == [], "\n".join(f.render() for f in result.new)

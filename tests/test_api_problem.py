@@ -101,6 +101,17 @@ def test_from_sets_round_trips_instance_containers():
         {"function_capacities": (1, math.nan, 1)},
         {"function_capacities": (1, "2", 1)},
         {"options": {"omega_fraction": math.nan}},
+        # Wrongly typed option values.
+        {"options": {"maintenance": "bogus"}},
+        {"options": {"omega_fraction": "x"}},
+        {"options": {"omega_fraction": True}},
+        {"options": {"multi_pair": "no"}},
+        {"options": {"multi_pair": 0}},
+        {"options": {"paged_function_lists": 0}},
+        {"method": "sb-alt", "options": {"page_size": "big"}},
+        {"method": "sb-vec", "options": {"multi_pair": None}},
+        {"method": "brute-force", "options": {"function_scan_pages": -1}},
+        {"method": "chain", "options": {"disk_function_tree": 1}},
     ],
 )
 def test_invalid_problems_rejected(kwargs):

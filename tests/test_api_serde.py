@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import Problem, SerdeError, Solution
-from repro.core import SOLVER_OPTIONS
+from repro.core.registry import REGISTRY
 
 from .conftest import random_instance
 
@@ -218,5 +218,5 @@ def test_serde_rejects_wrong_schema_and_unknown_fields():
 
 def test_every_named_solver_options_are_serializable():
     """Every documented option name fits the JSON-scalar constraint."""
-    for method, accepted in SOLVER_OPTIONS.items():
-        assert all(isinstance(name, str) for name in accepted), method
+    for spec in REGISTRY:
+        assert all(isinstance(name, str) for name in spec.options), spec.name

@@ -17,15 +17,16 @@ from repro.api import (
     Problem,
     SessionClosedError,
 )
-from repro.core import SOLVERS, solve
+from repro.core import solve
 from repro.core.index import build_object_index
 from repro.core.reference import greedy_assign
+from repro.core.registry import REGISTRY
 from repro.data.instances import FunctionSet, ObjectSet
 
 from .conftest import random_instance, random_points, random_weights
 
 
-@pytest.mark.parametrize("method", sorted(SOLVERS))
+@pytest.mark.parametrize("method", sorted(REGISTRY.names()))
 def test_session_solve_bit_identical_to_direct_solve(method):
     fs, os_ = random_instance(6, 14, 3, seed=11, capacities=True)
     problem = Problem.from_sets(os_, fs, method=method)

@@ -135,7 +135,7 @@ def test_first_solve_on_an_unloaded_index_is_charged_like_an_eager_one():
     loads it.  The loading run reports exactly the I/O, loops, peak
     memory and counters of the same solve on an index that
     ``build_object_index`` loaded before the run."""
-    from repro.planner import REGISTRY
+    from repro.core.registry import REGISTRY
 
     fs, os_ = random_instance(9, 60, 3, seed=83, capacities=True)
     for method in REGISTRY.names():
@@ -230,7 +230,7 @@ def test_engine_config_method_gets_memory_index():
     """An EngineConfig method is recognized by name: an sb-alt config
     auto-selects the memory-resident object tree (Section 7.6), so no
     object-tree page reads leak into the reported I/O."""
-    from repro.engine import engine_config
+    from repro import engine_config
 
     fs, os_ = random_instance(10, 15, 3, seed=71)
     job = SolveJob(functions=fs, objects=os_, method=engine_config("sb-alt"))

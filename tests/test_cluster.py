@@ -24,7 +24,7 @@ from repro.server import Client, ServerConfig, serve_in_thread
 
 from .conftest import random_instance
 
-ENGINE_CONFIGS = (
+ENGINE_METHODS = (
     "sb",
     "sb-update",
     "sb-deltasky",
@@ -140,7 +140,7 @@ def test_gateway_solves_bit_identical_to_direct_for_all_engine_configs(
     problem = make_problem(seed=11)
     pid = client.register(problem)
     with AssignmentSession(problem) as session:
-        for method in ENGINE_CONFIGS + ("auto",):
+        for method in ENGINE_METHODS + ("auto",):
             via_gateway = client.solve(pid, method=method)
             direct = session.solve(problem.with_method(method))
             assert via_gateway.to_dict()["pairs"] == direct.to_dict()["pairs"]
@@ -247,7 +247,7 @@ def test_failover_is_bit_identical_for_every_engine_config(fleet, client):
     pid = client.register(problem)
     before = {
         method: client.solve(pid, method=method)
-        for method in ENGINE_CONFIGS + ("auto",)
+        for method in ENGINE_METHODS + ("auto",)
     }
     fleet.kill(fleet.owner_address(problem))
     for method, expected in before.items():
@@ -534,7 +534,7 @@ def test_by_reference_solves_are_bit_identical_through_failover(fleet, client):
     with AssignmentSession(problem) as session:
         expected = {
             method: _pairs_and_score_bits(session.solve(problem.with_method(method)))
-            for method in ENGINE_CONFIGS + ("auto",)
+            for method in ENGINE_METHODS + ("auto",)
         }
     for method, pairs in expected.items():
         assert _pairs_and_score_bits(client.solve(problem.with_method(method))) == pairs

@@ -3,11 +3,9 @@ Chain, scan charging in Brute Force — correctness and accounting."""
 
 import pytest
 
-from repro.core import build_object_index
+from repro.core import build_object_index, solve
 from repro.core.brute_force import brute_force_assign
-from repro.core.chain import chain_assign
 from repro.core.reference import greedy_assign
-from repro.core.sb import sb_assign
 
 from .conftest import random_instance
 
@@ -22,7 +20,7 @@ def test_sb_paged_lists_correct_and_charged(swapped_instance):
     fs, os_ = swapped_instance
     ref = greedy_assign(fs, os_).matching.as_dict()
     idx = build_object_index(os_, memory=True)
-    result = sb_assign(fs, idx, paged_function_lists=128)
+    result = solve(fs, idx, method="sb", paged_function_lists=128)
     assert result.matching.as_dict() == ref
     assert result.stats.counters["function_list_reads"] > 0
     # Object tree is in memory: all reported I/O is list traffic.
@@ -35,13 +33,11 @@ def test_sb_paged_lists_correct_and_charged(swapped_instance):
 def test_sb_paged_lists_more_io_than_sb_alt(swapped_instance):
     """The point of SB-alt (Figure 17): per-object TA over disk lists
     re-reads pages; the batch sweep does not."""
-    from repro.core.sb_alt import sb_alt_assign
-
     fs, os_ = swapped_instance
     idx = build_object_index(os_, memory=True)
-    per_object = sb_assign(fs, idx, paged_function_lists=128)
+    per_object = solve(fs, idx, method="sb", paged_function_lists=128)
     idx2 = build_object_index(os_, memory=True)
-    batch = sb_alt_assign(fs, idx2, page_size=128)
+    batch = solve(fs, idx2, method="sb-alt", page_size=128)
     assert batch.matching.as_dict() == per_object.matching.as_dict()
     assert batch.stats.io_accesses < per_object.stats.io_accesses
 
@@ -50,7 +46,7 @@ def test_chain_disk_function_tree(swapped_instance):
     fs, os_ = swapped_instance
     ref = greedy_assign(fs, os_).matching.as_dict()
     idx = build_object_index(os_, memory=True)
-    result = chain_assign(fs, idx, disk_function_tree=True)
+    result = solve(fs, idx, method="chain", disk_function_tree=True)
     assert result.matching.as_dict() == ref
     assert result.stats.counters["function_tree_reads"] > 0
     assert result.stats.io_accesses >= result.stats.counters[

@@ -3,15 +3,15 @@ equivalence of engine-driven runs with the solver entry points."""
 
 import pytest
 
+from repro import engine_config
 from repro.core import build_object_index, solve
 from repro.core.reference import greedy_assign
+from repro.core.registry import REGISTRY
 from repro.engine import (
-    ENGINE_CONFIGS,
     AssignmentEngine,
     BestPairSearch,
     EngineConfig,
     SkylineMaintenance,
-    engine_config,
 )
 from repro.engine.commit import MultiPairCommit, SinglePairCommit
 from repro.engine.rounds import MutualBestRound
@@ -24,6 +24,10 @@ from repro.skyline.maintenance import UpdateSkylineManager
 from .conftest import random_instance
 
 
+#: Every registered method that runs on the engine.
+ENGINE_BACKED = sorted(spec.name for spec in REGISTRY if spec.engine_backed)
+
+
 def oracle(fs, os_):
     return greedy_assign(fs, os_).matching.as_dict()
 
@@ -33,7 +37,7 @@ def oracle(fs, os_):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("name", sorted(ENGINE_CONFIGS))
+@pytest.mark.parametrize("name", ENGINE_BACKED)
 def test_named_config_matches_oracle(name):
     fs, os_ = random_instance(10, 30, 3, seed=5, capacities=True)
     idx = build_object_index(os_, page_size=512, memory=(name == "sb-alt"))
@@ -45,12 +49,10 @@ def test_named_config_matches_oracle(name):
 def test_figure8_variants_are_pure_configs(name):
     """Each Figure 8 ablation variant is expressible purely as an
     engine strategy config — identical output AND identical cost
-    metrics to the ``sb_assign`` variant entry point."""
-    from repro.core.sb import sb_assign
-
+    metrics to the named ``solve`` entry point."""
     fs, os_ = random_instance(12, 40, 3, seed=8)
     idx = build_object_index(os_, page_size=512, buffer_fraction=0.0)
-    via_solver = sb_assign(fs, idx, variant=name)
+    via_solver = solve(fs, idx, method=name)
     idx2 = build_object_index(os_, page_size=512, buffer_fraction=0.0)
     via_config = AssignmentEngine(engine_config(name)).run(fs, idx2)
     assert via_config.matching.as_dict() == via_solver.matching.as_dict()
@@ -167,7 +169,7 @@ def test_empty_functions_early_return():
     fs = FunctionSet([])
     _, os_ = random_instance(1, 5, 2, seed=3)
     idx = build_object_index(os_, page_size=512)
-    for name in sorted(ENGINE_CONFIGS):
+    for name in ENGINE_BACKED:
         result = AssignmentEngine(engine_config(name)).run(fs, idx)
         assert len(result.matching) == 0
         assert result.stats.loops == 0

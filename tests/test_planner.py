@@ -1,20 +1,46 @@
-"""Unit coverage of :mod:`repro.planner`: registry, the ``auto`` rule,
-plans, and the Problem-level auto surface."""
+"""Unit coverage of :mod:`repro.core.registry`: the solver table, its
+option checks, the ``auto`` rule, plans, and the Problem-level auto
+surface."""
 
 import pytest
 
 from repro.api import Problem
-from repro.core import SOLVER_OPTIONS, SOLVERS
-from repro.errors import InvalidSolverOptionError, UnknownSolverError
-from repro.planner import (
-    AUTO_METHOD,
-    AUTO_PLAN,
-    REGISTRY,
-    Plan,
-    explicit_plan,
+from repro.core import build_object_index, greedy_assign, solve
+from repro.core.registry import AUTO_METHOD, AUTO_PLAN, REGISTRY, Plan, engine_config
+from repro.errors import (
+    InvalidProblemError,
+    InvalidSolverOptionError,
+    UnknownSolverError,
 )
 
 from .conftest import random_instance
+
+#: A valid value for every option some spec accepts, unlike each
+#: option's default where the type allows.
+VALID_OPTION_VALUES = {
+    "omega_fraction": 0.05,
+    "multi_pair": False,
+    "biased": False,
+    "resume": False,
+    "maintenance": "deltasky",
+    "paged_function_lists": 256,
+    "page_size": 256,
+    "function_scan_pages": 2,
+    "disk_function_tree": True,
+}
+
+#: Values each option's check must reject, the wrong type first.
+INVALID_OPTION_VALUES = {
+    "omega_fraction": ["x", True, float("nan"), float("inf")],
+    "multi_pair": ["no", 0, 1.0],
+    "biased": ["yes", 1],
+    "resume": [0],
+    "maintenance": ["bogus", 1],
+    "paged_function_lists": ["big", 0, 2.0, True],
+    "page_size": ["big", 0, 4096.0, None],
+    "function_scan_pages": ["x", -1, 1.5, False],
+    "disk_function_tree": ["true", 1, None],
+}
 
 # ---------------------------------------------------------------------------
 # Registry
@@ -22,9 +48,42 @@ from .conftest import random_instance
 
 
 class TestRegistry:
-    def test_legacy_tables_are_registry_views(self):
-        assert set(SOLVERS) == set(REGISTRY.names())
-        assert SOLVER_OPTIONS == REGISTRY.option_schema()
+    @pytest.mark.parametrize("name", REGISTRY.names())
+    def test_every_spec_runs_with_every_option(self, name):
+        """The table's one guarantee: every spec builds and solves with
+        each of its accepted options set, through the named config and
+        through ``solve``, and matches the greedy oracle."""
+        spec = REGISTRY.get(name)
+        options = {option: VALID_OPTION_VALUES[option] for option in spec.options}
+        fs, os_ = random_instance(6, 14, 3, seed=3, capacities=True, priorities=True)
+        expected = greedy_assign(fs, os_).matching.as_dict()
+        memory = name == "sb-alt"
+        got = solve(fs, build_object_index(os_, page_size=512, memory=memory),
+                    method=name, **options)
+        assert got.matching.as_dict() == expected
+        if spec.engine_backed:
+            config = engine_config(name, **options)
+            assert config.name == name
+            index = build_object_index(os_, page_size=512, memory=memory)
+            assert solve(fs, index, method=config).matching.as_dict() == expected
+
+    @pytest.mark.parametrize("option", sorted(INVALID_OPTION_VALUES))
+    def test_option_values_are_checked(self, option):
+        for spec in REGISTRY:
+            if option not in spec.options:
+                continue
+            for value in INVALID_OPTION_VALUES[option]:
+                with pytest.raises(InvalidProblemError, match=repr(option)):
+                    REGISTRY.resolve(spec.name, {option: value})
+
+    def test_none_is_accepted_only_where_it_keeps_a_preset(self):
+        for option in ("omega_fraction", "multi_pair", "maintenance"):
+            assert REGISTRY.resolve("sb", {option: None}).options_dict() == {
+                option: None
+            }
+        # sb-vec would read multi_pair=None as single-pair.
+        with pytest.raises(InvalidProblemError):
+            REGISTRY.resolve("sb-vec", {"multi_pair": None})
 
     def test_auto_picks_a_vectorized_config_on_a_grid_shape(self):
         """The default Table 2 cell (anti-correlated 100x2000, dims=4)
@@ -42,36 +101,35 @@ class TestRegistry:
         assert "auto" in exc.value.known
 
     def test_auto_accepts_no_options(self):
-        REGISTRY.validate(AUTO_METHOD, None)
-        REGISTRY.validate(AUTO_METHOD, {})
+        assert REGISTRY.resolve(AUTO_METHOD, None) is AUTO_PLAN
+        assert REGISTRY.resolve(AUTO_METHOD, {}) is AUTO_PLAN
         with pytest.raises(InvalidSolverOptionError):
-            REGISTRY.validate(AUTO_METHOD, {"omega_fraction": 0.1})
+            REGISTRY.resolve(AUTO_METHOD, {"omega_fraction": 0.1})
 
     def test_validate_matches_legacy_semantics(self):
-        REGISTRY.validate("sb", {"omega_fraction": 0.1})
+        REGISTRY.resolve("sb", {"omega_fraction": 0.1})
         with pytest.raises(UnknownSolverError):
-            REGISTRY.validate("nope", None)
+            REGISTRY.resolve("nope", None)
         with pytest.raises(InvalidSolverOptionError):
-            REGISTRY.validate("chain", {"omega_fraction": 0.1})
+            REGISTRY.resolve("chain", {"omega_fraction": 0.1})
+        with pytest.raises(InvalidSolverOptionError):
+            REGISTRY.resolve("sb", {"variant": "sb-update"})
 
     def test_engine_config_factories(self):
         for spec in REGISTRY:
             if spec.engine_backed:
-                config = spec.engine_config()
-                assert config.name == spec.name
-        with pytest.raises(UnknownSolverError):
-            REGISTRY.get("brute-force").engine_config()
+                assert engine_config(spec.name).name == spec.name
+        with pytest.raises(UnknownSolverError, match="engine config"):
+            engine_config("brute-force")
 
     def test_spec_solve_entry_points_run(self):
-        from repro.core import build_object_index
-
         fs, os_ = random_instance(4, 8, 2, seed=1)
         reference = None
         for spec in REGISTRY:
             index = build_object_index(
                 os_, page_size=512, memory=(spec.name == "sb-alt")
             )
-            result = spec.solve(fs, index)
+            result = solve(fs, index, method=spec.name)
             pairs = result.matching.as_dict()
             if reference is None:
                 reference = pairs
@@ -100,14 +158,14 @@ class TestPlan:
         assert (AUTO_PLAN.method, AUTO_PLAN.options) == ("sb-vec", ())
 
     def test_explicit_plan_is_trivial(self):
-        plan = explicit_plan("chain", {"disk_function_tree": True})
+        plan = REGISTRY.resolve("chain", {"disk_function_tree": True})
         assert not plan.auto
         assert plan.method == "chain"
         assert plan.options_dict() == {"disk_function_tree": True}
         assert "explicitly" in plan.explain()
 
     def test_plan_serde_round_trip(self):
-        explicit = explicit_plan("chain", {"disk_function_tree": True})
+        explicit = REGISTRY.resolve("chain", {"disk_function_tree": True})
         for plan in (AUTO_PLAN, explicit):
             assert Plan.from_dict(plan.to_dict()) == plan
         # A payload with fields this version does not keep still reads.

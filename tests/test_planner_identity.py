@@ -9,7 +9,7 @@ embedded-server level.  The gateway level is covered in
 import pytest
 
 from repro.api import AssignmentSession, Problem
-from repro.planner import AUTO_PLAN
+from repro.core.registry import AUTO_PLAN
 from repro.service import BatchSolver, SolveJob
 
 from .conftest import random_instance

@@ -5,11 +5,12 @@ import importlib
 import pytest
 
 import repro
-from repro.core import SOLVERS, build_object_index, solve
+from repro.core import build_object_index, solve
+from repro.core.registry import REGISTRY
 
 
 def test_version():
-    assert repro.__version__ == "4.0.0"
+    assert repro.__version__ == "5.0.0"
 
 
 def test_top_level_exports():
@@ -54,7 +55,7 @@ def test_result_unpacking_and_fields():
 def test_every_solver_name_is_callable():
     objects = repro.ObjectSet([(0.3, 0.7), (0.6, 0.4)])
     functions = repro.FunctionSet([(0.5, 0.5)])
-    for name in SOLVERS:
+    for name in REGISTRY.names():
         index = build_object_index(
             objects, memory=(name == "sb-alt")
         )
@@ -65,8 +66,7 @@ def test_every_solver_name_is_callable():
 @pytest.mark.parametrize(
     "module",
     [
-        "repro.core", "repro.core.sb", "repro.core.brute_force",
-        "repro.core.chain", "repro.core.priority", "repro.core.sb_alt",
+        "repro.core", "repro.core.brute_force", "repro.core.registry",
         "repro.core.reference", "repro.core.validate", "repro.core.index",
         "repro.core.capacity", "repro.core.types", "repro.core.vectorized",
         "repro.storage", "repro.storage.buffer", "repro.storage.pagefile",

@@ -3,17 +3,15 @@
 import pytest
 
 from repro.core import build_object_index, solve
-from repro.core.sb import sb_assign
 from repro.data.generators import make_functions, make_objects
+from repro.engine import sb_config
 
 from .conftest import random_instance
 
 
 def test_unknown_variant_rejected():
-    fs, os_ = random_instance(3, 5, 2, seed=0)
-    idx = build_object_index(os_, page_size=512)
-    with pytest.raises(ValueError):
-        sb_assign(fs, idx, variant="sb-bogus")
+    with pytest.raises(ValueError, match="unknown variant"):
+        sb_config("sb-bogus")
 
 
 def test_unknown_method_rejected():
@@ -27,13 +25,13 @@ def test_unknown_maintenance_rejected():
     fs, os_ = random_instance(3, 5, 2, seed=0)
     idx = build_object_index(os_, page_size=512)
     with pytest.raises(ValueError):
-        sb_assign(fs, idx, maintenance="bogus")
+        solve(fs, idx, method="sb", maintenance="bogus")
 
 
 def test_empty_function_set():
     fs, os_ = random_instance(0, 5, 2, seed=1)
     idx = build_object_index(os_, page_size=512)
-    matching, _ = sb_assign(fs, idx)
+    matching, _ = solve(fs, idx, method="sb")
     assert len(matching) == 0
 
 
@@ -56,7 +54,7 @@ class TestCostRelationships:
         out = {}
         for variant in ("sb", "sb-update", "sb-deltasky"):
             idx = build_object_index(objects, buffer_fraction=0.0)
-            out[variant] = (sb_assign(functions, idx, variant=variant), idx)
+            out[variant] = (solve(functions, idx, method=variant), idx)
         return out
 
     def test_sb_and_sb_update_share_io(self, runs):
@@ -99,9 +97,9 @@ class TestCostRelationships:
     def test_omega_fraction_none_works(self, medium):
         functions, objects = medium
         idx = build_object_index(objects, buffer_fraction=0.0)
-        a = sb_assign(functions, idx, omega_fraction=None)
+        a = solve(functions, idx, method="sb", omega_fraction=None)
         idx2 = build_object_index(objects, buffer_fraction=0.0)
-        b = sb_assign(functions, idx2, omega_fraction=0.01)
+        b = solve(functions, idx2, method="sb", omega_fraction=0.01)
         assert a.matching.as_dict() == b.matching.as_dict()
         # Smaller omega trades restarts for memory.
         assert b.stats.peak_memory_bytes <= a.stats.peak_memory_bytes

@@ -21,7 +21,7 @@ from repro.server import base
 
 from .conftest import SHELL_TARGETS, random_instance, serving
 
-ENGINE_CONFIGS = ("sb", "sb-update", "sb-deltasky", "sb-alt", "sb-two-skylines", "chain")
+ENGINE_METHODS = ("sb", "sb-update", "sb-deltasky", "sb-alt", "sb-two-skylines", "chain")
 
 
 def make_problem(nf=6, no=24, dims=3, seed=5, method="sb", **options):
@@ -85,7 +85,7 @@ def test_wire_solutions_bit_identical_to_direct_session_for_all_configs(client):
     """Acceptance: for every engine config, the solution returned over
     the wire equals a direct AssignmentSession.solve() bit for bit."""
     base = make_problem(nf=7, no=30, dims=3, seed=11)
-    for method in ENGINE_CONFIGS:
+    for method in ENGINE_METHODS:
         problem = base.with_method(method)
         with AssignmentSession(problem) as session:
             direct = session.solve()
@@ -151,6 +151,17 @@ def test_error_mapping(client):
     with pytest.raises(ServerError) as bad_option:
         client.solve(pid, options={"bogus_option": 1})
     assert bad_option.value.status == 400
+    # Option values are checked too, not only their names.
+    for method, options in (
+        ("sb", {"maintenance": "bogus"}),
+        ("sb", {"omega_fraction": "x"}),
+        ("sb-alt", {"page_size": "big"}),
+        ("sb", {"multi_pair": "no"}),
+        ("sb", {"multi_pair": 0}),
+    ):
+        with pytest.raises(ServerError) as bad_value:
+            client.solve(pid, method=method, options=options)
+        assert bad_value.value.status == 400, (method, options)
     with pytest.raises(ServerError) as bad_payload:
         client.request("POST", "/v1/problems", {"schema": "wrong/v9"})
     assert bad_payload.value.status == 400

@@ -296,7 +296,7 @@ def test_latency_histogram_bisect_matches_linear_reference():
 
 
 def test_server_metrics_count_planner_picks():
-    from repro.planner import Plan
+    from repro.core.registry import Plan
 
     metrics = ServerMetrics()
     auto_plan = Plan(requested="auto", method="chain")

@@ -3,7 +3,8 @@ forwarding, and a stable-matching check for every registered solver."""
 
 import pytest
 
-from repro.core import SOLVERS, assert_stable, build_object_index, solve
+from repro.core import assert_stable, build_object_index, solve
+from repro.core.registry import REGISTRY
 from repro.core.reference import gale_shapley_assign, greedy_assign
 
 from .conftest import random_instance
@@ -16,7 +17,7 @@ def test_unknown_method_error_message_lists_solvers():
         solve(fs, idx, method="no-such-solver")
     msg = str(exc.value)
     assert "no-such-solver" in msg
-    for name in SOLVERS:
+    for name in REGISTRY.names():
         assert name in msg
 
 
@@ -44,9 +45,9 @@ def test_unknown_kwarg_raises():
         solve(fs, idx, method="sb", not_a_real_option=1)
 
 
-@pytest.mark.parametrize("method", sorted(SOLVERS))
+@pytest.mark.parametrize("method", sorted(REGISTRY.names()))
 def test_every_solver_entry_matches_oracles(method):
-    """Each SOLVERS entry produces the canonical stable matching on a
+    """Each registered method produces the canonical stable matching on a
     tiny instance — pinned against both pre-refactor oracles."""
     fs, os_ = random_instance(6, 14, 3, seed=27, capacities=True)
     ref = greedy_assign(fs, os_).matching

@@ -19,9 +19,9 @@ from repro.core import (
     solve,
 )
 from repro.data.instances import FunctionSet, ObjectSet
-from repro.planner import REGISTRY
+from repro.core.registry import REGISTRY
 
-from .conftest import deep_settings, random_instance
+from .conftest import deep_settings, near_tie_instance, random_instance
 
 ALL_METHODS = REGISTRY.names()
 
@@ -138,17 +138,31 @@ def test_engine_configs_match_pre_refactor_oracles(dims):
     """The engine-backed named configs reproduce the pre-refactor
     oracle results (greedy + Gale-Shapley) — the refactor's
     bit-identical-output guarantee, asserted per config."""
-    from repro.engine import ENGINE_CONFIGS, engine_config
+    from repro import engine_config
 
     fs, os_ = random_instance(
         10, 24, dims, seed=dims + 50, capacities=True, priorities=True
     )
     ref = greedy_assign(fs, os_).matching.as_dict()
     assert gale_shapley_assign(fs, os_).matching.as_dict() == ref
-    for name in sorted(ENGINE_CONFIGS):
+    for name in sorted(s.name for s in REGISTRY if s.engine_backed):
         idx = build_object_index(os_, page_size=512, memory=(name == "sb-alt"))
         got = solve(fs, idx, method=engine_config(name)).matching
         assert got.as_dict() == ref, f"engine config {name} diverged"
+
+
+def test_near_ties_far_from_the_origin():
+    """Coordinates near 1e12 make a matmul's error far larger than
+    ``SCORE_EPS``; every method's exact winner must survive its numpy
+    prefilter there (``sb-alt``'s batch sweep once kept only scores
+    within ``SCORE_EPS`` of the incumbent)."""
+    for seed in range(600):
+        fs, os_ = near_tie_instance(seed)
+        ref = greedy_assign(fs, os_).matching.as_dict()
+        for m in ALL_METHODS:
+            idx = build_object_index(os_, page_size=512, memory=(m == "sb-alt"))
+            got = solve(fs, idx, method=m).matching.as_dict()
+            assert got == ref, f"{m} diverged from the oracle on seed {seed}"
 
 
 # Hypothesis: full random instances, all solvers, moderate sizes.
