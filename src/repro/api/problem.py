@@ -98,6 +98,26 @@ def _aligned(
     return None if all(v == one for v in out) else out
 
 
+#: The largest accepted ``max|coordinate| × max priority`` of an
+#: instance.  Weights are non-negative and sum to 1, so every score,
+#: partial sum, tile bound and band width stays within a small multiple
+#: of this product (a band's ``scale·sum|q|`` within d times it), far
+#: below the float range (about 1.8e308).
+MAX_SCORE_MAGNITUDE = 1e300
+
+
+def check_score_magnitude(max_abs: float, max_priority: float) -> None:
+    """Raise :class:`~repro.errors.InvalidProblemError` when an instance
+    whose largest absolute coordinate is ``max_abs`` and whose largest
+    priority is ``max_priority`` could score beyond
+    :data:`MAX_SCORE_MAGNITUDE`."""
+    if max_abs * max_priority > MAX_SCORE_MAGNITUDE:
+        raise InvalidProblemError(
+            f"max |coordinate| {max_abs!r} x max priority {max_priority!r} "
+            f"exceeds {MAX_SCORE_MAGNITUDE!r}: scores would leave the float range"
+        )
+
+
 def validated_objects(
     objects: Iterable[Sequence[float]], capacities: Iterable[Any] | None
 ) -> ObjectSet:
@@ -243,6 +263,7 @@ class Problem:
                 f"objects are {oset.dims}-dimensional but functions are "
                 f"{fset.dims}-dimensional"
             )
+        check_score_magnitude(oset.max_abs, fset.max_gamma)
         set_ = object.__setattr__
         set_(self, "objects", oset.points)
         set_(self, "object_capacities", oset.capacities)
@@ -725,6 +746,7 @@ class ProblemBuilder:
 
 
 __all__ = [
+    "MAX_SCORE_MAGNITUDE",
     "Problem",
     "ProblemBuilder",
     "catalogue_from_dict",

@@ -16,8 +16,10 @@ and departure.  Sessions are context managers; a closed session raises
 from __future__ import annotations
 
 import contextvars
+import numbers
 from collections.abc import Iterable
 from concurrent.futures import Future, ThreadPoolExecutor
+from typing import Any
 
 from repro.api.events import (
     Event,
@@ -26,7 +28,12 @@ from repro.api.events import (
     ObjectArrived,
     ObjectDeparted,
 )
-from repro.api.problem import Problem, validated_functions, validated_objects
+from repro.api.problem import (
+    Problem,
+    check_score_magnitude,
+    validated_functions,
+    validated_objects,
+)
 from repro.api.solution import Solution, SolutionDiff
 from repro.core.dynamic import CHURN_BACKENDS, DynamicStableMatching
 from repro.core.registry import AUTO_METHOD as _AUTO
@@ -46,6 +53,15 @@ def _check_dims(row: tuple[float, ...], dims: int, what: str) -> None:
         raise InvalidProblemError(
             f"expected {dims}-dimensional {what}, got {len(row)}"
         )
+
+
+def _handle(value: Any, what: str) -> int:
+    """A departure's handle as an ``int``; anything but an integer
+    (``bool`` included, numpy integers accepted) raises
+    :class:`~repro.errors.InvalidProblemError`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidProblemError(f"{what} handle must be an integer, got {value!r}")
+    return int(value)
 
 
 class AssignmentSession:
@@ -95,6 +111,10 @@ class AssignmentSession:
         self._dynamic: DynamicStableMatching | None = None
         self._dyn_functions: dict[int, tuple[tuple[float, ...], float, int]] = {}
         self._dyn_objects: dict[int, tuple[tuple[float, ...], int]] = {}
+        #: Running maxima of |coordinate| and priority over everything
+        #: the churn state ever admitted (the score-magnitude check).
+        self._dyn_max_abs = 0.0
+        self._dyn_max_priority = 0.0
         self._dyn_solution: Solution | None = None
         #: Handles assigned to the arrival events of the last
         #: :meth:`apply` call, in event order.
@@ -225,6 +245,8 @@ class AssignmentSession:
                 )
             for oid, p in enumerate(problem.objects):
                 self._dyn_objects[oid] = (p, problem.object_set.capacity(oid))
+            self._dyn_max_abs = problem.object_set.max_abs
+            self._dyn_max_priority = problem.function_set.max_gamma
             self._dyn_solution = self._snapshot_dynamic()
         return self._dynamic
 
@@ -267,7 +289,12 @@ class AssignmentSession:
         """Apply churn events and incrementally repair the matching.
 
         Accepts one event or an iterable; returns the new
-        :class:`Solution`.  Handles assigned to arrivals are exposed as
+        :class:`Solution`.  The events run as one
+        :meth:`~repro.core.dynamic.DynamicStableMatching.batch`: each is
+        validated and applied in turn, and one suffix rematch follows.
+        An invalid event raises :class:`~repro.errors.InvalidProblemError`
+        before it changes anything; the events before it stay applied.
+        Handles assigned to arrivals are exposed as
         :attr:`last_arrival_handles`, the unit-level delta as
         :attr:`last_diff`.
         """
@@ -282,7 +309,7 @@ class AssignmentSession:
         previous = self._dyn_solution
         arrivals: list[int] = []
         try:
-            with span("session.apply", backend=dyn.backend):
+            with span("session.apply", backend=dyn.backend), dyn.batch():
                 self._apply_events(dyn, events, dims, arrivals)
         finally:
             # Always resync the snapshot: a rejected event mid-batch
@@ -301,20 +328,26 @@ class AssignmentSession:
         arrivals: list[int],
     ) -> None:
         # Arrivals pass the same validation as a Problem's catalogue
-        # and cohort: a one-row container is built and read back.
+        # and cohort: a one-row container is built and read back, and
+        # checked against the running maxima as a Problem is against
+        # its own.
         for event in events:
             if isinstance(event, ObjectArrived):
                 arrived = validated_objects([event.point], [event.capacity])
                 point, capacity = arrived.points[0], arrived.capacity(0)
                 _check_dims(point, dims, "point")
+                max_abs = max(self._dyn_max_abs, arrived.max_abs)
+                check_score_magnitude(max_abs, self._dyn_max_priority)
                 oid = dyn.add_object(point, capacity=capacity)
                 self._dyn_objects[oid] = (point, capacity)
+                self._dyn_max_abs = max_abs
                 arrivals.append(oid)
             elif isinstance(event, ObjectDeparted):
-                if event.oid not in self._dyn_objects:
-                    raise InvalidProblemError(f"unknown object {event.oid}")
-                dyn.remove_object(event.oid)
-                del self._dyn_objects[event.oid]
+                oid = _handle(event.oid, "object")
+                if oid not in self._dyn_objects:
+                    raise InvalidProblemError(f"unknown object {oid}")
+                dyn.remove_object(oid)
+                del self._dyn_objects[oid]
             elif isinstance(event, FunctionArrived):
                 cohort = validated_functions(
                     [event.weights], [event.priority], [event.capacity]
@@ -322,14 +355,18 @@ class AssignmentSession:
                 weights = cohort.weights[0]
                 _check_dims(weights, dims, "weights")
                 priority, capacity = cohort.gamma(0), cohort.capacity(0)
+                max_priority = max(self._dyn_max_priority, priority)
+                check_score_magnitude(self._dyn_max_abs, max_priority)
                 fid = dyn.add_function(cohort.effective_weights(0), capacity=capacity)
                 self._dyn_functions[fid] = (weights, priority, capacity)
+                self._dyn_max_priority = max_priority
                 arrivals.append(fid)
             elif isinstance(event, FunctionDeparted):
-                if event.fid not in self._dyn_functions:
-                    raise InvalidProblemError(f"unknown function {event.fid}")
-                dyn.remove_function(event.fid)
-                del self._dyn_functions[event.fid]
+                fid = _handle(event.fid, "function")
+                if fid not in self._dyn_functions:
+                    raise InvalidProblemError(f"unknown function {fid}")
+                dyn.remove_function(fid)
+                del self._dyn_functions[fid]
             else:
                 raise InvalidProblemError(f"unknown event type {type(event).__name__}")
 

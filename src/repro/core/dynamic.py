@@ -10,20 +10,38 @@ stable matching current without recomputing it from scratch.
 The key structural fact (provable from the greedy definition): the
 canonical matching is the greedy fixpoint over pairs sorted by the
 canonical pair order, so an update can only change the outcome from
-the *first greedy step whose choice set changed*.  Each update
-therefore:
+the *first greedy step whose choice set changed*.  Events are applied
+in batches (:meth:`DynamicStableMatching.batch`; each event method
+on its own is a one-event batch), and each batch:
 
-1. locates the earliest emitted pair that the event can affect — for
-   an arriving object ``o`` that is the first pair canonically worse
-   than the best possible pair involving ``o``; for a departing
-   object, the first pair that involves it (symmetrically for
-   functions);
-2. keeps the unaffected prefix of the emitted pair sequence;
-3. re-runs greedy on the surviving suffix participants only.
+1. registers or unregisters every event's participant at once, and
+   notes the earliest emitted pair each event can affect.  For a
+   departure that is its first pair in the emitted sequence as it
+   stood when the batch opened.  For an arrival still alive when the
+   batch closes it is the first pair canonically worse than the
+   arrival's best possible pair over the *final* population, the
+   other arrivals included;
+2. keeps the prefix of the emitted pair sequence before the least of
+   those cuts;
+3. re-runs greedy once, on the participants that prefix leaves free.
+
+The kept prefix is a valid greedy prefix of the final population.
+Each of its steps took the least pair key among the pairs available
+at that step.  No departed member appears in it (the cut is at or
+before each departure's first pair), so every step's pair is still
+available, and removing participants only removes competitors.  No
+arrival's pair can sort before the prefix's end: each arrival was
+probed against every live member of the other side, arrivals too, so
+its best key bounds every pair it joins, and the cut lies at or
+before the first emitted key above that bound.  Both sides of each
+prefix pair keep their capacities, so each step's units are
+unchanged too.  A batch therefore gives the same matching as its
+events applied one at a time, with one rematch instead of one per
+event.
 
 The emitted sequence is always globally sorted by the canonical pair
 key (each greedy step takes the minimum remaining key, and suffix
-keys exceed the probe key bounding the prefix), so step 1 is a
+keys exceed the probe key bounding the prefix), so a cut probe is a
 ``bisect`` over a parallel key list, and per-handle position indexes
 answer ``partner_of_*`` and departure cuts without scanning.
 
@@ -42,12 +60,13 @@ Two interchangeable backends run step 3:
 
 Both backends produce byte-identical emitted pairs (handles, float
 scores, units, order) — the property tests assert equality against
-each other and against a from-scratch oracle after every event.
+each other and against a from-scratch oracle after every event and
+after every batch.
 
 On workloads where churn hits the middle of the score range this
 re-matches a fraction of the pairs instead of all of them; the tests
-verify exact equivalence against a from-scratch oracle after every
-event and measure that the suffix work is genuinely partial.
+verify exact equivalence against a from-scratch oracle and measure
+that the suffix work is genuinely partial.
 """
 
 # repro-lint: deterministic-module
@@ -56,7 +75,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 
 from repro.core.types import Matching
 from repro.data.instances import FunctionSet, ObjectSet, Point
@@ -90,7 +110,8 @@ class DynamicStableMatching:
     pre-scaled (effective) weight vectors.
 
     ``backend`` selects the suffix-rematch engine (see the module
-    docstring); both backends maintain byte-identical state.  An
+    docstring); both backends maintain byte-identical state.  Events
+    applied inside one :meth:`batch` share one rematch.  An
     arrival's weights or point must be finite numbers, and the first
     arrival on either side fixes the dimensionality: a non-numeric,
     NaN or infinite value, or a tuple of another length, raises
@@ -122,8 +143,16 @@ class DynamicStableMatching:
         #: handle → ascending positions of its pairs in ``_pairs``.
         self._f_pos: dict[int, list[int]] = {}
         self._o_pos: dict[int, list[int]] = {}
-        self.suffix_rematch_count = 0  # pairs re-examined by last event
-        #: Cumulative churn counters (events only; seeding is free).
+        #: Open :meth:`batch` scopes; the outermost one rematches.
+        self._batch_depth = 0
+        #: The open batch's least departure cut, its arrivals (probed
+        #: when it closes) and ``events_applied`` when it opened.
+        self._batch_cut = 0
+        self._batch_functions: list[int] = []
+        self._batch_objects: list[int] = []
+        self._batch_start = 0
+        #: Churn counters (see :meth:`churn_info`; seeding is free).
+        self.suffix_rematch_count = 0
         self.events_applied = 0
         self.pairs_rematched = 0
         self.full_rematches = 0
@@ -185,7 +214,19 @@ class DynamicStableMatching:
         ]
 
     def churn_info(self) -> dict[str, int | str]:
-        """Cumulative churn cost counters since construction."""
+        """Churn cost counters since construction (seeding is free).
+
+        ``events_applied`` counts events.  The rematch counters count
+        per rematch, which is one per :meth:`batch` that applied an
+        event: ``pairs_rematched`` sums the emitted pairs each rematch
+        re-examined, ``full_rematches`` counts the rematches that kept
+        no prefix of a non-empty sequence, and ``suffix_rematch_count``
+        is the last rematch's share of ``pairs_rematched``.  On the
+        ``vec`` backend, ``kernel_score_cells`` counts the scores that
+        rematches and arrival probes computed and
+        ``kernel_tie_resolutions`` the tolerance bands resolved
+        exactly; both read 0 on ``interp``.
+        """
         return {
             "backend": self.backend,
             "events_applied": self.events_applied,
@@ -200,44 +241,67 @@ class DynamicStableMatching:
     # Events
     # ------------------------------------------------------------------
 
-    def add_function(
-        self, weights: tuple[float, ...], capacity: int = 1
-    ) -> int:
+    @contextmanager
+    def batch(self) -> Iterator[None]:
+        """Apply the events of the scope with one suffix rematch.
+
+        Each event inside is validated and registers or unregisters
+        at once; the rematch runs when the outermost scope exits, also
+        when an event raised, so the events applied before it are kept.
+        A scope that applied no event rematches nothing.  Scopes nest:
+        an inner one joins the outer one's batch.
+        """
+        if self._batch_depth == 0:
+            self._batch_cut = len(self._pairs)
+            self._batch_functions = []
+            self._batch_objects = []
+            self._batch_start = self.events_applied
+        self._batch_depth += 1
+        try:
+            yield
+        finally:
+            self._batch_depth -= 1
+            if self._batch_depth == 0 and self.events_applied > self._batch_start:
+                self._rematch_from(self._batch_least_cut())
+
+    def add_function(self, weights: tuple[float, ...], capacity: int = 1) -> int:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        fid = self._next_f
-        self._register_function(fid, _finite_tuple(weights, "weights"), capacity)
-        self._next_f += 1
-        self.events_applied += 1
-        self._rematch_from(self._first_affected_by_function(fid))
+        with self.batch():
+            fid = self._next_f
+            self._register_function(fid, _finite_tuple(weights, "weights"), capacity)
+            self._next_f += 1
+            self._batch_functions.append(fid)
+            self.events_applied += 1
         return fid
 
     def remove_function(self, fid: int) -> None:
         if fid not in self._weights:
             raise KeyError(f"unknown function {fid}")
-        cut = self._first_pair_involving(fid=fid)
-        self._unregister_function(fid)
-        self.events_applied += 1
-        self._rematch_from(cut)
+        with self.batch():
+            self._cut_at_first_pair(self._f_pos, fid)
+            self._unregister_function(fid)
+            self.events_applied += 1
 
     def add_object(self, point: Point, capacity: int = 1) -> int:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        oid = self._next_o
-        self._register_object(oid, _finite_tuple(point, "point"), capacity)
-        self._next_o += 1
-        self.events_applied += 1
-        self._rematch_from(self._first_affected_by_object(oid))
+        with self.batch():
+            oid = self._next_o
+            self._register_object(oid, _finite_tuple(point, "point"), capacity)
+            self._next_o += 1
+            self._batch_objects.append(oid)
+            self.events_applied += 1
         return oid
 
     def remove_object(self, oid: int) -> None:
         """Free an object (e.g. a returned housing unit)."""
         if oid not in self._points:
             raise KeyError(f"unknown object {oid}")
-        cut = self._first_pair_involving(oid=oid)
-        self._unregister_object(oid)
-        self.events_applied += 1
-        self._rematch_from(cut)
+        with self.batch():
+            self._cut_at_first_pair(self._o_pos, oid)
+            self._unregister_object(oid)
+            self.events_applied += 1
 
     # ------------------------------------------------------------------
     # Population registry (dicts + optional columnar mirror)
@@ -285,14 +349,24 @@ class DynamicStableMatching:
     # Incremental repair
     # ------------------------------------------------------------------
 
-    def _first_pair_involving(
-        self, fid: int | None = None, oid: int | None = None
-    ) -> int:
-        cut = len(self._pairs)
-        if fid is not None and fid in self._f_pos:
-            cut = min(cut, self._f_pos[fid][0])
-        if oid is not None and oid in self._o_pos:
-            cut = min(cut, self._o_pos[oid][0])
+    def _cut_at_first_pair(
+        self, positions: dict[int, list[int]], handle: int
+    ) -> None:
+        """Lower the batch's cut to a departing handle's first pair;
+        ``positions`` still describes the sequence the batch opened on."""
+        if handle in positions:
+            self._batch_cut = min(self._batch_cut, positions[handle][0])
+
+    def _batch_least_cut(self) -> int:
+        """The batch's least cut: its departures' and the probes of its
+        arrivals that are still alive."""
+        cut = self._batch_cut
+        for fid in self._batch_functions:
+            if fid in self._weights:
+                cut = min(cut, self._first_affected_by_function(fid))
+        for oid in self._batch_objects:
+            if oid in self._points:
+                cut = min(cut, self._first_affected_by_object(oid))
         return cut
 
     def _first_affected_by_object(self, oid: int) -> int:

@@ -31,7 +31,6 @@ an ``auto`` run is bit-identical to invoking ``sb-vec`` directly.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import partial
@@ -140,14 +139,12 @@ def _int_at_least(low: int) -> OptionCheck:
     )
 
 
-def _is_finite_number(v: Any) -> bool:
-    return not isinstance(v, bool) and (
-        isinstance(v, int) or (isinstance(v, float) and math.isfinite(v))
-    )
-
-
 _FLAG = OptionCheck("a bool", lambda v: isinstance(v, bool))
-_NUMBER = OptionCheck("a finite int or float", _is_finite_number)
+# NaN and the infinities fail the range test.
+_FRACTION = OptionCheck(
+    "a number in [0, 1]",
+    lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and 0 <= v <= 1,
+)
 _MAINTENANCE = OptionCheck(
     "'update-skyline' or 'deltasky'",
     lambda v: isinstance(v, str) and v in ("update-skyline", "deltasky"),
@@ -156,7 +153,7 @@ _MAINTENANCE = OptionCheck(
 #: ``sb_config``'s overrides; ``None`` keeps the variant's preset
 #: (and disables the Ω bound for ``omega_fraction``).
 _SB_OPTIONS = {
-    "omega_fraction": _NUMBER.or_none(),
+    "omega_fraction": _FRACTION.or_none(),
     "multi_pair": _FLAG.or_none(),
     "biased": _FLAG.or_none(),
     "resume": _FLAG.or_none(),

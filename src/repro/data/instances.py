@@ -92,6 +92,18 @@ class ObjectSet:
             raise ValueError("empty ObjectSet has no dimensionality")
         return len(self.points[0])
 
+    @property
+    def max_abs(self) -> float:
+        """The largest absolute coordinate (0.0 when empty), memoized
+        once the set is frozen, so every problem over one catalogue
+        reads it in O(1)."""
+        cached = self.__dict__.get("_max_abs")
+        if cached is None:
+            cached = max(map(abs, chain.from_iterable(self.points)), default=0.0)
+            if self.is_frozen:
+                self._max_abs = cached
+        return cached
+
     def capacity(self, oid: int) -> int:
         return 1 if self.capacities is None else self.capacities[oid]
 

@@ -7,13 +7,17 @@ import math
 import pytest
 
 from repro.api import (
+    AUTO_METHOD,
+    AssignmentSession,
     InvalidProblemError,
     InvalidSolverOptionError,
     Problem,
     ReproError,
     UnknownSolverError,
 )
-from repro.data.instances import FunctionSet, ObjectSet
+from repro.api.problem import MAX_SCORE_MAGNITUDE as B
+from repro.core.registry import REGISTRY
+from repro.data.instances import FunctionSet, ObjectSet, object_set_fingerprint
 
 from .conftest import random_instance
 
@@ -255,3 +259,94 @@ def test_nan_coordinate_is_rejected_for_every_solver(method):
     payload["objects"]["points"][1][0] = math.nan
     with pytest.raises(InvalidProblemError, match="finite"):
         Problem.from_dict(payload)
+
+
+#: Coordinates near the float range: at priority 4, a score of the
+#: first object is inf - inf.  Before the bound, ``auto`` and
+#: ``brute-force`` answered a pair scored NaN, ``sb``, ``sb-alt`` and
+#: ``sb-two-skylines`` raised a bare ValueError, and ``chain`` spun.
+OVERFLOW_OBJECTS = ((1.7e308, -1.7e308), (-1.7e308, 0.5), (1.7e308, 1e308))
+OVERFLOW_FUNCTIONS = ((0.2, 0.8), (1 / 3, 2 / 3))
+
+#: Instances whose max |coordinate| x max priority is exactly the bound.
+AT_THE_BOUND = {
+    "coordinates": dict(
+        objects=[(B, -B), (-B, 0.5), (B, B / 10)],
+        functions=[(0.2, 0.8), (1 / 3, 2 / 3)],
+    ),
+    "priorities": dict(
+        objects=[(B / 4, -B / 4), (-B / 4, 0.5), (B / 4, B / 8)],
+        functions=[(0.2, 0.8), (1 / 3, 2 / 3)],
+        priorities=[1, 4],
+    ),
+    "tiny-coordinates": dict(
+        objects=[(1e-8, -1e-8), (-1e-8, 5e-9), (1e-8, 1e-9), (0.0, 1e-8)],
+        functions=[(0.2, 0.8), (1 / 3, 2 / 3), (0.5, 0.5)],
+        priorities=[B * 1e8, 1e300, 5e307],
+    ),
+    "d4": dict(
+        objects=[(B, -B, B, -B), (-B, B, B, B), (B, B, -B, 0.0), (B / 3,) * 4],
+        functions=[(0.25,) * 4, (0.1, 0.2, 0.3, 0.4), (0.7, 0.1, 0.1, 0.1)],
+    ),
+}
+
+
+@pytest.mark.parametrize("method", [AUTO_METHOD, *REGISTRY.names()])
+def test_scores_beyond_the_float_range_are_rejected(method):
+    with pytest.raises(InvalidProblemError, match="float range"):
+        Problem(
+            objects=OVERFLOW_OBJECTS,
+            functions=OVERFLOW_FUNCTIONS,
+            priorities=[1, 4],
+            method=method,
+        )
+    # Just above the bound, from either side of the product.
+    above = math.nextafter(B, math.inf)
+    for objects, priorities in (
+        ([(above, 0.5), (0.5, 0.5)], None),
+        ([(B, 0.5), (0.5, 0.5)], [1.0, math.nextafter(1.0, math.inf)]),
+    ):
+        with pytest.raises(InvalidProblemError, match="float range"):
+            Problem(
+                objects=objects,
+                functions=OVERFLOW_FUNCTIONS,
+                priorities=priorities,
+                method=method,
+            )
+
+
+def test_the_bound_holds_on_every_entry_path():
+    """Construction, each derivation and the v2 and v3 decodes check
+    the product of the catalogue's and the cohort's maxima; the
+    catalogue's maximum is computed once per frozen catalogue."""
+    base = Problem(objects=((B, -B), (0.5, 0.5)), functions=OVERFLOW_FUNCTIONS)
+    with pytest.raises(InvalidProblemError, match="float range"):
+        base.with_functions(OVERFLOW_FUNCTIONS, priorities=[1.0, 2.0])
+    with pytest.raises(InvalidProblemError, match="float range"):
+        figure1_problem(priorities=[1, 2, 4]).with_objects(OVERFLOW_OBJECTS)
+    payload = base.to_dict()
+    payload["functions"]["priorities"] = [1.0, 2.0]
+    with pytest.raises(InvalidProblemError, match="float range"):
+        Problem.from_dict(payload)
+    reference = base.to_reference_dict()
+    reference["functions"]["priorities"] = [1.0, 2.0]
+    held = {object_set_fingerprint(base.object_set): base.object_set}
+    with pytest.raises(InvalidProblemError, match="float range"):
+        Problem.from_dict(reference, held)
+    assert base.object_set.max_abs == B
+    assert base.object_set.__dict__["_max_abs"] == B  # memoized on the frozen set
+
+
+@pytest.mark.parametrize("case", sorted(AT_THE_BOUND))
+def test_instances_at_the_bound_solve_alike_on_every_method(case):
+    expected = None
+    for method in REGISTRY.names():
+        problem = Problem(**AT_THE_BOUND[case], method=method)
+        assert problem.object_set.max_abs * problem.function_set.max_gamma == B
+        with AssignmentSession(problem) as session:
+            solution = session.solve()
+        assert all(math.isfinite(p.score) for p in solution.pairs), method
+        got = sorted((p.fid, p.oid, p.score.hex(), p.count) for p in solution.pairs)
+        if expected is None:
+            expected = got
+        assert got == expected, method

@@ -5,6 +5,7 @@ from-scratch oracle."""
 import math
 import random
 
+import numpy as np
 import pytest
 
 from repro.api import (
@@ -17,6 +18,7 @@ from repro.api import (
     Problem,
     SessionClosedError,
 )
+from repro.api.problem import MAX_SCORE_MAGNITUDE
 from repro.core import solve
 from repro.core.index import build_object_index
 from repro.core.reference import greedy_assign
@@ -207,6 +209,7 @@ def test_apply_rejects_invalid_events_without_corrupting_state():
     problem = Problem.from_sets(os_, fs)
     with AssignmentSession(problem) as session:
         baseline = session.current().as_dict()
+        info = session.churn_info()
         for bad in (
             ObjectArrived((0.5,)),  # wrong dims
             ObjectArrived((0.5, 0.5), capacity=0),
@@ -223,10 +226,75 @@ def test_apply_rejects_invalid_events_without_corrupting_state():
             FunctionArrived((0.5, 0.5), priority=math.nan),
             FunctionArrived((0.5, 0.5), priority=math.inf),
             FunctionArrived((0.5, 0.5), capacity=1.5),
+            # Departure handles must be integers: these used to raise a
+            # bare TypeError, or to remove objects 1 and 2.
+            ObjectDeparted([1]),
+            FunctionDeparted({}),
+            ObjectDeparted(True),
+            FunctionDeparted(False),
+            ObjectDeparted(2.0),
+            ObjectDeparted(np.float64(1.0)),
+            ObjectDeparted("1"),
+            # Scores would leave the float range.
+            ObjectArrived((1.7e308, -1.7e308)),
+            ObjectArrived((math.nextafter(MAX_SCORE_MAGNITUDE, math.inf), 0.5)),
+            FunctionArrived((0.5, 0.5), priority=1.7e308),
         ):
             with pytest.raises(InvalidProblemError):
                 session.apply(bad)
+            # A rejected single event changes nothing and rematches
+            # nothing.
+            assert session.churn_info() == info
         assert session.current().as_dict() == baseline
+        session.verify_current()
+        # numpy integers are handles too.
+        session.apply([ObjectDeparted(np.int64(1)), FunctionDeparted(np.int32(2))])
+        assert 1 not in {p.oid for p in session.current().pairs}
+        session.verify_current()
+
+
+@pytest.mark.parametrize("backend", ["interp", "vec"])
+def test_arrivals_are_checked_against_the_running_maxima(backend):
+    """An arrival's score bound is checked against the largest
+    |coordinate| and priority the session ever admitted, before any
+    state changes: three objects whose scores overflow at priority 4
+    are rejected, and arrivals at the bound match one-event applies on
+    the interpreted backend."""
+    bound = MAX_SCORE_MAGNITUDE
+    problem = Problem(
+        objects=[(0.5, 0.5), (0.25, 1.0)],
+        functions=[(0.2, 0.8), (1 / 3, 2 / 3)],
+        priorities=[1, 4],
+    )
+    with AssignmentSession(problem, churn_backend=backend) as session:
+        before = session.current()
+        for point in ((1.7e308, -1.7e308), (-1.7e308, 0.5), (1.7e308, 1e308)):
+            with pytest.raises(InvalidProblemError, match="float range"):
+                session.apply(ObjectArrived(point))
+        assert session.current() == before
+        # At the bound: |coordinate| x priority 4 == bound.
+        session.apply(
+            [
+                ObjectArrived((bound / 4, -bound / 4)),
+                ObjectArrived((-bound / 4, 0.5)),
+                ObjectArrived((bound / 4, bound / 8)),
+            ]
+        )
+        arrived = session.last_arrival_handles
+        assert all(math.isfinite(p.score) for p in session.current().pairs)
+        session.verify_current()
+        with AssignmentSession(problem, churn_backend="interp") as stepped:
+            for point in ((bound / 4, -bound / 4), (-bound / 4, 0.5)):
+                stepped.apply(ObjectArrived(point))
+            stepped.apply(ObjectArrived((bound / 4, bound / 8)))
+            assert session.current() == stepped.current()
+        # The maxima are running: departed objects still count.
+        session.apply([ObjectDeparted(oid) for oid in arrived])
+        snapshot = session.current()
+        with pytest.raises(InvalidProblemError, match="float range"):
+            session.apply(FunctionArrived((0.5, 0.5), priority=4.5))
+        assert session.current() == snapshot
+        session.apply(FunctionArrived((0.5, 0.5), priority=4.0))
         session.verify_current()
 
 

@@ -15,7 +15,7 @@ from repro.api import (
     ObjectDeparted,
     Problem,
 )
-from repro.core.dynamic import DynamicStableMatching
+from repro.core.dynamic import CHURN_BACKENDS, DynamicStableMatching
 from repro.data.generators import churn_stream, make_functions, make_objects
 from repro.errors import InvalidProblemError, UnknownSolverError
 from repro.kernels.dynamic import INITIAL_ROWS, MutableColumns
@@ -120,6 +120,28 @@ def churn_scenario(draw):
     return dims, ops
 
 
+def apply_op(op, dyns, live_f: list[int], live_o: list[int]) -> None:
+    """One ``churn_scenario`` op on every matching in ``dyns``, which
+    must assign one handle to an arrival; a removal with nothing live
+    is a no-op."""
+    kind, values, n, priority = op
+    if kind == "af":
+        w = tuple(x * priority for x in values)
+        [fid] = {dyn.add_function(w, n) for dyn in dyns}
+        live_f.append(fid)
+    elif kind == "ao":
+        [oid] = {dyn.add_object(values, n) for dyn in dyns}
+        live_o.append(oid)
+    elif kind == "rf" and live_f:
+        fid = live_f.pop(n % len(live_f))
+        for dyn in dyns:
+            dyn.remove_function(fid)
+    elif kind == "ro" and live_o:
+        oid = live_o.pop(n % len(live_o))
+        for dyn in dyns:
+            dyn.remove_object(oid)
+
+
 #: Tier-1's budget.  CI's deep step selects the ``churn-deep`` profile
 #: (tests/conftest.py) on the pytest command line instead.
 CHURN_SETTINGS = deep_settings(max_examples=50)
@@ -137,23 +159,152 @@ def test_random_event_sequences_three_way_identity(scenario, budget):
     live_f: list[int] = []
     live_o: list[int] = []
     with mock.patch("repro.core.vectorized.CELL_BUDGET", budget):
-        for kind, values, n, priority in ops:
-            if kind == "af":
-                w = tuple(x * priority for x in values)
-                assert interp.add_function(w, n) == vec.add_function(w, n)
-                live_f.append(interp._next_f - 1)
-            elif kind == "ao":
-                assert interp.add_object(values, n) == vec.add_object(values, n)
-                live_o.append(interp._next_o - 1)
-            elif kind == "rf" and live_f:
-                fid = live_f.pop(n % len(live_f))
-                interp.remove_function(fid)
-                vec.remove_function(fid)
-            elif kind == "ro" and live_o:
-                oid = live_o.pop(n % len(live_o))
-                interp.remove_object(oid)
-                vec.remove_object(oid)
+        for op in ops:
+            apply_op(op, (interp, vec), live_f, live_o)
             assert_three_way(interp, vec)
+
+
+def emitted_bits(dyn: DynamicStableMatching) -> tuple:
+    """The emitted sequence and its indexes, floats by their bits
+    (``repr`` round-trips a float and tells -0.0 from 0.0)."""
+    return repr(dyn._pairs), repr(dyn._keys), dyn._f_pos, dyn._o_pos
+
+
+def replay_in_batches(ops, sizes) -> list[tuple[int, int]]:
+    """Run ``ops`` in batches of ``sizes`` (the rest in one last batch)
+    on ``interp`` and ``vec`` inside ``batch()``, and one event at a
+    time on an ``interp`` twin.  After every batch all three, and a
+    from-scratch rematch, hold the same emitted pairs, keys, score bits
+    and units; a batch that applied an event ran one rematch, and one
+    that applied none changed no counter.  Returns each batch's live
+    population ``(functions, objects)``."""
+    interp = DynamicStableMatching()
+    vec = DynamicStableMatching(backend="vec")
+    stepped = DynamicStableMatching()
+    live_f: list[int] = []
+    live_o: list[int] = []
+    populations = []
+    cursor = 0
+    for size in [*sizes, len(ops)]:
+        batch, cursor = ops[cursor : cursor + size], cursor + size
+        before = [dyn.churn_info() for dyn in (interp, vec)]
+        with interp.batch(), vec.batch():
+            for op in batch:
+                apply_op(op, (interp, vec, stepped), live_f, live_o)
+        populations.append((interp.num_functions, interp.num_objects))
+        expected = emitted_bits(stepped)
+        assert emitted_bits(interp) == emitted_bits(vec) == expected
+        assert expected[:2] == emitted_bits(from_scratch(stepped))[:2]
+        assert interp.events_applied == vec.events_applied == stepped.events_applied
+        if interp.events_applied == before[0]["events_applied"]:
+            assert [dyn.churn_info() for dyn in (interp, vec)] == before
+            continue
+        for dyn, info in zip((interp, vec), before):
+            assert dyn.pairs_rematched == (
+                info["pairs_rematched"] + dyn.suffix_rematch_count
+            )
+        assert interp.suffix_rematch_count == vec.suffix_rematch_count
+    return populations
+
+
+@st.composite
+def batched_churn_scenario(draw):
+    _dims, ops = draw(churn_scenario())
+    sizes = draw(st.lists(st.integers(0, 8), max_size=len(ops) + 2))
+    return ops, sizes
+
+
+@given(batched_churn_scenario(), block_budgets)
+@CHURN_SETTINGS
+def test_random_event_batches_match_stepped_events(scenario, budget):
+    """Random churn applied in random batches, empty ones included:
+    after every batch, ``vec`` and ``interp`` inside ``batch()`` equal
+    an ``interp`` twin applying one event at a time and a from-scratch
+    rematch, with the rescans and probes scored in blocks of ``budget``
+    bytes."""
+    ops, sizes = scenario
+    with mock.patch("repro.core.vectorized.CELL_BUDGET", budget):
+        replay_in_batches(ops, sizes)
+
+
+@pytest.mark.parametrize(
+    "ops,sizes,populations",
+    [
+        pytest.param(
+            [
+                ("af", (0.5, 0.5), 2, 1),
+                ("ao", (1.0, 0.0), 1, 1),
+                ("ao", (0.25, 1.0), 1, 1),
+                ("ro", (), 1, 1),
+                ("af", (1.0, 0.0), 1, 2),
+            ],
+            [2],
+            [(1, 1), (2, 1)],
+            id="arrive-and-depart-in-one-batch",
+        ),
+        pytest.param(
+            [
+                ("af", (0.5, 0.5), 1, 1),
+                ("af", (0.0, 1.0), 1, 1),
+                ("ao", (1.0, 0.5), 2, 1),
+                ("ao", (0.5, 1.0), 1, 1),
+                ("ro", (), 0, 1),
+                ("ao", (0.0, 0.0), 1, 1),
+                ("ro", (), 0, 1),
+                ("ro", (), 0, 1),
+                ("rf", (), 0, 1),
+                ("rf", (), 0, 1),
+            ],
+            [4, 4, 2],
+            [(2, 2), (2, 0), (0, 0), (0, 0)],
+            id="batches-that-empty-a-side",
+        ),
+        # The arrivals' pair beats the emitted pair, but neither arrival
+        # beats it with a member that was there before the batch.
+        pytest.param(
+            [
+                ("af", (1.0, 0.0), 1, 1),
+                ("ao", (0.5, 0.0), 1, 1),
+                ("af", (0.0, 1.0), 1, 1),
+                ("ao", (0.0, 1.0), 1, 1),
+            ],
+            [2],
+            [(1, 1), (2, 2)],
+            id="arrivals-pair-with-each-other",
+        ),
+        pytest.param(
+            [("af", (0.5, 0.5), 1, 1), ("ao", (1.0, 0.0), 1, 1), ("rf", (), 0, 1)],
+            [0, 2, 0, 0, 1],
+            [(0, 0), (1, 1), (1, 1), (1, 1), (0, 1), (0, 1)],
+            id="empty-batches",
+        ),
+    ],
+)
+def test_batch_edge_cases_match_stepped_events(ops, sizes, populations):
+    assert replay_in_batches(ops, sizes) == populations
+
+
+def test_batch_rematches_once_and_keeps_the_prefix_when_an_event_raises():
+    """Scopes nest into one batch; an event that raises inside it
+    changes nothing, and the events before it are still rematched."""
+    for backend in CHURN_BACKENDS:
+        dyn = DynamicStableMatching(backend=backend)
+        stepped = DynamicStableMatching()
+        for d in (dyn, stepped):
+            d.add_function((0.5, 0.5))
+            d.add_object((0.25, 0.75))
+        rematched = dyn.pairs_rematched
+        with pytest.raises(KeyError):
+            with dyn.batch():
+                dyn.add_object((1.0, 1.0))
+                with dyn.batch():
+                    dyn.add_function((1.0, 0.0), capacity=2)
+                dyn.remove_object(99)
+        stepped.add_object((1.0, 1.0))
+        stepped.add_function((1.0, 0.0), capacity=2)
+        assert emitted_bits(dyn) == emitted_bits(stepped), backend
+        assert dyn.events_applied == 4
+        assert dyn.pairs_rematched == rematched + dyn.suffix_rematch_count
 
 
 def population_state(dyn: DynamicStableMatching) -> tuple:
@@ -424,7 +575,11 @@ def test_session_apply_accepts_batches():
         assert stats is not None
         assert stats.counters["events_applied"] == len(events)
         assert "kernel_score_cells" in stats.counters
-        assert "suffix_rematch_count" in stats.counters
+        # The batch ran one rematch: its share is the whole count.
+        assert stats.counters["pairs_rematched"] == (
+            stats.counters["suffix_rematch_count"]
+        )
+        assert stats.counters["full_rematches"] <= 1
 
 
 def test_session_auto_resolves_churn_backend():

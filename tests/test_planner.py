@@ -31,7 +31,7 @@ VALID_OPTION_VALUES = {
 
 #: Values each option's check must reject, the wrong type first.
 INVALID_OPTION_VALUES = {
-    "omega_fraction": ["x", True, float("nan"), float("inf")],
+    "omega_fraction": ["x", True, float("nan"), float("inf"), 1e308, -0.5, 2.0],
     "multi_pair": ["no", 0, 1.0],
     "biased": ["yes", 1],
     "resume": [0],
@@ -107,7 +107,8 @@ class TestRegistry:
             REGISTRY.resolve(AUTO_METHOD, {"omega_fraction": 0.1})
 
     def test_validate_matches_legacy_semantics(self):
-        REGISTRY.resolve("sb", {"omega_fraction": 0.1})
+        for fraction in (0, 0.1, 1, 1.0):
+            REGISTRY.resolve("sb", {"omega_fraction": fraction})
         with pytest.raises(UnknownSolverError):
             REGISTRY.resolve("nope", None)
         with pytest.raises(InvalidSolverOptionError):

@@ -155,6 +155,7 @@ def test_error_mapping(client):
     for method, options in (
         ("sb", {"maintenance": "bogus"}),
         ("sb", {"omega_fraction": "x"}),
+        ("sb", {"omega_fraction": 1e308}),
         ("sb-alt", {"page_size": "big"}),
         ("sb", {"multi_pair": "no"}),
         ("sb", {"multi_pair": 0}),
@@ -681,6 +682,38 @@ def test_unknown_catalogue_is_a_typed_404_and_bad_catalogues_are_400(target):
                 client.request("POST", "/v1/catalogues", body)
             assert excinfo.value.status == 400, body
             assert excinfo.value.error_type == (kind or "InvalidProblemError")
+
+
+@pytest.mark.parametrize("target", SHELL_TARGETS)
+def test_scores_beyond_the_float_range_are_a_400(target):
+    """At priority 4 these coordinates score inf - inf.  Every path
+    that decodes a problem answers a typed 400, whatever the method,
+    before any solve runs (``chain`` used to spin on it)."""
+    points = [[1.7e308, -1.7e308], [-1.7e308, 0.5], [1.7e308, 1e308]]
+    template = Problem(
+        objects=[(0.5, 0.5)] * 3,
+        functions=[(0.2, 0.8), (1 / 3, 2 / 3)],
+        priorities=[1, 4],
+    )
+    catalogue = {"schema": "repro.catalogue/v1", "points": points}
+    with serving(target) as handle, Client(handle.base_url) as client:
+        # The catalogue alone is valid: a cohort of small priorities
+        # may use it.
+        _, created = client.request("POST", "/v1/catalogues", catalogue)
+        for method in ("auto", "sb", "sb-alt", "sb-two-skylines", "chain"):
+            v2 = template.with_method(method).to_dict()
+            v2["objects"]["points"] = points
+            v3 = template.with_method(method).to_reference_dict()
+            v3["catalogue"] = created["catalogue"]
+            for path, body in (
+                ("/v1/problems", v2),
+                ("/v1/solve", {"problem": v2}),
+                ("/v1/solve", {"problem": v3}),
+            ):
+                with pytest.raises(ServerError) as excinfo:
+                    client.request("POST", path, body)
+                assert excinfo.value.status == 400, (method, path)
+                assert excinfo.value.error_type == "InvalidProblemError"
 
 
 @pytest.mark.parametrize("target", SHELL_TARGETS)
