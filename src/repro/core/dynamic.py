@@ -249,7 +249,9 @@ class DynamicStableMatching:
         at once; the rematch runs when the outermost scope exits, also
         when an event raised, so the events applied before it are kept.
         A scope that applied no event rematches nothing.  Scopes nest:
-        an inner one joins the outer one's batch.
+        an inner one joins the outer one's batch.  Until the outermost
+        scope exits, :attr:`matching` and the partner lookups still
+        describe the sequence the batch opened on.
         """
         if self._batch_depth == 0:
             self._batch_cut = len(self._pairs)

@@ -165,9 +165,14 @@ def test_random_event_sequences_three_way_identity(scenario, budget):
 
 
 def emitted_bits(dyn: DynamicStableMatching) -> tuple:
-    """The emitted sequence and its indexes, floats by their bits
-    (``repr`` round-trips a float and tells -0.0 from 0.0)."""
-    return repr(dyn._pairs), repr(dyn._keys), dyn._f_pos, dyn._o_pos
+    """A snapshot of the emitted sequence and its indexes, floats by
+    their bits (``repr`` round-trips a float and tells -0.0 from 0.0)."""
+    return (
+        repr(dyn._pairs),
+        repr(dyn._keys),
+        {fid: tuple(at) for fid, at in dyn._f_pos.items()},
+        {oid: tuple(at) for oid, at in dyn._o_pos.items()},
+    )
 
 
 def replay_in_batches(ops, sizes) -> list[tuple[int, int]]:
@@ -294,11 +299,13 @@ def test_batch_rematches_once_and_keeps_the_prefix_when_an_event_raises():
             d.add_function((0.5, 0.5))
             d.add_object((0.25, 0.75))
         rematched = dyn.pairs_rematched
+        opened_on = emitted_bits(dyn)
         with pytest.raises(KeyError):
             with dyn.batch():
                 dyn.add_object((1.0, 1.0))
                 with dyn.batch():
                     dyn.add_function((1.0, 0.0), capacity=2)
+                assert emitted_bits(dyn) == opened_on
                 dyn.remove_object(99)
         stepped.add_object((1.0, 1.0))
         stepped.add_function((1.0, 0.0), capacity=2)
