@@ -21,10 +21,10 @@ The stable, documented entry surface is :mod:`repro.api`::
             print(f"user {pair.fid} -> object {pair.oid} ({pair.score:.2f})")
 
 See README.md for the full architecture (engine strategy seams,
-service layer, benchmarks reproducing the paper's figures); the
-lower-level entry points (``repro.core.solve``,
-``repro.core.build_object_index``, ``repro.engine``,
-``repro.service.BatchSolver``) remain available for algorithm work.
+session and index cache, benchmarks reproducing the paper's figures);
+the lower-level entry points (``repro.core.solve``,
+``repro.core.build_object_index``, ``repro.engine``) remain available
+for algorithm work.
 """
 
 from repro.api import (
@@ -45,19 +45,16 @@ from repro.core import (
 from repro.core.registry import engine_config
 from repro.data.instances import FunctionSet, ObjectSet
 from repro.engine import AssignmentEngine, EngineConfig
-from repro.service import BatchSolver, JobResult, SolveJob
 
-__version__ = "5.0.0"
+__version__ = "6.0.0"
 
 __all__ = [
     "AssignedPair",
     "AssignmentEngine",
     "AssignmentResult",
     "AssignmentSession",
-    "BatchSolver",
     "EngineConfig",
     "FunctionSet",
-    "JobResult",
     "Matching",
     "ObjectIndex",
     "ObjectSet",
@@ -67,7 +64,6 @@ __all__ = [
     "RunStats",
     "Solution",
     "SolutionDiff",
-    "SolveJob",
     "engine_config",
     "__version__",
 ]

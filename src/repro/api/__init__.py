@@ -21,9 +21,9 @@ Three value objects and one stateful facade::
 - :class:`Problem` — an immutable, validated assignment instance with
   a fluent builder and versioned JSON serde;
 - :class:`AssignmentSession` — a long-lived handle owning the built
-  object index (shared through the batch index cache), with
-  ``solve()`` / ``solve_many()`` / ``submit()`` futures and
-  ``apply(events)`` incremental re-solve under churn;
+  object index (shared through its instance-hash index cache), with
+  ``solve()``, and ``solve_many()`` / ``submit()`` on one thread pool,
+  and ``apply(events)`` incremental re-solve under churn;
 - :class:`Solution` — the solved assignment with O(1) partner lookups,
   ``verify()`` stability certification, ``diff()`` against a previous
   solution, and JSON serde;
@@ -31,7 +31,7 @@ Three value objects and one stateful facade::
   :class:`~repro.errors.ReproError`.
 
 Everything else in the package (``repro.core``, ``repro.engine``,
-``repro.service``, ...) is implementation that this facade wires
+``repro.kernels``, ...) is implementation that this facade wires
 together; new integrations should depend on ``repro.api`` only.
 """
 

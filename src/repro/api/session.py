@@ -1,25 +1,22 @@
 """The long-lived :class:`AssignmentSession` — solve, batch, churn.
 
 A session binds one base :class:`~repro.api.problem.Problem` to the
-service machinery: the instance-hash
-:class:`~repro.service.batch.ObjectIndexCache` (so the catalogue's
-R-tree and columnar state are built at most once, on first use, and
-shared across every solve), a
-:class:`~repro.service.batch.BatchSolver` thread pool for
-:meth:`solve_many`, a persistent thread pool for :meth:`submit`
-futures, and a :class:`~repro.core.dynamic.DynamicStableMatching` behind
-:meth:`apply` for incremental re-solve under object/function arrival
-and departure.  Sessions are context managers; a closed session raises
+machinery that serves it: the instance-hash
+:class:`~repro.core.index.ObjectIndexCache` (so the catalogue's R-tree
+and columnar state are built at most once, on first use, and shared
+across every solve), one persistent thread pool behind :meth:`submit`
+and :meth:`solve_many`, and a
+:class:`~repro.core.dynamic.DynamicStableMatching` behind :meth:`apply`
+for incremental re-solve under object/function arrival and departure.
+Sessions are context managers; a closed session raises
 :class:`~repro.errors.SessionClosedError`.
 """
 
 from __future__ import annotations
 
 import contextvars
-import numbers
 from collections.abc import Iterable
-from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Any
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 
 from repro.api.events import (
     Event,
@@ -35,15 +32,16 @@ from repro.api.problem import (
     validated_objects,
 )
 from repro.api.solution import Solution, SolutionDiff
-from repro.core.dynamic import CHURN_BACKENDS, DynamicStableMatching
+from repro.core import solve
+from repro.core.dynamic import CHURN_BACKENDS, DynamicStableMatching, checked_handle
+from repro.core.index import ObjectIndexCache
 from repro.core.registry import AUTO_METHOD as _AUTO
 from repro.core.registry import Plan
 from repro.core.types import RunStats
 from repro.core.validate import assert_stable
 from repro.data.instances import FunctionSet, ObjectSet
 from repro.errors import InvalidProblemError, SessionClosedError, UnknownSolverError
-from repro.obs.trace import span
-from repro.service.batch import BatchSolver, SolveJob
+from repro.obs.trace import attach_engine_spans, span
 
 _DYNAMIC_METHOD = "dynamic"
 
@@ -53,15 +51,6 @@ def _check_dims(row: tuple[float, ...], dims: int, what: str) -> None:
         raise InvalidProblemError(
             f"expected {dims}-dimensional {what}, got {len(row)}"
         )
-
-
-def _handle(value: Any, what: str) -> int:
-    """A departure's handle as an ``int``; anything but an integer
-    (``bool`` included, numpy integers accepted) raises
-    :class:`~repro.errors.InvalidProblemError`."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise InvalidProblemError(f"{what} handle must be an integer, got {value!r}")
-    return int(value)
 
 
 class AssignmentSession:
@@ -74,8 +63,9 @@ class AssignmentSession:
     always answers for the immutable base problem, ``current()`` for
     the churned population.
 
-    ``max_workers`` sizes the solve thread pools, which share one
-    index cache (``None`` = the ``ThreadPoolExecutor`` default).
+    ``max_workers`` sizes the one thread pool behind ``submit()`` and
+    ``solve_many()`` (``None`` = the ``ThreadPoolExecutor`` default);
+    ``solve()`` runs on the caller's thread.
 
     ``churn_backend`` selects the suffix-rematch engine behind
     ``apply``: ``"interp"`` (the interpreted reference), ``"vec"``
@@ -99,10 +89,7 @@ class AssignmentSession:
             )
         self._problem = problem
         self._churn_backend = churn_backend
-        self._batch = BatchSolver(
-            max_workers=max_workers,
-            index_cache_size=index_cache_size,
-        )
+        self._cache = ObjectIndexCache(max_entries=index_cache_size)
         self._max_workers = max_workers
         self._pool: ThreadPoolExecutor | None = None
         self._closed = False
@@ -156,49 +143,60 @@ class AssignmentSession:
 
     # -- static solving ------------------------------------------------
 
-    def _job_for(self, problem: Problem) -> SolveJob:
-        return SolveJob(
-            functions=problem.function_set,
-            objects=problem.object_set,
-            method=problem.method,
-            page_size=problem.page_size,
-            memory_index=problem.memory_index,
-            buffer_fraction=problem.buffer_fraction,
-            solve_kwargs=dict(problem.options),
-        )
-
     def solve(self, problem: Problem | None = None) -> Solution:
         """Solve the base problem (or an override) synchronously.
 
         The returned :attr:`Solution.method` is the *resolved* method
         that ran — ``sb-vec`` for ``method="auto"`` problems, with the
         :class:`~repro.core.registry.Plan` attached as :attr:`Solution.plan`.
+        The object tree is memory-resident when ``memory_index`` says
+        so, and by default only for ``sb-alt`` (the Section 7.6
+        setting).  Solves over one cached index run one at a time.
         """
         self._check_open()
         target = problem if problem is not None else self._problem
         with span("session.solve", method=target.method):
-            job_result = self._batch.solve_one(self._job_for(target))
+            with span("plan.resolve") as plan_span:
+                plan = target.plan()
+                plan_span.attributes["method"] = plan.method
+            memory = target.memory_index
+            if memory is None:
+                memory = plan.method == "sb-alt"
+            with span("index.lookup") as index_span:
+                index, run_lock, hit = self._cache.get(
+                    target.object_set, target.page_size, memory
+                )
+                index_span.attributes["cache_hit"] = hit
+            with run_lock:
+                index.reset_for_run(buffer_fraction=target.buffer_fraction)
+                with span("engine.solve", method=plan.method) as solve_span:
+                    result = solve(
+                        target.function_set,
+                        index,
+                        method=plan.method,
+                        **plan.options_dict(),
+                    )
+                    attach_engine_spans(solve_span, result.stats)
         return Solution.from_result(
-            job_result.result,
-            method=job_result.method,
+            result,
+            method=plan.method,
             problem=target,
-            plan=job_result.plan,
+            plan=plan if plan.auto else None,
         )
 
     def solve_many(self, problems: Iterable[Problem]) -> list[Solution]:
-        """Solve several problems on the worker pool (order preserved).
+        """Solve several problems on the session's pool (order preserved).
 
-        Problems sharing this session's catalogue (e.g. derived via
+        Waits for every solve, then returns the solutions or raises
+        the first failed problem's error.  Problems sharing this
+        session's catalogue (e.g. derived via
         :meth:`Problem.with_method` / :meth:`Problem.with_functions`)
         share one cached object index.
         """
         self._check_open()
-        targets = list(problems)
-        results = self._batch.solve_many([self._job_for(p) for p in targets])
-        return [
-            Solution.from_result(r.result, method=r.method, problem=p, plan=r.plan)
-            for p, r in zip(targets, results)
-        ]
+        futures = [self.submit(problem) for problem in problems]
+        wait(futures)
+        return [future.result() for future in futures]
 
     def explain(self, problem: Problem | None = None) -> Plan:
         """The planner's :class:`~repro.core.registry.Plan` for a problem
@@ -224,7 +222,8 @@ class AssignmentSession:
         return self._pool.submit(context.run, self.solve, problem)
 
     def cache_info(self) -> dict[str, int]:
-        return self._batch.cache_info()
+        """Counters of the session's index cache."""
+        return self._cache.info()
 
     # -- dynamic (churn) solving ---------------------------------------
 
@@ -343,7 +342,7 @@ class AssignmentSession:
                 self._dyn_max_abs = max_abs
                 arrivals.append(oid)
             elif isinstance(event, ObjectDeparted):
-                oid = _handle(event.oid, "object")
+                oid = checked_handle(event.oid, "object")
                 if oid not in self._dyn_objects:
                     raise InvalidProblemError(f"unknown object {oid}")
                 dyn.remove_object(oid)
@@ -362,7 +361,7 @@ class AssignmentSession:
                 self._dyn_max_priority = max_priority
                 arrivals.append(fid)
             elif isinstance(event, FunctionDeparted):
-                fid = _handle(event.fid, "function")
+                fid = checked_handle(event.fid, "function")
                 if fid not in self._dyn_functions:
                     raise InvalidProblemError(f"unknown function {fid}")
                 dyn.remove_function(fid)

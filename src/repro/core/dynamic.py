@@ -74,9 +74,12 @@ that the suffix work is genuinely partial.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
+from typing import Any
 
 from repro.core.types import Matching
 from repro.data.instances import FunctionSet, ObjectSet, Point
@@ -101,6 +104,29 @@ def _finite_tuple(values: Iterable[float], what: str) -> tuple[float, ...]:
     return out
 
 
+def checked_handle(value: Any, what: str) -> int:
+    """A departure's handle as an ``int``; anything but an integer
+    (``bool`` included, numpy integers accepted) raises
+    :class:`~repro.errors.InvalidProblemError`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidProblemError(f"{what} handle must be an integer, got {value!r}")
+    return int(value)
+
+
+def _checked_capacity(value: Any) -> int:
+    """An arrival's capacity as an ``int`` (by ``operator.index``) of
+    at least 1, or :class:`~repro.errors.InvalidProblemError`."""
+    try:
+        capacity = operator.index(value)
+    except TypeError:
+        raise InvalidProblemError(
+            f"capacity must be an integer, got {value!r}"
+        ) from None
+    if capacity < 1:
+        raise InvalidProblemError(f"capacity must be >= 1, got {capacity}")
+    return capacity
+
+
 class DynamicStableMatching:
     """Maintains the canonical stable matching under churn.
 
@@ -116,7 +142,10 @@ class DynamicStableMatching:
     arrival on either side fixes the dimensionality: a non-numeric,
     NaN or infinite value, or a tuple of another length, raises
     :class:`~repro.errors.InvalidProblemError` (a ``ValueError``)
-    before anything changes, on both backends.
+    before anything changes, on both backends.  So does an arrival's
+    capacity that is not an integer of at least 1, or a departure's
+    handle that is not an integer (``bool`` included); an integer
+    handle that names no live member raises ``KeyError``.
     """
 
     def __init__(self, backend: str = "interp") -> None:
@@ -267,8 +296,7 @@ class DynamicStableMatching:
                 self._rematch_from(self._batch_least_cut())
 
     def add_function(self, weights: tuple[float, ...], capacity: int = 1) -> int:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
+        capacity = _checked_capacity(capacity)
         with self.batch():
             fid = self._next_f
             self._register_function(fid, _finite_tuple(weights, "weights"), capacity)
@@ -278,6 +306,7 @@ class DynamicStableMatching:
         return fid
 
     def remove_function(self, fid: int) -> None:
+        fid = checked_handle(fid, "function")
         if fid not in self._weights:
             raise KeyError(f"unknown function {fid}")
         with self.batch():
@@ -286,8 +315,7 @@ class DynamicStableMatching:
             self.events_applied += 1
 
     def add_object(self, point: Point, capacity: int = 1) -> int:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
+        capacity = _checked_capacity(capacity)
         with self.batch():
             oid = self._next_o
             self._register_object(oid, _finite_tuple(point, "point"), capacity)
@@ -298,6 +326,7 @@ class DynamicStableMatching:
 
     def remove_object(self, oid: int) -> None:
         """Free an object (e.g. a returned housing unit)."""
+        oid = checked_handle(oid, "object")
         if oid not in self._points:
             raise KeyError(f"unknown object {oid}")
         with self.batch():

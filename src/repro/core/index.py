@@ -15,10 +15,10 @@ what it would be on an eagerly loaded index.  The load is timed on its
 own, in an ``index.load`` span and in ``ObjectIndex.load_seconds``, and
 runs are timed by :meth:`ObjectIndex.run_clock`, which stands still
 while the tree loads, so neither a run's ``RunStats.cpu_seconds`` nor
-its phase timings include the load.  The service's index
-cache creates its indexes this way, so a catalogue served only by the
-columnar solvers (which read the catalogue's columns, never the tree)
-is never bulk-loaded.
+its phase timings include the load.  :class:`ObjectIndexCache`, the
+session's instance-hash cache, creates its indexes this way, so a
+catalogue served only by the columnar solvers (which read the
+catalogue's columns, never the tree) is never bulk-loaded.
 
 For the Section 7.6 setting (``O`` fits in memory while ``F`` is
 disk-resident), pass ``memory=True``: the tree lives in a
@@ -27,11 +27,13 @@ disk-resident), pass ``memory=True``: the tree lives in a
 
 from __future__ import annotations
 
+import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.data.instances import ObjectSet
+from repro.data.instances import ObjectSet, object_set_fingerprint
 from repro.obs.trace import span
 from repro.rtree.store import DiskNodeStore, MemoryNodeStore
 from repro.rtree.tree import RTree
@@ -131,3 +133,68 @@ def build_object_index(
     )
     index.tree  # bulk-load now, so no measured run is charged for it
     return index
+
+
+@dataclass
+class _CacheEntry:
+    index: ObjectIndex
+    run_lock: threading.Lock = field(default_factory=threading.Lock)
+
+
+class ObjectIndexCache:
+    """LRU cache of object indexes keyed by instance hash.
+
+    Each entry carries a lock serializing solver runs on that index:
+    the storage layer (LRU page buffer, I/O counters) is mutable and
+    cold-started per run via ``reset_for_run``.  Indexes are created
+    unloaded, and both halves of the catalogue state are built on
+    first use under that lock: the tree loads in the first run that
+    reads it (an interpreted config, ``chain``, ``brute-force``), the
+    columnar state (:func:`repro.kernels.columnar.catalogue_columns`)
+    in the first columnar run.  Either way a catalogue is loaded at
+    most once per entry, and an evicted entry takes its state with it.
+    Running solves hold their own references, so LRU eviction never
+    invalidates an in-flight run.
+    """
+
+    def __init__(self, max_entries: int = 32):
+        if max_entries < 1:
+            raise ValueError("max_entries must be >= 1")
+        self.max_entries = max_entries
+        self._entries: OrderedDict[tuple, _CacheEntry] = OrderedDict()
+        self._guard = threading.Lock()
+        self.hits = 0
+        self.misses = 0
+
+    def get(
+        self, objects: ObjectSet, page_size: int, memory: bool
+    ) -> tuple[ObjectIndex, threading.Lock, bool]:
+        """``(index, run_lock, was_cache_hit)`` for an object set.
+
+        The index may be unloaded: read its tree only while holding
+        ``run_lock``."""
+        key = (object_set_fingerprint(objects), page_size, memory)
+        with self._guard:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+                self.hits += 1
+                hit = True
+            else:
+                entry = _CacheEntry(
+                    ObjectIndex(objects, page_size=page_size, is_memory=memory)
+                )
+                self._entries[key] = entry
+                self.misses += 1
+                hit = False
+                while len(self._entries) > self.max_entries:
+                    self._entries.popitem(last=False)
+        return entry.index, entry.run_lock, hit
+
+    def info(self) -> dict[str, int]:
+        with self._guard:
+            return {
+                "hits": self.hits,
+                "misses": self.misses,
+                "entries": len(self._entries),
+            }

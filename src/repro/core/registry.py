@@ -13,9 +13,9 @@ method not on the engine, carries
 
 :meth:`SolverRegistry.resolve` is the one place a ``(method, options)``
 request is checked and turned into the :class:`Plan` that runs;
-``repro.core.solve``, :class:`~repro.api.problem.Problem` and
-:meth:`~repro.service.batch.SolveJob.resolve` all call it, and
-:func:`engine_config` is the one builder of a named config.
+``repro.core.solve`` and :meth:`Problem.plan
+<repro.api.problem.Problem.plan>` call it, and :func:`engine_config` is
+the one builder of a named config.
 
 ``method="auto"`` (:data:`AUTO_METHOD`) is not a spec: it resolves by
 one fixed rule to :data:`AUTO_PLAN`, ``sb-vec`` on every instance.
@@ -61,10 +61,10 @@ AUTO_METHOD = "auto"
 class Plan:
     """The method a solve runs, and who chose it.
 
-    A small, picklable, JSON-serializable value: the service layer
-    records it per job, the session attaches it to the
-    :class:`~repro.api.solution.Solution`, and the server ships it in
-    the solve envelope and counts its picks in ``/metrics``.
+    A small, picklable, JSON-serializable value: the session attaches
+    it to the :class:`~repro.api.solution.Solution` of an ``auto``
+    solve, and the server ships it in the solve envelope and counts
+    its picks in ``/metrics``.
     """
 
     #: What the caller asked for: ``"auto"`` or a concrete name.

@@ -121,14 +121,15 @@ class ObjectSet:
 def object_set_fingerprint(objects: ObjectSet) -> str:
     """Content hash of an :class:`ObjectSet` — the catalogue's identity.
 
-    It keys the service layer's index cache and is the catalogue part
+    It keys the session's index cache
+    (:class:`~repro.core.index.ObjectIndexCache`) and is the catalogue part
     of every :class:`~repro.api.Problem` address, so two structurally
     identical object sets (same points, same capacities) fingerprint
     equally even when they are distinct Python objects.  It hashes the
     shape, the coordinates as little-endian ``<f8`` and the capacities
     as ``<i8``: the bytes, and so the hash, are the same on every host.
 
-    The digest is memoized on the instance, so K jobs or problem
+    The digest is memoized on the instance, so K solves or problem
     variants over one large catalogue hash it once, not K times — and
     the instance is **frozen** first (:meth:`ObjectSet.freeze`):
     without that, mutating ``objects.points`` afterwards would silently

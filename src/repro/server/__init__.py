@@ -4,8 +4,7 @@ A stdlib-only asyncio JSON-over-HTTP server that makes the ROADMAP's
 "heavy traffic" story executable end to end::
 
     api (Problem/Session/Solution)  ←  this layer serves it over HTTP
-      └─ service (BatchSolver + shared ObjectIndex cache)
-           └─ engine / core
+      └─ core / engine (solvers + the session's ObjectIndex cache)
 
 Run it standalone::
 

@@ -2,8 +2,8 @@
 
 One event loop accepts JSON-over-HTTP requests; every solve funnels
 through a single :class:`~repro.api.session.AssignmentSession`, so the
-R-tree :class:`ObjectIndexCache` inside its :class:`BatchSolver` is
-shared across *all* network clients — sixteen concurrent cohorts over
+session's :class:`~repro.core.index.ObjectIndexCache` is shared across
+*all* network clients — sixteen concurrent cohorts over
 one catalogue share one index, loaded at most once.  Around that sit three
 serving concerns the library layers don't have:
 

@@ -506,6 +506,12 @@ class HttpService:
         # lint: except-ok(client hung up or idled out; nothing to answer)
         except (ConnectionResetError, BrokenPipeError, TimeoutError):
             pass
+        except asyncio.CancelledError:
+            # stop() cancelled this connection: end normally, or
+            # start_server's done-callback logs the cancellation as an
+            # error with a traceback.  Any other cancellation stands.
+            if not self._stopping:
+                raise
         finally:
             if task is not None:
                 self._conn_tasks.discard(task)

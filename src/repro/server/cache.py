@@ -3,9 +3,9 @@
 The engine is deterministic: one ``(instance_digest, method, options)``
 key has exactly one solution, so serving a cached :class:`Solution` is
 bit-identical to re-solving.  This is the second cache tier of the
-serving stack — the first (the :class:`ObjectIndexCache` inside
-:class:`BatchSolver`) saves the catalogue's index build, this one saves
-the whole engine run for repeat queries.
+serving stack — the first (the session's
+:class:`~repro.core.index.ObjectIndexCache`) saves the catalogue's
+index build, this one saves the whole engine run for repeat queries.
 
 Counters (``hits`` / ``misses`` / ``evictions``) feed ``/metrics``.
 The cache is lock-guarded: handlers run on the event loop, but tests

@@ -1,89 +1,115 @@
-"""The batched solve service: worker-pool execution, index-cache
-reuse, and per-job result fidelity."""
+"""Batched solves through :class:`~repro.api.AssignmentSession`: the
+session's one thread pool, index-cache reuse, and per-solve result
+fidelity."""
 
 import threading
-import time
 
 import pytest
 
-from repro import BatchSolver, SolveJob
+from repro.api import AssignmentSession, Problem
 from repro.core import build_object_index, solve
+from repro.core.index import ObjectIndexCache
 from repro.core.reference import greedy_assign
-from repro.data.instances import ObjectSet
-from repro.service import ObjectIndexCache, object_set_fingerprint
+from repro.data.instances import ObjectSet, object_set_fingerprint
+from repro.obs.trace import SpanCollector, collecting, span
 
 from .conftest import random_instance
 
 
-def make_jobs(n_catalogues=4, cohorts_per_catalogue=2):
+def make_problems(n_catalogues=4, cohorts_per_catalogue=2):
     """n_catalogues distinct object sets, each matched against several
     function cohorts — the index-reuse workload."""
-    jobs = []
+    problems = []
     for c in range(n_catalogues):
         _, objects = random_instance(1, 25 + c, 3, seed=100 + c)
         for k in range(cohorts_per_catalogue):
             functions, _ = random_instance(8 + k, 1, 3, seed=200 + 10 * c + k)
-            jobs.append(SolveJob(
-                functions=functions,
-                objects=objects,
-                method="sb",
-                job_id=f"cat{c}-cohort{k}",
-                page_size=512,
-            ))
-    return jobs
+            problems.append(
+                Problem.from_sets(objects, functions, method="sb", page_size=512)
+            )
+    return problems
+
+
+def expected_matching(problem):
+    return greedy_assign(problem.function_set, problem.object_set).matching.as_dict()
 
 
 def test_batch_of_eight_jobs_with_cache_hits():
-    """≥ 8 jobs through the pool: every result matches a standalone
-    solve, and each repeated catalogue hits the index cache."""
-    jobs = make_jobs(n_catalogues=4, cohorts_per_catalogue=2)
-    assert len(jobs) == 8
-    solver = BatchSolver(max_workers=8)
-    results = solver.solve_many(jobs)
+    """≥ 8 problems through the pool: every solution matches a
+    standalone solve and comes back in submission order, and each
+    repeated catalogue hits the index cache."""
+    problems = make_problems(n_catalogues=4, cohorts_per_catalogue=2)
+    assert len(problems) == 8
+    with AssignmentSession(problems[0], max_workers=8) as session:
+        solutions = session.solve_many(problems)
+        info = session.cache_info()
 
-    assert [r.job_id for r in results] == [j.job_id for j in jobs]
-    for job, res in zip(jobs, results):
-        expected = greedy_assign(job.functions, job.objects).matching.as_dict()
-        assert res.matching.as_dict() == expected, res.job_id
+    assert len(solutions) == len(problems)
+    for i, (problem, solution) in enumerate(zip(problems, solutions)):
+        assert solution.problem is problem
+        assert solution.as_dict() == expected_matching(problem), i
 
-    info = solver.cache_info()
     assert info["misses"] == 4  # one build per distinct catalogue
-    assert info["hits"] == 4    # every second cohort reuses the index
+    assert info["hits"] == 4  # every second cohort reuses the index
     assert info["entries"] == 4
 
 
 def test_jobs_run_concurrently(monkeypatch):
-    """The pool genuinely overlaps jobs on distinct catalogues.  Each
+    """The pool genuinely overlaps solves on distinct catalogues.  Each
     solve waits for a second one to start beside it, so the check does
-    not depend on thread start-up racing the first job's solve; a pool
-    that ran one job at a time breaks the barrier instead of hanging."""
+    not depend on thread start-up racing the first solve; a pool that
+    ran one solve at a time breaks the barrier instead of hanging."""
     barrier = threading.Barrier(2, timeout=30)
 
     def paired_solve(*args, **kwargs):
         barrier.wait()
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr("repro.service.batch.solve", paired_solve)
-    jobs = make_jobs(n_catalogues=8, cohorts_per_catalogue=1)
-    solver = BatchSolver(max_workers=8)
-    solver.solve_many(jobs)
-    assert solver.peak_concurrency >= 2
+    monkeypatch.setattr("repro.api.session.solve", paired_solve)
+    problems = make_problems(n_catalogues=8, cohorts_per_catalogue=1)
+    with AssignmentSession(problems[0], max_workers=8) as session:
+        solutions = session.solve_many(problems)
+    for problem, solution in zip(problems, solutions):
+        assert solution.as_dict() == expected_matching(problem)
+
+
+def test_solve_many_spans_reach_the_callers_trace():
+    """Every ``solve_many`` solve runs on the session's pool with the
+    caller's trace context: its ``session.solve`` span parents under
+    the caller's span, and its ``engine.solve`` span lands in the
+    caller's collector."""
+    problems = make_problems(n_catalogues=2, cohorts_per_catalogue=1)
+    collector = SpanCollector()
+    with AssignmentSession(problems[0], max_workers=2) as session:
+        with collecting(collector), span("caller") as caller:
+            session.solve_many(problems)
+    spans = collector.spans
+    by_name = {}
+    for s in spans:
+        by_name.setdefault(s.name, []).append(s)
+    assert len(by_name["session.solve"]) == len(problems)
+    assert len(by_name["engine.solve"]) == len(problems)
+    for s in by_name["session.solve"]:
+        assert s.parent_id == caller.span_id
+    assert {s.trace_id for s in spans} == {caller.trace_id}
 
 
 def test_mixed_methods_share_one_catalogue():
     fs, os_ = random_instance(9, 30, 3, seed=17, capacities=True)
     ref = greedy_assign(fs, os_).matching.as_dict()
-    jobs = [
-        SolveJob(functions=fs, objects=os_, method=m, job_id=m)
+    problem = Problem.from_sets(os_, fs)
+    problems = [
+        problem.with_method(m)
         for m in ("sb", "sb-update", "sb-two-skylines", "chain", "sb-alt")
     ]
-    solver = BatchSolver(max_workers=4)
-    results = solver.solve_many(jobs)
-    for res in results:
-        assert res.matching.as_dict() == ref, res.method
+    with AssignmentSession(problem, max_workers=4) as session:
+        solutions = session.solve_many(problems)
+        info = session.cache_info()
+    for solution in solutions:
+        assert solution.as_dict() == ref, solution.method
     # sb-alt wants a memory-resident object tree, so it builds its own
     # index; the other four share one disk-simulated index.
-    assert solver.cache_info() == {"hits": 3, "misses": 2, "entries": 2}
+    assert info == {"hits": 3, "misses": 2, "entries": 2}
 
 
 def test_structurally_equal_object_sets_share_fingerprint():
@@ -99,10 +125,9 @@ def test_fingerprint_distinguishes_shape():
     """Same raw coordinate bytes, different catalogue shape: a 6x2 and
     a 4x3 object set must not share a cached index."""
     flat = [float(i) / 12 for i in range(12)]
-    six_by_two = ObjectSet([tuple(flat[i:i + 2]) for i in range(0, 12, 2)])
-    four_by_three = ObjectSet([tuple(flat[i:i + 3]) for i in range(0, 12, 3)])
-    assert (object_set_fingerprint(six_by_two)
-            != object_set_fingerprint(four_by_three))
+    six_by_two = ObjectSet([tuple(flat[i : i + 2]) for i in range(0, 12, 2)])
+    four_by_three = ObjectSet([tuple(flat[i : i + 3]) for i in range(0, 12, 3)])
+    assert object_set_fingerprint(six_by_two) != object_set_fingerprint(four_by_three)
 
 
 def test_cache_rebuild_after_eviction():
@@ -139,15 +164,16 @@ def test_first_solve_on_an_unloaded_index_is_charged_like_an_eager_one():
 
     fs, os_ = random_instance(9, 60, 3, seed=83, capacities=True)
     for method in REGISTRY.names():
-        job = SolveJob(functions=fs, objects=os_, method=method, page_size=512)
-        solver = BatchSolver()
-        lazy = solver.solve_one(job)
-        index, _, _ = solver.cache.get(os_, 512, job.wants_memory_index)
+        problem = Problem.from_sets(os_, fs, method=method, page_size=512)
+        memory = method == "sb-alt"
+        with AssignmentSession(problem) as session:
+            lazy = session.solve()
+            index, _, _ = session._cache.get(problem.object_set, 512, memory)
         # Only the columnar configs leave the tree unloaded.
         assert index.loaded == (not method.endswith("-vec")), method
-        eager = build_object_index(os_, page_size=512, memory=job.wants_memory_index)
+        eager = build_object_index(os_, page_size=512, memory=memory)
         direct = solve(fs, eager, method=method)
-        assert run_signature(lazy.result) == run_signature(direct), method
+        assert run_signature(lazy) == run_signature(direct), method
 
 
 @pytest.mark.parametrize("method", ["sb", "chain", "brute-force"])
@@ -155,8 +181,9 @@ def test_lazy_tree_load_stays_out_of_the_run_cpu_time(monkeypatch, method):
     """The run that bulk-loads an unloaded cache index reports the load
     in an ``index.load`` span and in ``load_seconds``; its
     ``cpu_seconds`` and phase timings leave the load out."""
+    import time
+
     import repro.core.index
-    from repro.obs.trace import SpanCollector, collecting
     from repro.rtree.tree import RTree
 
     pause = 0.2
@@ -172,38 +199,36 @@ def test_lazy_tree_load_stays_out_of_the_run_cpu_time(monkeypatch, method):
 
     monkeypatch.setattr(repro.core.index, "RTree", SlowRTree)
     fs, os_ = random_instance(8, 60, 3, seed=91)
-    job = SolveJob(functions=fs, objects=os_, method=method, page_size=512)
-    solver = BatchSolver()
-    collector = SpanCollector()
-    with collecting(collector):
-        first = solver.solve_one(job)
-    index, _, _ = solver.cache.get(os_, 512, job.wants_memory_index)
-    assert index.loaded and index.load_seconds >= pause
-    # The job's wall time holds the run and the load; CPU time only
-    # the run, and the phases only parts of the run.
-    stats = first.result.stats
-    assert first.wall_seconds - stats.cpu_seconds >= pause
-    assert sum(stats.phases.values()) <= stats.cpu_seconds + 1e-6
-    spans = {s.name: s for s in collector.spans}
-    load, solve_span = spans["index.load"], spans["engine.solve"]
-    assert load.duration_seconds >= pause
-    assert load.parent_id == solve_span.span_id
-    assert solve_span.attributes["engine_cpu_seconds"] == stats.cpu_seconds
-    # The second, identical run loads nothing and pays the same I/O.
-    second = solver.solve_one(job)
+    problem = Problem.from_sets(os_, fs, method=method, page_size=512)
+    with AssignmentSession(problem) as session:
+        collector = SpanCollector()
+        with collecting(collector):
+            first = session.solve()
+        index, _, _ = session._cache.get(problem.object_set, 512, False)
+        assert index.loaded and index.load_seconds >= pause
+        # The solve's wall time holds the run and the load; CPU time
+        # only the run, and the phases only parts of the run.
+        stats = first.stats
+        spans = {s.name: s for s in collector.spans}
+        assert spans["session.solve"].duration_seconds - stats.cpu_seconds >= pause
+        assert sum(stats.phases.values()) <= stats.cpu_seconds + 1e-6
+        load, solve_span = spans["index.load"], spans["engine.solve"]
+        assert load.duration_seconds >= pause
+        assert load.parent_id == solve_span.span_id
+        assert solve_span.attributes["engine_cpu_seconds"] == stats.cpu_seconds
+        # The second, identical run loads nothing and pays the same I/O.
+        second = session.solve()
     assert index.load_seconds == load.duration_seconds
-    assert run_signature(second.result) == run_signature(first.result)
+    assert run_signature(second) == run_signature(first)
 
 
 def test_auto_session_leaves_the_cached_tree_unloaded():
-    from repro.api import AssignmentSession, Problem
-
     fs, os_ = random_instance(12, 80, 3, seed=87)
     problem = Problem.from_sets(os_, fs, method="auto")
     with AssignmentSession(problem) as session:
         assert session.solve().method == "sb-vec"
         session.solve(problem.with_functions([(0.3, 0.2, 0.5), (0.6, 0.3, 0.1)]))
-        index, _, hit = session._batch.cache.get(os_, problem.page_size, False)
+        index, _, hit = session._cache.get(problem.object_set, problem.page_size, False)
         assert hit and not index.loaded
         assert index.columnar is not None  # the columnar state did build
         session.solve(problem.with_method("chain"))
@@ -213,47 +238,50 @@ def test_auto_session_leaves_the_cached_tree_unloaded():
 
 def test_solve_kwargs_and_stats_surface():
     fs, os_ = random_instance(10, 15, 3, seed=61)
-    job = SolveJob(
-        functions=fs, objects=os_, method="sb",
-        memory_index=True, solve_kwargs={"paged_function_lists": 128},
+    problem = Problem.from_sets(
+        os_, fs, method="sb", options={"paged_function_lists": 128}, memory_index=True
     )
-    res = BatchSolver().solve_one(job)
-    assert res.job_id == "job-0"
-    assert res.stats.counters["function_list_reads"] > 0
-    assert res.wall_seconds > 0
+    with AssignmentSession(problem) as session:
+        solution = session.solve()
+        index, _, hit = session._cache.get(problem.object_set, problem.page_size, True)
+    assert hit and index.is_memory
+    assert solution.stats.counters["function_list_reads"] > 0
     idx = build_object_index(os_, memory=True)
     standalone = solve(fs, idx, method="sb", paged_function_lists=128)
-    assert res.matching.as_dict() == standalone.matching.as_dict()
+    assert solution.as_dict() == standalone.matching.as_dict()
 
 
-def test_engine_config_method_gets_memory_index():
-    """An EngineConfig method is recognized by name: an sb-alt config
-    auto-selects the memory-resident object tree (Section 7.6), so no
-    object-tree page reads leak into the reported I/O."""
-    from repro import engine_config
-
+def test_sb_alt_gets_memory_index():
+    """With ``memory_index`` unset, an sb-alt problem gets the
+    memory-resident object tree (Section 7.6), so no object-tree page
+    reads leak into the reported I/O."""
     fs, os_ = random_instance(10, 15, 3, seed=71)
-    job = SolveJob(functions=fs, objects=os_, method=engine_config("sb-alt"))
-    assert job.wants_memory_index
-    res = BatchSolver().solve_one(job)
-    assert res.method == "sb-alt"
-    assert res.stats.counters["object_reads"] == 0
-    assert res.matching.as_dict() == greedy_assign(fs, os_).matching.as_dict()
+    problem = Problem.from_sets(os_, fs, method="sb-alt")
+    assert problem.memory_index is None
+    with AssignmentSession(problem) as session:
+        solution = session.solve()
+        index, _, hit = session._cache.get(problem.object_set, problem.page_size, True)
+    assert hit and index.is_memory
+    assert solution.method == "sb-alt"
+    assert solution.stats.counters["object_reads"] == 0
+    assert solution.as_dict() == greedy_assign(fs, os_).matching.as_dict()
 
 
 def test_empty_batch():
-    assert BatchSolver().solve_many([]) == []
+    (problem,) = make_problems(n_catalogues=1, cohorts_per_catalogue=1)
+    with AssignmentSession(problem) as session:
+        assert session.solve_many([]) == []
 
 
 def test_fingerprint_freezes_catalogue_against_stale_cache_reuse():
     """Regression: the fingerprint is memoized on the instance, so a
-    post-submit mutation of ``objects.points`` would silently reuse
-    the wrong cached index.  Submitting now freezes the catalogue."""
+    mutation of ``objects.points`` after a cache lookup would silently
+    reuse the wrong cached index.  The lookup freezes the catalogue."""
     from repro.errors import FrozenInstanceError
 
     fs, objects = random_instance(4, 12, 2, seed=77)
-    solver = BatchSolver(max_workers=1)
-    first = solver.solve_one(SolveJob(functions=fs, objects=objects))
+    cache = ObjectIndexCache()
+    first, _, _ = cache.get(objects, 4096, False)
     assert objects.is_frozen
 
     # Rebinding or mutating the frozen catalogue is rejected outright.
@@ -266,17 +294,24 @@ def test_fingerprint_freezes_catalogue_against_stale_cache_reuse():
     with pytest.raises(AttributeError):
         objects.points.append((0.0, 0.0))
 
-    # The frozen catalogue still solves and still hits the cache.
-    again = solver.solve_one(SolveJob(functions=fs, objects=objects))
-    assert again.index_cache_hit
-    assert again.matching.as_dict() == first.matching.as_dict()
+    # The frozen catalogue still hits the cache.
+    again, _, hit = cache.get(objects, 4096, False)
+    assert hit and again is first
 
-    # An edited *copy* is a different fingerprint => a fresh index.
+    # Through a session: an equal catalogue hits the index the first
+    # solve built, and an edited *copy* is a different fingerprint =>
+    # a fresh index and a different matching.
     edited = ObjectSet([(0.9, 0.9)] + list(objects.points[1:]))
     assert object_set_fingerprint(edited) != object_set_fingerprint(objects)
-    other = solver.solve_one(SolveJob(functions=fs, objects=edited))
-    assert not other.index_cache_hit
-    assert other.matching.as_dict() != again.matching.as_dict()
+    problem = Problem.from_sets(objects, fs)
+    with AssignmentSession(problem, max_workers=1) as session:
+        first_solution = session.solve()
+        again_solution = session.solve(Problem.from_sets(objects, fs))
+        assert session.cache_info() == {"hits": 1, "misses": 1, "entries": 1}
+        other = session.solve(problem.with_objects(edited.points))
+        assert session.cache_info() == {"hits": 1, "misses": 2, "entries": 2}
+    assert again_solution.as_dict() == first_solution.as_dict()
+    assert other.as_dict() != again_solution.as_dict()
 
 
 def slow_bulk_load(monkeypatch, log):
@@ -370,18 +405,19 @@ def test_concurrent_gets_for_one_catalogue_build_exactly_once(monkeypatch):
 
 
 def test_batch_solver_results_correct_under_lru_eviction_churn():
-    """BatchSolver with a one-entry index cache and a full worker pool:
-    every job's matching still equals the reference oracle even though
-    indexes are evicted and rebuilt under the jobs' feet."""
-    jobs = make_jobs(n_catalogues=4, cohorts_per_catalogue=2)
-    solver = BatchSolver(max_workers=8, index_cache_size=1)
-    results = solver.solve_many(jobs)
-    for job, res in zip(jobs, results):
-        expected = greedy_assign(job.functions, job.objects).matching.as_dict()
-        assert res.matching.as_dict() == expected, res.job_id
-    info = solver.cache_info()
+    """A session with a one-entry index cache and a full worker pool:
+    every solution still equals the reference oracle even though
+    indexes are evicted and rebuilt under the solves' feet."""
+    problems = make_problems(n_catalogues=4, cohorts_per_catalogue=2)
+    with AssignmentSession(
+        problems[0], max_workers=8, index_cache_size=1
+    ) as session:
+        solutions = session.solve_many(problems)
+        info = session.cache_info()
+    for i, (problem, solution) in enumerate(zip(problems, solutions)):
+        assert solution.as_dict() == expected_matching(problem), i
     assert info["entries"] == 1
-    assert info["hits"] + info["misses"] == len(jobs)
+    assert info["hits"] + info["misses"] == len(problems)
 
 
 def test_freeze_is_idempotent_and_unfrozen_sets_stay_mutable():

@@ -11,6 +11,7 @@ to ring successors with bit-identical results.
 import concurrent.futures
 import http.server
 import json
+import logging
 import socket
 import threading
 import time
@@ -335,6 +336,81 @@ def test_job_poll_on_dead_backend_is_503_until_it_recovers(fleet, client):
     with pytest.raises(ServerError) as excinfo:
         client.job(jid)
     assert excinfo.value.status == 404
+
+
+def test_job_in_flight_across_an_owner_restart_ends_in_typed_errors(
+    fleet, client, monkeypatch
+):
+    """An owner stopped while it runs a job: the stop waits for the
+    solve (the session's pool shuts down with ``wait=True``), a poll
+    meanwhile is a typed 503, and after a restart on the same port the
+    job is an honest 404 at once; a new solve of the problem succeeds
+    and equals a local one."""
+    started, release = threading.Event(), threading.Event()
+    real_solve = AssignmentSession.solve
+
+    def held_solve(self, problem=None):
+        started.set()
+        assert release.wait(30), "the held solve was never released"
+        return real_solve(self, problem)
+
+    monkeypatch.setattr(AssignmentSession, "solve", held_solve)
+    problem = make_problem(seed=71)
+    owner = fleet.owner_address(problem)
+    jid = client.submit(problem)
+    assert started.wait(30), "the job never reached a solve"
+
+    stopper = threading.Thread(target=fleet.kill, args=(owner,))
+    stopper.start()
+    try:
+        deadline = time.monotonic() + 30
+        with pytest.raises(ServerUnavailableError) as excinfo:
+            while time.monotonic() < deadline:
+                assert client.job(jid)["status"] != "done"
+                time.sleep(0.02)
+        assert excinfo.value.status == 503
+        assert stopper.is_alive()  # the stop waits for the held solve
+    finally:
+        release.set()
+        stopper.join(30)
+    assert not stopper.is_alive()
+
+    fleet.restart(owner)
+    fleet.wait_alive(owner, alive=True)
+    start = time.monotonic()
+    with pytest.raises(ServerError) as excinfo:
+        client.result(jid, timeout=10)
+    assert excinfo.value.status == 404
+    assert "unknown job" in str(excinfo.value)
+    assert time.monotonic() - start < 5
+
+    solution = client.solve(problem)
+    with AssignmentSession(problem) as session:
+        local = session.solve()
+    assert solution.to_dict()["pairs"] == local.to_dict()["pairs"]
+
+
+def test_stop_with_open_keep_alive_connections_logs_no_error(caplog):
+    """Stopping a service cancels its open keep-alive connections; each
+    cancelled handler ends normally, so asyncio logs no error (it would
+    log the cancellation with a traceback otherwise).  Covers a gateway
+    and then its backend, each stopped while a client's connection to
+    it is open."""
+    problem = make_problem(seed=73)
+    backend = serve_in_thread(ServerConfig(port=0))
+    gateway = serve_gateway_in_thread(gateway_config([f"127.0.0.1:{backend.port}"]))
+    try:
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            for handle in (gateway, backend):
+                with Client(handle.base_url) as client:
+                    client.solve(problem)
+                    handle.close()
+    finally:
+        for handle in (gateway, backend):
+            if handle.thread.is_alive():
+                handle.close()
+    errors = [r for r in caplog.records if r.name == "asyncio"]
+    assert not errors, [r.getMessage() for r in errors]
 
 
 def test_recovered_backend_rejoins_with_ownership_intact(fleet, client):

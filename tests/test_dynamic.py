@@ -2,12 +2,14 @@
 
 import random
 
+import numpy as np
 import pytest
 
-from repro.core.dynamic import DynamicStableMatching
+from repro.core.dynamic import CHURN_BACKENDS, DynamicStableMatching
 from repro.core.reference import greedy_assign
 from repro.core.validate import assert_stable
 from repro.data.instances import FunctionSet, ObjectSet
+from repro.errors import InvalidProblemError
 
 from .conftest import random_points, random_weights
 
@@ -68,6 +70,64 @@ def test_unknown_handles_rejected():
         dyn.remove_object(0)
     with pytest.raises(ValueError):
         dyn.add_function((1.0,), capacity=0)
+
+
+def event_state(dyn: DynamicStableMatching) -> tuple:
+    """Everything an event may change, the columnar mirror included."""
+    mirror = None
+    if dyn._vec is not None:
+        mirror = (dict(dyn._vec.functions.row_of), dict(dyn._vec.objects.row_of))
+    return (
+        repr(dyn._pairs),
+        dict(dyn._weights),
+        dict(dyn._points),
+        dict(dyn._f_caps),
+        dict(dyn._o_caps),
+        dyn._next_f,
+        dyn._next_o,
+        dyn.churn_info(),
+        mirror,
+    )
+
+
+@pytest.mark.parametrize("backend", CHURN_BACKENDS)
+def test_non_integer_handles_and_capacities_are_typed_errors(backend):
+    """A departure's handle must be an integer (``bool`` and integral
+    floats included in the rejects), an arrival's capacity an integer
+    of at least 1: anything else raises InvalidProblemError before any
+    state changes.  An unknown integer handle still raises KeyError,
+    and numpy integers pass as handles and capacities."""
+    dyn = DynamicStableMatching(backend=backend)
+    for weights in ((1.0, 0.0), (0.0, 1.0)):
+        dyn.add_function(weights)
+    for point in ((0.5, 0.5), (0.9, 0.1)):
+        dyn.add_object(point)
+    before = event_state(dyn)
+    for handle in (True, False, 0.0, 1.0, [0], {}, "0", None):
+        with pytest.raises(InvalidProblemError, match="handle must be an integer"):
+            dyn.remove_object(handle)
+        with pytest.raises(InvalidProblemError, match="handle must be an integer"):
+            dyn.remove_function(handle)
+    for capacity in (1.5, 2.0, "2", None, 0, -1):
+        with pytest.raises(InvalidProblemError, match="capacity must be"):
+            dyn.add_object((0.25, 0.75), capacity=capacity)
+        with pytest.raises(InvalidProblemError, match="capacity must be"):
+            dyn.add_function((0.5, 0.5), capacity=capacity)
+    assert event_state(dyn) == before
+    with pytest.raises(KeyError):
+        dyn.remove_object(7)
+    with pytest.raises(KeyError):
+        dyn.remove_function(np.int64(7))
+    assert event_state(dyn) == before
+
+    oid = dyn.add_object((0.25, 0.75), capacity=np.int64(2))
+    fid = dyn.add_function((0.5, 0.5), capacity=np.int32(3))
+    assert dyn._o_caps[oid] == 2 and type(dyn._o_caps[oid]) is int
+    assert dyn._f_caps[fid] == 3 and type(dyn._f_caps[fid]) is int
+    assert all(type(p.count) is int for p in dyn.matching.pairs)
+    dyn.remove_object(np.int64(oid))
+    dyn.remove_function(np.int64(fid))
+    assert dyn.matching.as_dict() == oracle(dyn)
 
 
 def test_partner_lookups():

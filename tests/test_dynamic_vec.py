@@ -84,22 +84,27 @@ def test_vec_backend_departing_both_sides_to_empty():
     assert vec.num_functions == 0 and vec.num_objects == 0
 
 
+def function_arrival(dims: int):
+    # Tie-heavy on purpose, and signed (as are the coordinates below):
+    # the kernel may not assume that a preference rises with every
+    # coordinate.
+    value = st.sampled_from([-1.0, -0.5, 0.0, 0.25, 0.5, 1.0])
+    return st.tuples(
+        st.just("af"),
+        st.tuples(*[value] * dims),
+        st.integers(1, 3),  # capacity
+        st.integers(1, 3),  # priority
+    )
+
+
 @st.composite
 def churn_scenario(draw):
     dims = draw(st.integers(1, 3))
-    # Tie-heavy on purpose, and signed: the kernel may not assume that
-    # a preference rises with every coordinate.
-    value = st.sampled_from([-1.0, -0.5, 0.0, 0.25, 0.5, 1.0])
     coord = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0, 0.25])
     ops = draw(
         st.lists(
             st.one_of(
-                st.tuples(
-                    st.just("af"),
-                    st.tuples(*[value] * dims),
-                    st.integers(1, 3),  # capacity
-                    st.integers(1, 3),  # priority
-                ),
+                function_arrival(dims),
                 st.tuples(
                     st.just("ao"),
                     st.tuples(*[coord] * dims),
@@ -214,19 +219,46 @@ def replay_in_batches(ops, sizes) -> list[tuple[int, int]]:
 
 @st.composite
 def batched_churn_scenario(draw):
-    _dims, ops = draw(churn_scenario())
+    """``(ops, sizes)``: a churn scenario cut into random batches, empty
+    ones included.  Half the scenarios then add batches that each bring
+    a function and an object at the function's own weight vector onto
+    the matching the churn left.  That pair can sort ahead of an
+    emitted pair that neither arrival beats with a member from before
+    the batch, so only a cut probe that scores each arrival against the
+    other finds it."""
+    dims, ops = draw(churn_scenario())
     sizes = draw(st.lists(st.integers(0, 8), max_size=len(ops) + 2))
-    return ops, sizes
+    if not draw(st.booleans()):
+        return ops, sizes
+    pairs = draw(
+        st.lists(
+            st.tuples(function_arrival(dims), st.integers(1, 3), st.booleans()),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    # Close the churn's own batches (a size past the end cuts short or
+    # empty, as in the plain draw), then one batch per pair, in either
+    # order.
+    left, cut = len(ops), []
+    for size in sizes:
+        cut.append(min(size, left))
+        left -= cut[-1]
+    for function, capacity, function_first in pairs:
+        aligned = ("ao", function[1], capacity, 1)
+        ops = [*ops, function, aligned] if function_first else [*ops, aligned, function]
+    return ops, [*cut, left, *[2] * len(pairs)]
 
 
 @given(batched_churn_scenario(), block_budgets)
 @CHURN_SETTINGS
 def test_random_event_batches_match_stepped_events(scenario, budget):
-    """Random churn applied in random batches, empty ones included:
-    after every batch, ``vec`` and ``interp`` inside ``batch()`` equal
-    an ``interp`` twin applying one event at a time and a from-scratch
-    rematch, with the rescans and probes scored in blocks of ``budget``
-    bytes."""
+    """Random churn applied in random batches, empty ones included, and
+    in half the examples batches that bring a function and an object
+    at its weight vector together: after every batch, ``vec`` and
+    ``interp`` inside ``batch()`` equal an ``interp`` twin applying one
+    event at a time and a from-scratch rematch, with the rescans and
+    probes scored in blocks of ``budget`` bytes."""
     ops, sizes = scenario
     with mock.patch("repro.core.vectorized.CELL_BUDGET", budget):
         replay_in_batches(ops, sizes)

@@ -6,8 +6,8 @@ Four layers of coverage:
   reproduce ``sb`` (and ``sb-deltasky-vec`` must reproduce
   ``sb-deltasky``) pair for pair: same (fid, oid, score, units)
   sequence, same loop count, on plain / tie-heavy / capacitated /
-  prioritized instances, at a served size and through the batch
-  solver;
+  prioritized instances, at a served size and through a session's
+  ``solve_many``;
 - **the runner-up lists** of :class:`~repro.kernels.rounds.PointerRound`
   — deterministic cases for each way a stale pointer is refreshed, and
   a hypothesis property against the greedy oracle, at list lengths of
@@ -38,7 +38,6 @@ from repro.data.generators import make_objects, random_priorities, uniform_weigh
 from repro.data.instances import FunctionSet, ObjectSet
 from repro.kernels import CatalogueColumns, PointerRound, columnar, rounds
 from repro.scoring import score
-from repro.service import BatchSolver, SolveJob
 
 from .conftest import block_budgets, deep_settings, random_instance
 
@@ -126,20 +125,15 @@ def test_vectorized_twin_identity_sweep(scalar, vectorized):
 
 def test_vectorized_twins_identical_through_batch_solver():
     functions, objects = random_instance(9, 35, 3, seed=55, capacities=True)
-    solver = BatchSolver(max_workers=2)
-    for scalar, vectorized in TWINS:
-        jobs = [
-            SolveJob(functions=functions, objects=objects, method=m)
-            for m in (scalar, vectorized)
-        ]
-        got_scalar, got_vec = solver.solve_many(jobs)
-        assert [
-            (p.fid, p.oid, p.score, p.count)
-            for p in got_scalar.result.matching.pairs
-        ] == [
-            (p.fid, p.oid, p.score, p.count)
-            for p in got_vec.result.matching.pairs
-        ], vectorized
+    problem = Problem.from_sets(objects, functions)
+    with AssignmentSession(problem, max_workers=2) as session:
+        for scalar, vectorized in TWINS:
+            got_scalar, got_vec = session.solve_many(
+                [problem.with_method(m) for m in (scalar, vectorized)]
+            )
+            assert [(p.fid, p.oid, p.score, p.count) for p in got_scalar.pairs] == [
+                (p.fid, p.oid, p.score, p.count) for p in got_vec.pairs
+            ], vectorized
 
 
 # ---------------------------------------------------------------------------
@@ -477,20 +471,19 @@ def test_cached_catalogue_state_solves_like_a_fresh_index(index_cache_size):
 
 def test_catalogue_state_is_built_once_and_read_only():
     functions, objects = random_instance(6, 120, 3, seed=81)
-    solver = BatchSolver()
-    job = SolveJob(functions=functions, objects=objects, method="sb-vec")
-    index, _, _ = solver.cache.get(objects, job.page_size, False)
-    assert index.columnar is None  # built lazily, by a columnar solve
-    first = solver.solve_one(job)
-    columns = index.columnar
-    assert columns is not None
-    for other in ("sb-deltasky-vec", "sb-vec"):
-        job.method = other
-        solver.solve_one(job)
-        assert index.columnar is columns
-    again = solver.solve_one(job)
-    assert solve_record(first.matching.pairs, first.stats) == solve_record(
-        again.matching.pairs, again.stats
+    problem = Problem.from_sets(objects, functions, method="sb-vec")
+    with AssignmentSession(problem) as session:
+        index, _, _ = session._cache.get(problem.object_set, problem.page_size, False)
+        assert index.columnar is None  # built lazily, by a columnar solve
+        first = session.solve()
+        columns = index.columnar
+        assert columns is not None
+        for other in ("sb-deltasky-vec", "sb-vec"):
+            session.solve(problem.with_method(other))
+            assert index.columnar is columns
+        again = session.solve()
+    assert solve_record(first.pairs, first.stats) == solve_record(
+        again.pairs, again.stats
     )
     for array in (
         columns.points,

@@ -414,8 +414,9 @@ class TestServerObservability:
         )[1]
         names = {s["name"] for s in record["spans"]}
         assert {"server.request", "solve.execute"} <= names
-        # The fresh solve ran the engine: its span plus derived phases.
-        assert "engine.solve" in names
+        # The fresh solve ran the session's path: the planner, the index
+        # cache and the engine, whose span carries derived phases.
+        assert {"plan.resolve", "index.lookup", "engine.solve"} <= names
         assert any(name.startswith("engine.s") for name in names - {"engine.solve"})
         assert {s["trace_id"] for s in record["spans"]} == {record["trace_id"]}
         (root,) = assemble_tree(record["spans"])

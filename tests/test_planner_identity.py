@@ -1,16 +1,15 @@
 """The planner's bit-identical guarantee: ``method="auto"`` produces
 *exactly* what directly invoking the config it resolves to (``sb-vec``)
 produces — pairs bit for bit plus the measured-work counters (I/O,
-loops, peak memory, solver counters) — at batch, session and
-embedded-server level.  The gateway level is covered in
-``test_cluster.py``.
+loops, peak memory, solver counters) — on the session's pool, on the
+caller's thread and at embedded-server level.  The gateway level is
+covered in ``test_cluster.py``.
 """
 
 import pytest
 
 from repro.api import AssignmentSession, Problem
 from repro.core.registry import AUTO_PLAN
-from repro.service import BatchSolver, SolveJob
 
 from .conftest import random_instance
 
@@ -23,29 +22,8 @@ def make_problem(method="auto", nf=7, no=30, dims=3, seed=11, **kwargs):
     return Problem.from_sets(objects, functions, method=method)
 
 
-def job_for(problem, method):
-    return SolveJob(
-        functions=problem.function_set,
-        objects=problem.object_set,
-        method=method,
-    )
-
-
-def signature(result):
-    """Everything that must not differ between auto and direct runs."""
-    stats = result.stats
-    return (
-        [(p.fid, p.oid, p.score, p.count) for p in result.matching.pairs],
-        stats.io.physical_reads,
-        stats.io.logical_reads,
-        stats.io.physical_writes,
-        stats.loops,
-        stats.peak_memory_bytes,
-        dict(stats.counters),
-    )
-
-
 def solution_signature(solution):
+    """Everything that must not differ between auto and direct runs."""
     stats = solution.stats
     return (
         [(p.fid, p.oid, p.score, p.count) for p in solution.pairs],
@@ -59,34 +37,35 @@ def solution_signature(solution):
 
 
 # ---------------------------------------------------------------------------
-# Batch level
+# The session's pool
 # ---------------------------------------------------------------------------
 
 
 def test_auto_matches_natural_pick_on_thread_batch():
     problem = make_problem()
-    solver = BatchSolver()
-    auto_result = solver.solve_one(job_for(problem, "auto"))
-    assert auto_result.plan is not None
-    chosen = auto_result.plan.method
-    assert auto_result.method == chosen != "auto"
-    direct = solver.solve_one(job_for(problem, chosen))
-    assert signature(auto_result.result) == signature(direct.result)
+    with AssignmentSession(problem) as session:
+        (auto_solution,) = session.solve_many([problem])
+        assert auto_solution.plan is not None
+        chosen = auto_solution.plan.method
+        assert auto_solution.method == chosen != "auto"
+        (direct,) = session.solve_many([problem.with_method(chosen)])
+    assert direct.plan is None
+    assert solution_signature(auto_solution) == solution_signature(direct)
 
 
 @pytest.mark.parametrize("method", EMITTED)
 def test_auto_matches_every_forced_pick_on_thread_batch(method):
     problem = make_problem(seed=23, capacities=True, priorities=True)
-    solver = BatchSolver()
-    auto_result = solver.solve_one(job_for(problem, "auto"))
-    assert auto_result.method == method
-    assert auto_result.plan.method == method
-    direct = solver.solve_one(job_for(problem, method))
-    assert signature(auto_result.result) == signature(direct.result)
+    with AssignmentSession(problem) as session:
+        (auto_solution,) = session.solve_many([problem])
+        assert auto_solution.method == method
+        assert auto_solution.plan.method == method
+        (direct,) = session.solve_many([problem.with_method(method)])
+    assert solution_signature(auto_solution) == solution_signature(direct)
 
 
 # ---------------------------------------------------------------------------
-# Session level
+# The caller's thread, and auto beside direct in one batch
 # ---------------------------------------------------------------------------
 
 def test_auto_matches_direct_at_session_level():

@@ -10,7 +10,7 @@ from repro.core.registry import REGISTRY
 
 
 def test_version():
-    assert repro.__version__ == "5.0.0"
+    assert repro.__version__ == "6.0.0"
 
 
 def test_top_level_exports():
